@@ -45,7 +45,29 @@ struct LoopState
     std::exception_ptr error;
     std::mutex mutex;
     std::condition_variable done;
-    std::size_t pendingHelpers = 0;
+    /** Set by the caller once it has drained; helpers that start
+     * after this return without touching the loop. */
+    bool closed = false;
+    /** Helpers that registered before `closed` and are draining. */
+    std::size_t activeHelpers = 0;
+
+    /** Helper-task body: register, drain, deregister. A helper that
+     * starts late (its loop already closed, its body possibly gone)
+     * does nothing, so the caller never waits on a queued task —
+     * only on threads already running its chunks. */
+    void help(std::size_t slot)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (closed)
+                return;
+            ++activeHelpers;
+        }
+        drain(slot);
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--activeHelpers == 0)
+            done.notify_all();
+    }
 
     /** Pull and run chunks until the cursor runs out. */
     void drain(std::size_t slot)
@@ -94,12 +116,11 @@ runLoop(std::size_t count,
         participants = std::min(participants, options.maxThreads);
     participants = std::min(participants, chunks);
 
-    // Serial fast path: a one-thread budget, a single chunk, or a
-    // nested call from one of this pool's own workers (which must
-    // not block on its own queue). Still walks the same chunk
-    // boundaries as the parallel path so callers keying state by
-    // chunk see identical geometry at every thread count.
-    if (participants <= 1 || pool.onWorkerThread()) {
+    // Serial fast path: a one-thread budget or a single chunk. Still
+    // walks the same chunk boundaries as the parallel path so
+    // callers keying state by chunk see identical geometry at every
+    // thread count.
+    if (participants <= 1) {
         for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
             options.cancel.checkpoint();
             const std::size_t begin = chunk * grain;
@@ -114,23 +135,24 @@ runLoop(std::size_t count,
     state->chunks = chunks;
     state->body = &body;
     state->cancel = options.cancel;
-    state->pendingHelpers = participants - 1;
 
+    // Offer helper tasks to the pool. Whoever picks one up joins the
+    // drain; the caller drains too, so the loop finishes even when
+    // every worker is busy — including when the caller is itself a
+    // worker running a chunk of an outer loop.
     for (std::size_t i = 0; i + 1 < participants; ++i) {
         const std::size_t slot = i + 1;
-        pool.submit([state, slot] {
-            state->drain(slot);
-            std::lock_guard<std::mutex> lock(state->mutex);
-            if (--state->pendingHelpers == 0)
-                state->done.notify_all();
-        });
+        pool.submit([state, slot] { state->help(slot); });
     }
 
     state->drain(0);
 
+    // Close the loop so late helpers stand down, then wait only for
+    // the helpers still running chunks.
     std::unique_lock<std::mutex> lock(state->mutex);
+    state->closed = true;
     state->done.wait(lock,
-                     [&] { return state->pendingHelpers == 0; });
+                     [&] { return state->activeHelpers == 0; });
     if (state->error)
         std::rethrow_exception(state->error);
 }

@@ -16,8 +16,14 @@
  *    bit-identical for any thread count, including 1.
  *  - The first exception thrown by the body is rethrown on the
  *    calling thread; remaining chunks are abandoned best-effort.
- *  - Nested invocations from inside a worker run serially on that
- *    worker (no deadlock, same results).
+ *  - Nested invocations (a body that calls parallelFor on the same
+ *    pool) fan out to whichever workers are idle. The calling
+ *    thread always drains chunks itself, and it waits only for
+ *    helpers that joined before it finished draining; a helper that
+ *    starts later finds the loop closed and returns. A waiter
+ *    therefore only ever waits on threads that are running its
+ *    chunks, so nesting cannot deadlock at any depth, and chunk
+ *    geometry (hence every result) is the same as unnested.
  */
 
 #ifndef UAVF1_EXEC_PARALLEL_HH

@@ -15,14 +15,6 @@
 
 namespace uavf1::exec {
 
-namespace {
-
-/** Worker threads mark themselves so nested parallelism degrades to
- * serial execution instead of deadlocking. */
-thread_local const ThreadPool *current_worker_pool = nullptr;
-
-} // namespace
-
 ThreadPool::ThreadPool(std::size_t threads)
 {
     if (threads < 1)
@@ -56,7 +48,6 @@ ThreadPool::submit(std::function<void()> task)
 void
 ThreadPool::workerLoop()
 {
-    current_worker_pool = this;
     for (;;) {
         std::function<void()> task;
         {
@@ -70,12 +61,6 @@ ThreadPool::workerLoop()
         }
         task();
     }
-}
-
-bool
-ThreadPool::onWorkerThread() const
-{
-    return current_worker_pool == this;
 }
 
 std::size_t

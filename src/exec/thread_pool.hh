@@ -11,6 +11,12 @@
  * execution with no threads at all. That makes "run this sweep at 1,
  * 2 and 8 threads" a pure configuration change, which the
  * determinism tests exploit.
+ *
+ * Tasks are plain fire-and-forget closures: the pool never blocks a
+ * worker on another task. parallelFor builds nesting on top of that
+ * (a loop started from a worker offers helper tasks to the idle
+ * workers and waits only for those that actually joined), so a
+ * nested loop can never deadlock the pool.
  */
 
 #ifndef UAVF1_EXEC_THREAD_POOL_HH
@@ -63,13 +69,6 @@ class ThreadPool
      * warning on stderr.
      */
     static std::size_t defaultThreadCount();
-
-    /**
-     * True when the calling thread is one of this pool's workers.
-     * parallelFor uses this to run nested invocations serially
-     * instead of deadlocking on its own pool.
-     */
-    bool onWorkerThread() const;
 
   private:
     void workerLoop();

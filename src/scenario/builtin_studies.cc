@@ -147,10 +147,10 @@ runFig05Study(const StudyContext &ctx)
 }
 
 StudyResult
-runFig07Study(const StudyContext &)
+runFig07Study(const StudyContext &ctx)
 {
     const auto results = sim::ValidationHarness::validateAll(
-        sim::table1ValidationCases());
+        sim::table1ValidationCases(), ctx.parallel);
     const auto paper_errors = sim::table1PaperErrorPercent();
 
     StudyResult result;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "control/pid.hh"
 #include "support/errors.hh"
@@ -19,16 +20,22 @@ FlightSimulator::FlightSimulator(const VehicleModel &vehicle)
 {
 }
 
-TrialResult
-FlightSimulator::run(const StopScenario &scenario,
-                     const NoiseParams &noise, Rng &rng,
-                     bool record_trajectory) const
+void
+FlightSimulator::validateScenario(const StopScenario &scenario)
 {
     requirePositive(scenario.commandedVelocity.value(),
                     "commandedVelocity");
     requirePositive(scenario.actionRate.value(), "actionRate");
     requirePositive(scenario.sensorRate.value(), "sensorRate");
     requirePositive(scenario.timestep.value(), "timestep");
+}
+
+TrialResult
+FlightSimulator::run(const StopScenario &scenario,
+                     const NoiseParams &noise, Rng &rng,
+                     bool record_trajectory) const
+{
+    validateScenario(scenario);
 
     VehicleModel vehicle = _vehicle;
     vehicle.reset(0.0);
@@ -58,35 +65,41 @@ FlightSimulator::run(const StopScenario &scenario,
 
     // Randomize where in the decision period the detection falls:
     // this is the discretization error the F-1 model linearizes.
-    double next_decision =
+    const double first_decision =
         noise.randomDecisionPhase
             ? rng.uniform(0.0, decision_period)
             : decision_period;
-    double next_sensor_sample = 0.0;
     double sensed_range = 1e9; // Latest sensor reading.
     bool braking = false;
 
+    // The clock and both schedules index by integer count: `+=`
+    // accumulation drifts by an ulp per step, which over a long
+    // trial shifts sample and decision epochs.
     const double max_time = scenario.maxDuration.value();
+    std::int64_t step = 0;
+    std::int64_t sensor_samples = 0;
+    std::int64_t decisions = 0;
     double time = 0.0;
-    int decimate = 0;
 
     while (time < max_time) {
         // Sensor stage: sample the range at the sensor rate.
-        if (time >= next_sensor_sample) {
+        if (time >= static_cast<double>(sensor_samples) * sensor_period) {
             const double true_range =
                 obstacle - vehicle.state().position;
             sensed_range =
                 true_range + rng.normal(0.0, noise.sensorRangeStd);
-            next_sensor_sample += sensor_period;
+            ++sensor_samples;
         }
 
         // Compute stage: decisions at the action rate.
-        if (!braking && time >= next_decision) {
+        if (!braking &&
+            time >= first_decision +
+                        static_cast<double>(decisions) * decision_period) {
             if (sensed_range <= sensing)
                 braking = true;
             if (result.brakeTime < 0.0 && braking)
                 result.brakeTime = time;
-            next_decision += decision_period;
+            ++decisions;
         }
 
         // Control stage: acceleration command.
@@ -110,14 +123,14 @@ FlightSimulator::run(const StopScenario &scenario,
             std::max(result.peakAcceleration,
                      std::fabs(vehicle.state().acceleration));
 
-        if (record_trajectory && (decimate++ % 10 == 0)) {
+        if (record_trajectory && step % 10 == 0) {
             result.trajectory.push_back(
                 {time, vehicle.state().position,
                  vehicle.state().velocity,
                  vehicle.state().acceleration});
         }
 
-        time += dt;
+        time = static_cast<double>(++step) * dt;
 
         // Trial ends when the vehicle has braked to a stop.
         if (braking && vehicle.state().velocity <= 0.0)

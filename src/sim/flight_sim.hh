@@ -121,6 +121,13 @@ class FlightSimulator
                     const NoiseParams &noise, Rng &rng,
                     bool record_trajectory = false) const;
 
+    /**
+     * The checks run() applies to a scenario before flying it:
+     * commanded velocity, action rate, sensor rate and timestep must
+     * be positive. Throws ModelError naming the first that is not.
+     */
+    static void validateScenario(const StopScenario &scenario);
+
   private:
     VehicleModel _vehicle;
 };

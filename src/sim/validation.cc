@@ -27,77 +27,127 @@ ValidationHarness::predictedSafeVelocity(const ValidationCase &vcase)
 ValidationResult
 ValidationHarness::validate(const ValidationCase &vcase)
 {
-    const VehicleModel vehicle(vcase.vehicle);
-    const FlightSimulator simulator(vehicle);
-
-    ValidationResult result;
-    result.name = vcase.name;
-    result.predicted = predictedSafeVelocity(vcase);
-    result.availableAccel = vehicle.availableAcceleration().value();
-
-    // Sweep commanded velocities around the prediction, the way the
-    // paper sweeps 1.5 .. 2.5 m/s around UAV-A's 2.13 m/s seed.
-    const double resolution = vcase.sweepResolution;
-    if (resolution <= 0.0)
-        throw ModelError("sweepResolution must be positive");
-    const double v_lo =
-        std::max(resolution, 0.4 * result.predicted);
-    const double v_hi = 1.3 * result.predicted;
-
-    Rng master(vcase.seed);
-    double observed = 0.0;
-    bool seen_unsafe = false;
-
-    // Index by integer step: accumulating `v += resolution` drifts
-    // by one ulp per iteration, which can silently skip or duplicate
-    // the final set-point depending on the resolution.
-    const int setpoints =
-        1 + static_cast<int>(
-                std::floor((v_hi - v_lo) / resolution + 1e-9));
-    for (int i = 0; i < setpoints; ++i) {
-        const double v = v_lo + i * resolution;
-        StopScenario scenario = vcase.scenario;
-        scenario.commandedVelocity = units::MetersPerSecond(v);
-
-        SetpointOutcome outcome;
-        outcome.velocity = v;
-        outcome.trials = vcase.trialsPerSetpoint;
-        for (int t = 0; t < vcase.trialsPerSetpoint; ++t) {
-            Rng trial_rng = master.fork();
-            const TrialResult trial =
-                simulator.run(scenario, vcase.noise, trial_rng);
-            if (trial.infraction)
-                ++outcome.infractions;
-        }
-        result.sweep.push_back(outcome);
-
-        // Paper protocol: any infraction marks the set-point
-        // unsafe; observed safe velocity is the last fully-safe
-        // set-point before the first unsafe one.
-        if (outcome.infractions == 0 && !seen_unsafe) {
-            observed = v;
-        } else if (outcome.infractions > 0) {
-            seen_unsafe = true;
-        }
-    }
-
-    result.observed = observed;
-    if (observed > 0.0) {
-        result.errorPercent =
-            100.0 * (result.predicted - observed) / observed;
-    } else {
-        result.errorPercent = std::numeric_limits<double>::quiet_NaN();
-    }
-    return result;
+    return validateAll({vcase})[0];
 }
 
 std::vector<ValidationResult>
-ValidationHarness::validateAll(const std::vector<ValidationCase> &cases)
+ValidationHarness::validateAll(const std::vector<ValidationCase> &cases,
+                               const exec::ParallelOptions &options)
 {
-    std::vector<ValidationResult> results;
-    results.reserve(cases.size());
-    for (const auto &vcase : cases)
-        results.push_back(validate(vcase));
+    /** One flight of the flattened (case, set-point, trial) space. */
+    struct Trial
+    {
+        std::size_t vcase;
+        std::size_t setpoint;
+        Rng rng;
+    };
+
+    std::vector<ValidationResult> results(cases.size());
+    std::vector<FlightSimulator> simulators;
+    simulators.reserve(cases.size());
+    std::vector<Trial> trials;
+
+    // Set-up runs serially in case order, so a malformed or
+    // infeasible case throws the same error, in the same order, as
+    // sweeping the cases one after another, and before any trial
+    // flies.
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const ValidationCase &vcase = cases[c];
+        const VehicleModel vehicle(vcase.vehicle);
+        simulators.emplace_back(vehicle);
+
+        ValidationResult &result = results[c];
+        result.name = vcase.name;
+        result.predicted = predictedSafeVelocity(vcase);
+        result.availableAccel = vehicle.availableAcceleration().value();
+
+        // Sweep commanded velocities around the prediction, the way
+        // the paper sweeps 1.5 .. 2.5 m/s around UAV-A's 2.13 m/s
+        // seed.
+        const double resolution = vcase.sweepResolution;
+        if (resolution <= 0.0)
+            throw ModelError("sweepResolution must be positive");
+        const double v_lo =
+            std::max(resolution, 0.4 * result.predicted);
+        const double v_hi = 1.3 * result.predicted;
+
+        // Index by integer step: accumulating `v += resolution`
+        // drifts by one ulp per iteration, which can silently skip
+        // or duplicate the final set-point depending on the
+        // resolution.
+        const int setpoints =
+            1 + static_cast<int>(
+                    std::floor((v_hi - v_lo) / resolution + 1e-9));
+        if (setpoints > 0 && vcase.trialsPerSetpoint > 0) {
+            StopScenario first = vcase.scenario;
+            first.commandedVelocity = units::MetersPerSecond(v_lo);
+            FlightSimulator::validateScenario(first);
+        }
+
+        // Trial streams fork from the case's master in set-point
+        // order, then trial order, whatever thread later flies them.
+        Rng master(vcase.seed);
+        for (int i = 0; i < setpoints; ++i) {
+            SetpointOutcome outcome;
+            outcome.velocity = v_lo + i * resolution;
+            outcome.trials = vcase.trialsPerSetpoint;
+            result.sweep.push_back(outcome);
+            for (int t = 0; t < vcase.trialsPerSetpoint; ++t) {
+                trials.push_back({c, static_cast<std::size_t>(i),
+                                  master.fork()});
+            }
+        }
+    }
+
+    // Every trial writes only its own slot (char, not vector<bool>,
+    // whose packed words would race).
+    std::vector<char> infraction(trials.size(), 0);
+    exec::ParallelOptions per_trial = options;
+    per_trial.grain = 1; // Trials are independent; one per chunk.
+    exec::parallelFor(
+        trials.size(),
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t k = begin; k < end; ++k) {
+                Trial &trial = trials[k];
+                const ValidationCase &vcase = cases[trial.vcase];
+                StopScenario scenario = vcase.scenario;
+                scenario.commandedVelocity = units::MetersPerSecond(
+                    results[trial.vcase].sweep[trial.setpoint].velocity);
+                infraction[k] = simulators[trial.vcase]
+                                    .run(scenario, vcase.noise, trial.rng)
+                                    .infraction;
+            }
+        },
+        per_trial);
+
+    for (std::size_t k = 0; k < trials.size(); ++k) {
+        results[trials[k].vcase].sweep[trials[k].setpoint].infractions +=
+            infraction[k];
+    }
+
+    for (ValidationResult &result : results) {
+        double observed = 0.0;
+        bool seen_unsafe = false;
+        for (const SetpointOutcome &outcome : result.sweep) {
+            // Paper protocol: any infraction marks the set-point
+            // unsafe; observed safe velocity is the last fully-safe
+            // set-point before the first unsafe one.
+            if (outcome.infractions == 0 && !seen_unsafe) {
+                observed = outcome.velocity;
+            } else if (outcome.infractions > 0) {
+                seen_unsafe = true;
+            }
+        }
+
+        result.observed = observed;
+        if (observed > 0.0) {
+            result.errorPercent =
+                100.0 * (result.predicted - observed) / observed;
+        } else {
+            result.errorPercent =
+                std::numeric_limits<double>::quiet_NaN();
+        }
+    }
     return results;
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/safety_model.hh"
+#include "exec/parallel.hh"
 #include "sim/flight_sim.hh"
 #include "sim/vehicle.hh"
 
@@ -73,14 +74,21 @@ class ValidationHarness
      * below to well above the prediction at the case's resolution;
      * the observed value is the fastest set-point with zero
      * infractions across all trials below the first unsafe one.
+     * Equivalent to validateAll({vcase})[0].
      */
     static ValidationResult validate(const ValidationCase &vcase);
 
     /**
-     * Convenience: run a whole batch (Fig. 7b).
+     * Validate a whole batch (Fig. 7b). Cases are set up serially in
+     * order (so a bad case throws as soon as it is reached), then
+     * every (case, set-point, trial) flight runs on one
+     * exec::parallelFor. Each trial's RNG is forked from its case's
+     * master in set-point-major order before the loop, so results
+     * are bit-identical at any thread count.
      */
     static std::vector<ValidationResult>
-    validateAll(const std::vector<ValidationCase> &cases);
+    validateAll(const std::vector<ValidationCase> &cases,
+                const exec::ParallelOptions &options = {});
 
     /**
      * Record one trajectory at a commanded velocity (Fig. 7a

@@ -13,14 +13,28 @@
 
 namespace uavf1::sim {
 
-VehicleModel::VehicleModel(const VehicleParams &params) : _params(params)
+namespace {
+
+units::MetersPerSecondSquared
+verticalExcessAcceleration(const VehicleParams &params)
 {
     requirePositive(params.mass.value(), "mass");
     requirePositive(params.usableThrust.value(), "usableThrust");
     requireNonNegative(params.actuationLag.value(), "actuationLag");
     requireInRange(params.brakeMargin, 0.1, 1.0, "brakeMargin");
+    physics::AccelerationOptions options;
+    options.law = physics::AccelerationLaw::VerticalExcess;
     // Throws InfeasibleError when hover is impossible.
-    (void)availableAcceleration();
+    return physics::maxAcceleration(params.usableThrust, params.mass,
+                                    options);
+}
+
+} // namespace
+
+VehicleModel::VehicleModel(const VehicleParams &params)
+    : _params(params), _availableAccel(verticalExcessAcceleration(params)),
+      _dragFactor(params.drag.quadraticFactor())
+{
 }
 
 void
@@ -31,21 +45,12 @@ VehicleModel::reset(double position)
     _lagged = 0.0;
 }
 
-units::MetersPerSecondSquared
-VehicleModel::availableAcceleration() const
-{
-    physics::AccelerationOptions options;
-    options.law = physics::AccelerationLaw::VerticalExcess;
-    return physics::maxAcceleration(_params.usableThrust, _params.mass,
-                                    options);
-}
-
 void
 VehicleModel::step(units::Seconds dt, double commanded_accel,
                    double thrust_noise)
 {
     requirePositive(dt.value(), "dt");
-    const double a_avail = availableAcceleration().value();
+    const double a_avail = _availableAccel.value();
     const double clipped =
         std::clamp(commanded_accel, -a_avail, a_avail);
 
@@ -60,13 +65,12 @@ VehicleModel::step(units::Seconds dt, double commanded_accel,
 
     double accel = _lagged * (1.0 + thrust_noise);
 
-    // Drag always opposes motion.
+    // Drag always opposes motion. Same operand order as
+    // DragModel::deceleration (k * v * v / m), so results match it
+    // bit for bit; the mass was validated at construction.
+    const double speed = std::fabs(_state.velocity);
     const double drag_decel =
-        _params.drag
-            .deceleration(
-                units::MetersPerSecond(std::fabs(_state.velocity)),
-                _params.mass)
-            .value();
+        _dragFactor * speed * speed / _params.mass.value();
     if (_state.velocity > 0.0) {
         accel -= drag_decel;
     } else if (_state.velocity < 0.0) {

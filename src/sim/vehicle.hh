@@ -72,9 +72,12 @@ class VehicleModel
 
     /**
      * Acceleration the autopilot may command (vertical-excess
-     * strategy): g * (T/(m g) - 1).
+     * strategy): g * (T/(m g) - 1). Computed once at construction.
      */
-    units::MetersPerSecondSquared availableAcceleration() const;
+    units::MetersPerSecondSquared availableAcceleration() const
+    {
+        return _availableAccel;
+    }
 
     /**
      * Advance one integration step.
@@ -90,6 +93,10 @@ class VehicleModel
 
   private:
     VehicleParams _params;
+    /** availableAcceleration(), fixed by the parameters. */
+    units::MetersPerSecondSquared _availableAccel;
+    /** DragModel::quadraticFactor() of the parameters' drag. */
+    double _dragFactor;
     VehicleState _state;
     double _lagged = 0.0; ///< First-order-lag internal state.
 };

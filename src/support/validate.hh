@@ -2,12 +2,17 @@
  * @file
  * Argument validation helpers that raise ModelError with a useful
  * message naming the offending parameter.
+ *
+ * The name is taken as a std::string_view so a passing check (the
+ * common case, several per flight-sim step) builds no string; the
+ * message is only assembled on the throw path.
  */
 
 #ifndef UAVF1_SUPPORT_VALIDATE_HH
 #define UAVF1_SUPPORT_VALIDATE_HH
 
 #include <string>
+#include <string_view>
 
 #include "support/errors.hh"
 
@@ -15,10 +20,10 @@ namespace uavf1 {
 
 /** Require value > 0, else throw ModelError naming the parameter. */
 inline double
-requirePositive(double value, const std::string &name)
+requirePositive(double value, std::string_view name)
 {
     if (!(value > 0.0)) {
-        throw ModelError(name + " must be positive, got " +
+        throw ModelError(std::string(name) + " must be positive, got " +
                          std::to_string(value));
     }
     return value;
@@ -26,10 +31,11 @@ requirePositive(double value, const std::string &name)
 
 /** Require value >= 0, else throw ModelError naming the parameter. */
 inline double
-requireNonNegative(double value, const std::string &name)
+requireNonNegative(double value, std::string_view name)
 {
     if (value < 0.0) {
-        throw ModelError(name + " must be non-negative, got " +
+        throw ModelError(std::string(name) +
+                         " must be non-negative, got " +
                          std::to_string(value));
     }
     return value;
@@ -37,23 +43,22 @@ requireNonNegative(double value, const std::string &name)
 
 /** Require lo <= value <= hi, else throw ModelError. */
 inline double
-requireInRange(double value, double lo, double hi,
-               const std::string &name)
+requireInRange(double value, double lo, double hi, std::string_view name)
 {
     if (value < lo || value > hi) {
-        throw ModelError(name + " must be in [" + std::to_string(lo) +
-                         ", " + std::to_string(hi) + "], got " +
-                         std::to_string(value));
+        throw ModelError(std::string(name) + " must be in [" +
+                         std::to_string(lo) + ", " + std::to_string(hi) +
+                         "], got " + std::to_string(value));
     }
     return value;
 }
 
 /** Require a finite value, else throw ModelError. */
 inline double
-requireFinite(double value, const std::string &name)
+requireFinite(double value, std::string_view name)
 {
     if (!(value == value) || value > 1e300 || value < -1e300)
-        throw ModelError(name + " must be finite");
+        throw ModelError(std::string(name) + " must be finite");
     return value;
 }
 

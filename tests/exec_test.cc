@@ -11,7 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -259,24 +262,70 @@ TEST(ParallelMap, ReturnsResultsInIndexOrder)
         ASSERT_EQ(squares[i], static_cast<int>(i * i));
 }
 
-TEST(ParallelFor, NestedInvocationRunsSeriallyWithoutDeadlock)
+TEST(ParallelFor, NestedLoopOnAWorkerFansOutToIdleWorkers)
 {
     exec::ThreadPool pool(4);
-    std::atomic<int> inner_total{0};
-    exec::parallelFor(
-        8,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                exec::parallelFor(
-                    10,
-                    [&](std::size_t b, std::size_t e) {
-                        inner_total += int(e - b);
-                    },
-                    {.pool = &pool});
-            }
-        },
-        {.pool = &pool});
-    EXPECT_EQ(inner_total.load(), 80);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    std::promise<void> finished;
+
+    // Start the loop from a pool worker while the other three
+    // workers sit idle: they must join in. Sleeping chunks leave the
+    // idle workers time to wake even on a loaded host.
+    pool.submit([&] {
+        try {
+            exec::parallelFor(
+                32,
+                [&](std::size_t, std::size_t) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+                    std::lock_guard<std::mutex> lock(mutex);
+                    threads.insert(std::this_thread::get_id());
+                },
+                {.pool = &pool});
+            finished.set_value();
+        } catch (...) {
+            finished.set_exception(std::current_exception());
+        }
+    });
+    finished.get_future().get();
+    EXPECT_GT(threads.size(), 1u);
+}
+
+TEST(ParallelFor, SaturatedNestingNeitherDeadlocksNorLosesWork)
+{
+    // Every outer chunk nests a loop, and every fourth inner chunk
+    // nests again, so all workers are busy in loops that wait on
+    // each other's helpers.
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+        exec::ThreadPool pool(threads);
+        const exec::ParallelOptions options{.pool = &pool};
+        std::atomic<long> total{0};
+        const int reps = 50;
+        for (int rep = 0; rep < reps; ++rep) {
+            exec::parallelFor(
+                16,
+                [&](std::size_t, std::size_t) {
+                    exec::parallelFor(
+                        16,
+                        [&](std::size_t begin, std::size_t end) {
+                            total += long(end - begin);
+                            if (begin % 4 != 0)
+                                return;
+                            exec::parallelFor(
+                                8,
+                                [&](std::size_t b, std::size_t e) {
+                                    total += long(e - b);
+                                },
+                                options);
+                        },
+                        options);
+                },
+                options);
+        }
+        EXPECT_EQ(total.load(), reps * 16L * (16 + 4 * 8))
+            << threads << " threads";
+    }
 }
 
 /** Exact equality across every field of an UncertaintyResult. */

@@ -691,6 +691,27 @@ TEST(Runner, DeadlineTimesOutAnOverrunningScenario)
         << summary;
 }
 
+TEST(Runner, Fig07HonoursItsDeadline)
+{
+    // fig07's flight trials run on the study's parallel options, so
+    // the deadline fires at a trial boundary and the scenario leaves
+    // no artifact behind.
+    namespace fs = std::filesystem;
+    const std::string dir = "artifacts/scenario_test/fig07_deadline";
+    fs::remove_all(dir);
+
+    ScenarioSpec spec;
+    spec.study = "fig07";
+    RunnerOptions options;
+    options.outDir = dir;
+    options.deadlineMs = 1;
+    const ScenarioOutcome outcome = ScenarioRunner().run(spec, options);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.status, ScenarioStatus::Timeout) << outcome.error;
+    EXPECT_TRUE(outcome.artifacts.empty());
+    EXPECT_TRUE(fs::is_empty(dir));
+}
+
 TEST(Runner, FailFastCancelsTheRestOfTheBatch)
 {
     ScenarioSpec bad;

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "components/catalog.hh"
 #include "exec/thread_pool.hh"
@@ -192,6 +196,29 @@ TEST(FlightSim, TrajectoryRecordingCoversTheDash)
                 1e-6);
 }
 
+TEST(FlightSim, ClockIndexesByIntegerStep)
+{
+    // Every 10th step is recorded, so sample i sits at step 10 i. The
+    // clock is `step * dt`, not a running `time += dt`, which drifts
+    // an ulp per step and misses these values after a few thousand
+    // steps.
+    const VehicleModel vehicle(idealVehicle());
+    const FlightSimulator simulator(vehicle);
+    StopScenario scenario;
+    scenario.commandedVelocity = 2.0_mps;
+    Rng rng(1);
+    const TrialResult trial =
+        simulator.run(scenario, NoiseParams::none(), rng, true);
+    const double dt = scenario.timestep.value();
+    ASSERT_GT(trial.trajectory.size(), 300u);
+    // The final sample is the post-stop state, off the 10-step grid.
+    for (std::size_t i = 0; i + 1 < trial.trajectory.size(); ++i) {
+        ASSERT_EQ(trial.trajectory[i].time,
+                  static_cast<double>(10 * i) * dt)
+            << "sample " << i;
+    }
+}
+
 TEST(FlightSim, InfractionMonotoneInCommandedVelocity)
 {
     const VehicleModel vehicle(idealVehicle());
@@ -272,6 +299,106 @@ TEST(Validation, SweepStepsAreUniformAndCoverTheRange)
     const double last = result.sweep.back().velocity;
     EXPECT_LE(last, v_hi + 1e-9);
     EXPECT_GT(last + vcase.sweepResolution, v_hi);
+}
+
+/** Exact equality across every field of two validation results. */
+void
+expectSameValidation(const ValidationResult &a, const ValidationResult &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.predicted, b.predicted);
+    EXPECT_EQ(a.availableAccel, b.availableAccel);
+    EXPECT_EQ(a.observed, b.observed);
+    // Bit-compare: NaN (no safe set-point) must match NaN.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.errorPercent),
+              std::bit_cast<std::uint64_t>(b.errorPercent));
+    ASSERT_EQ(a.sweep.size(), b.sweep.size()) << a.name;
+    for (std::size_t i = 0; i < a.sweep.size(); ++i) {
+        EXPECT_EQ(a.sweep[i].velocity, b.sweep[i].velocity);
+        EXPECT_EQ(a.sweep[i].infractions, b.sweep[i].infractions)
+            << a.name << " set-point " << i;
+        EXPECT_EQ(a.sweep[i].trials, b.sweep[i].trials);
+    }
+}
+
+/** The Table-I builds at a coarser sweep, to keep the test quick. */
+std::vector<ValidationCase>
+coarseTable1Cases()
+{
+    auto cases = table1ValidationCases();
+    for (auto &vcase : cases)
+        vcase.sweepResolution = 0.1;
+    return cases;
+}
+
+TEST(Validation, ValidateAllIsBitIdenticalAcrossThreadCounts)
+{
+    const auto cases = coarseTable1Cases();
+    exec::ThreadPool pool1(1);
+    exec::ThreadPool pool2(2);
+    exec::ThreadPool pool8(8);
+    const auto serial =
+        ValidationHarness::validateAll(cases, {.pool = &pool1});
+    const auto twoway =
+        ValidationHarness::validateAll(cases, {.pool = &pool2});
+    const auto eightway =
+        ValidationHarness::validateAll(cases, {.pool = &pool8});
+    ASSERT_EQ(serial.size(), cases.size());
+    ASSERT_EQ(twoway.size(), cases.size());
+    ASSERT_EQ(eightway.size(), cases.size());
+    int infractions = 0;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        expectSameValidation(serial[c], twoway[c]);
+        expectSameValidation(serial[c], eightway[c]);
+        for (const auto &outcome : serial[c].sweep)
+            infractions += outcome.infractions;
+    }
+    // The sweeps cross into the unsafe region, so the comparison
+    // covers trials that infract as well as trials that stop short.
+    EXPECT_GT(infractions, 0);
+}
+
+TEST(Validation, ValidateIsValidateAllOfOneCase)
+{
+    const auto cases = coarseTable1Cases();
+    exec::ThreadPool pool8(8);
+    const auto batch =
+        ValidationHarness::validateAll(cases, {.pool = &pool8});
+    ASSERT_EQ(batch.size(), cases.size());
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const ValidationResult single =
+            ValidationHarness::validate(cases[c]);
+        expectSameValidation(single,
+                             ValidationHarness::validateAll(
+                                 {cases[c]})[0]);
+        // A case's sweep does not depend on its batch-mates.
+        expectSameValidation(single, batch[c]);
+    }
+}
+
+TEST(Validation, ValidateAllRejectsABadCaseBeforeFlying)
+{
+    auto cases = coarseTable1Cases();
+    cases.resize(2);
+    auto infeasible = cases;
+    infeasible[1].vehicle.usableThrust = Newtons(1.0);
+    EXPECT_THROW(ValidationHarness::validateAll(infeasible),
+                 InfeasibleError);
+
+    auto malformed = cases;
+    malformed[1].scenario.sensorRate = Hertz(0.0);
+    try {
+        ValidationHarness::validateAll(malformed);
+        FAIL() << "a zero sensor rate must be rejected";
+    } catch (const ModelError &e) {
+        EXPECT_NE(std::string(e.what()).find("sensorRate"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    auto unresolved = cases;
+    unresolved[1].sweepResolution = 0.0;
+    EXPECT_THROW(ValidationHarness::validateAll(unresolved), ModelError);
 }
 
 TEST(Validation, Table1CasesAreWellFormed)
