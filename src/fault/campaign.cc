@@ -635,55 +635,205 @@ struct alignas(64) CampaignArena
     std::vector<double> draws;
 };
 
-} // namespace
+/**
+ * What run() and runReference() share: the per-fault activation
+ * probabilities, one forked Rng per sample block, the layer shape,
+ * and the per-sample outputs and per-block tallies each loop fills
+ * for summarize() to merge.
+ */
+struct RunState
+{
+    std::vector<double> effectiveProb;
+    std::vector<Rng> blockRngs;
+    const platform::RooflinePlatform *machine = nullptr;
+    std::size_t computeCeilings = 0;
+    std::size_t totalCeilings = 0;
+    bool stagePath = false;
 
-CampaignResult
-FaultCampaign::run(std::size_t count, std::uint64_t seed,
-                   const exec::ParallelOptions &parallel) const
+    std::vector<double> vSafe;
+    std::vector<unsigned char> aborted;
+    std::vector<std::uint64_t> abortCounts;
+    std::vector<std::vector<std::uint64_t>> activationCounts;
+    /** Per block; empty without a platform. */
+    std::vector<std::vector<std::uint64_t>> ceilingCounts;
+    /** Per block, stage * 3 + kind; empty off the stage path. */
+    std::vector<std::vector<std::uint64_t>> stageCounts;
+};
+
+RunState
+prepareRun(const CampaignSpec &spec, std::size_t stage_count,
+           std::size_t count, std::uint64_t seed)
 {
     if (count < 10)
         throw ModelError("fault campaign needs >= 10 samples");
 
-    const std::size_t fault_count = _spec.faults.size();
-    std::vector<double> effective_prob(fault_count);
+    RunState state;
+    const std::size_t fault_count = spec.faults.size();
+    state.effectiveProb.resize(fault_count);
     for (std::size_t j = 0; j < fault_count; ++j) {
-        effective_prob[j] =
-            std::min(1.0, _spec.faults[j].probability *
-                              _spec.probabilityScale);
+        state.effectiveProb[j] = std::min(
+            1.0, spec.faults[j].probability * spec.probabilityScale);
     }
 
     // Same deterministic decomposition as MonteCarloAnalyzer:
     // fixed-size blocks on forked substreams keyed by block index,
     // per-block tallies merged in block order.
     const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
+        (count + FaultCampaign::sampleBlock - 1) /
+        FaultCampaign::sampleBlock;
+    state.blockRngs.reserve(blocks);
     Rng root(seed);
     for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
+        state.blockRngs.push_back(root.fork());
 
-    std::vector<double> v_safe(count);
-    std::vector<unsigned char> aborted(count, 0);
-    std::vector<std::uint64_t> abort_counts(blocks, 0);
-    std::vector<std::vector<std::uint64_t>> activation_counts(
+    if (spec.platform) {
+        state.machine = &*spec.platform;
+        state.computeCeilings = state.machine->computeCeilings().size();
+        state.totalCeilings = state.computeCeilings +
+                              state.machine->memoryCeilings().size();
+    }
+    state.stagePath = state.machine && spec.pipeline.has_value();
+
+    state.vSafe.resize(count);
+    state.aborted.assign(count, 0);
+    state.abortCounts.assign(blocks, 0);
+    state.activationCounts.assign(
         blocks, std::vector<std::uint64_t>(fault_count, 0));
+    state.ceilingCounts.assign(
+        state.machine ? blocks : 0,
+        std::vector<std::uint64_t>(state.totalCeilings, 0));
+    state.stageCounts.assign(
+        state.stagePath ? blocks : 0,
+        std::vector<std::uint64_t>(stage_count * 3, 0));
+    return state;
+}
 
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
+/**
+ * The shared tail of run() and runReference(): merge the per-block
+ * tallies in block order, compact the survivors' v_safe in sample
+ * order and summarize it. Compaction runs on `parallel`, each block
+ * writing at the offset its predecessors' survivor counts fix, so
+ * the compacted order — and the result — is the serial one.
+ */
+CampaignResult
+summarize(const RunState &state,
+          const std::vector<std::string> &stage_names,
+          const exec::ParallelOptions &parallel)
+{
+    const std::size_t count = state.vSafe.size();
+    const std::size_t fault_count = state.effectiveProb.size();
+    CampaignResult result;
+    result.samples = count;
 
-    const bool stage_path = machine && _spec.pipeline.has_value();
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        stage_path ? blocks : 0,
-        std::vector<std::uint64_t>(_stageCount * 3, 0));
+    std::uint64_t aborts = 0;
+    for (const std::uint64_t block_aborts : state.abortCounts)
+        aborts += block_aborts;
+    result.abortProbability =
+        static_cast<double>(aborts) / static_cast<double>(count);
+
+    result.faultActivationRate.assign(fault_count, 0.0);
+    for (const auto &block : state.activationCounts)
+        for (std::size_t j = 0; j < fault_count; ++j)
+            result.faultActivationRate[j] +=
+                static_cast<double>(block[j]);
+    for (std::size_t j = 0; j < fault_count; ++j)
+        result.faultActivationRate[j] /=
+            static_cast<double>(count);
+
+    const std::size_t survivors = count - aborts;
+    if (state.machine) {
+        const std::size_t compute_ceilings = state.computeCeilings;
+        const std::size_t total_ceilings = state.totalCeilings;
+        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
+        for (const auto &block : state.ceilingCounts)
+            for (std::size_t k = 0; k < total_ceilings; ++k)
+                ceiling_totals[k] += block[k];
+        result.probComputeCeilingBinds.resize(compute_ceilings);
+        result.probMemoryCeilingBinds.resize(total_ceilings -
+                                             compute_ceilings);
+        for (std::size_t k = 0; k < total_ceilings; ++k) {
+            const double prob =
+                survivors > 0
+                    ? static_cast<double>(ceiling_totals[k]) /
+                          static_cast<double>(survivors)
+                    : 0.0;
+            if (k < compute_ceilings)
+                result.probComputeCeilingBinds[k] = prob;
+            else
+                result.probMemoryCeilingBinds[k - compute_ceilings] =
+                    prob;
+        }
+    }
+    if (state.stagePath) {
+        const std::size_t stage_count = stage_names.size();
+        std::vector<std::uint64_t> stage_totals(stage_count * 3, 0);
+        for (const auto &block : state.stageCounts)
+            for (std::size_t k = 0; k < stage_totals.size(); ++k)
+                stage_totals[k] += block[k];
+        result.stageBindings.resize(stage_count);
+        for (std::size_t s = 0; s < stage_count; ++s) {
+            StageBindingStats &stats = result.stageBindings[s];
+            stats.stage = stage_names[s];
+            const double denom =
+                survivors > 0 ? static_cast<double>(survivors) : 1.0;
+            stats.probComputeBound =
+                static_cast<double>(stage_totals[s * 3 + 0]) / denom;
+            stats.probMemoryBound =
+                static_cast<double>(stage_totals[s * 3 + 1]) / denom;
+            stats.probMeasured =
+                static_cast<double>(stage_totals[s * 3 + 2]) / denom;
+        }
+    }
+
+    if (survivors == count) {
+        result.safeVelocity =
+            sim::Distribution::fromSamples(state.vSafe, parallel);
+    } else if (survivors > 0) {
+        constexpr std::size_t block_size = FaultCampaign::sampleBlock;
+        const std::size_t blocks = state.abortCounts.size();
+        std::vector<std::size_t> offsets(blocks);
+        std::size_t offset = 0;
+        for (std::size_t b = 0; b < blocks; ++b) {
+            offsets[b] = offset;
+            offset += std::min(block_size, count - b * block_size) -
+                      state.abortCounts[b];
+        }
+        std::vector<double> surviving(survivors);
+        exec::ParallelOptions options = parallel;
+        options.grain = 16; // ~32k samples per chunk.
+        exec::parallelFor(
+            blocks,
+            [&](std::size_t block_begin, std::size_t block_end) {
+                for (std::size_t b = block_begin; b < block_end; ++b) {
+                    std::size_t out = offsets[b];
+                    const std::size_t hi =
+                        std::min(count, (b + 1) * block_size);
+                    for (std::size_t i = b * block_size; i < hi; ++i) {
+                        if (!state.aborted[i])
+                            surviving[out++] = state.vSafe[i];
+                    }
+                }
+            },
+            options);
+        result.safeVelocity =
+            sim::Distribution::fromSamples(surviving, parallel);
+    }
+    return result;
+}
+
+} // namespace
+
+CampaignResult
+FaultCampaign::run(std::size_t count, std::uint64_t seed,
+                   const exec::ParallelOptions &parallel) const
+{
+    RunState state = prepareRun(_spec, _stageCount, count, seed);
+    const std::size_t fault_count = _spec.faults.size();
+    const std::size_t blocks = state.blockRngs.size();
+    const std::vector<double> &effective_prob = state.effectiveProb;
+    const platform::RooflinePlatform *machine = state.machine;
+    const std::size_t compute_ceilings = state.computeCeilings;
+    const bool stage_path = state.stagePath;
     const pipeline::ModularRedundancy redundancy(_spec.redundancy);
 
     // Per-fault layer routing, precomputed out of the draw loop.
@@ -830,7 +980,7 @@ FaultCampaign::run(std::size_t count, std::uint64_t seed,
             std::size_t block_end) {
             CampaignArena &arena = arenas[slot_index];
             for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
+                Rng rng = state.blockRngs[b];
                 const std::size_t lo = b * sampleBlock;
                 const std::size_t hi =
                     std::min(count, lo + sampleBlock);
@@ -965,34 +1115,34 @@ FaultCampaign::run(std::size_t count, std::uint64_t seed,
                         scalarSamples(
                             effective_prob, redundancy,
                             compute_ceilings, sub, sub + m,
-                            rescan_rng, v_safe.data(),
-                            aborted.data(), abort_local,
-                            activation_counts[b].data(),
-                            machine ? ceiling_counts[b].data()
+                            rescan_rng, state.vSafe.data(),
+                            state.aborted.data(), abort_local,
+                            state.activationCounts[b].data(),
+                            machine ? state.ceilingCounts[b].data()
                                     : nullptr,
-                            stage_path ? stage_counts[b].data()
+                            stage_path ? state.stageCounts[b].data()
                                        : nullptr);
-                        abort_counts[b] += abort_local;
+                        state.abortCounts[b] += abort_local;
                         continue;
                     }
 
                     // Commit: activations, aborts, outputs and
                     // tallies, only after every phase validated.
                     for (std::size_t j = 0; j < fault_count; ++j)
-                        activation_counts[b][j] +=
+                        state.activationCounts[b][j] +=
                             arena.activations[j];
                     for (std::size_t i = 0; i < m; ++i) {
                         if (arena.abortFlag[i]) {
-                            aborted[sub + i] = 1;
-                            ++abort_counts[b];
+                            state.aborted[sub + i] = 1;
+                            ++state.abortCounts[b];
                         }
                     }
                     for (std::size_t k = 0; k < dense; ++k) {
-                        v_safe[arena.denseIndex[k]] = arena.vSafe[k];
+                        state.vSafe[arena.denseIndex[k]] = arena.vSafe[k];
                         const std::uint32_t ceiling =
                             pair_slot[arena.densePair[k]];
                         if (machine && ceiling != no_slot)
-                            ++ceiling_counts[b][ceiling];
+                            ++state.ceilingCounts[b][ceiling];
                         if (stage_path)
                             ++arena.maskHist
                                   [arena.densePlatformMask[k]];
@@ -1007,7 +1157,7 @@ FaultCampaign::run(std::size_t count, std::uint64_t seed,
                             &stage_kind[p * _stageCount];
                         for (std::size_t s = 0; s < _stageCount;
                              ++s)
-                            stage_counts[b][s * 3 + kinds[s]] +=
+                            state.stageCounts[b][s * 3 + kinds[s]] +=
                                 hits;
                     }
                 }
@@ -1015,79 +1165,7 @@ FaultCampaign::run(std::size_t count, std::uint64_t seed,
         },
         options);
 
-    CampaignResult result;
-    result.samples = count;
-
-    std::uint64_t aborts = 0;
-    for (const std::uint64_t block_aborts : abort_counts)
-        aborts += block_aborts;
-    result.abortProbability =
-        static_cast<double>(aborts) / static_cast<double>(count);
-
-    result.faultActivationRate.assign(fault_count, 0.0);
-    for (const auto &block : activation_counts)
-        for (std::size_t j = 0; j < fault_count; ++j)
-            result.faultActivationRate[j] +=
-                static_cast<double>(block[j]);
-    for (std::size_t j = 0; j < fault_count; ++j)
-        result.faultActivationRate[j] /=
-            static_cast<double>(count);
-
-    const std::size_t survivors = count - aborts;
-    if (machine) {
-        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
-        for (const auto &block : ceiling_counts)
-            for (std::size_t k = 0; k < total_ceilings; ++k)
-                ceiling_totals[k] += block[k];
-        result.probComputeCeilingBinds.resize(compute_ceilings);
-        result.probMemoryCeilingBinds.resize(total_ceilings -
-                                             compute_ceilings);
-        for (std::size_t k = 0; k < total_ceilings; ++k) {
-            const double prob =
-                survivors > 0
-                    ? static_cast<double>(ceiling_totals[k]) /
-                          static_cast<double>(survivors)
-                    : 0.0;
-            if (k < compute_ceilings)
-                result.probComputeCeilingBinds[k] = prob;
-            else
-                result.probMemoryCeilingBinds[k - compute_ceilings] =
-                    prob;
-        }
-    }
-    if (stage_path) {
-        std::vector<std::uint64_t> stage_totals(_stageCount * 3, 0);
-        for (const auto &block : stage_counts)
-            for (std::size_t k = 0; k < stage_totals.size(); ++k)
-                stage_totals[k] += block[k];
-        result.stageBindings.resize(_stageCount);
-        for (std::size_t s = 0; s < _stageCount; ++s) {
-            StageBindingStats &stats = result.stageBindings[s];
-            stats.stage = _stageNames[s];
-            const double denom =
-                survivors > 0 ? static_cast<double>(survivors) : 1.0;
-            stats.probComputeBound =
-                static_cast<double>(stage_totals[s * 3 + 0]) / denom;
-            stats.probMemoryBound =
-                static_cast<double>(stage_totals[s * 3 + 1]) / denom;
-            stats.probMeasured =
-                static_cast<double>(stage_totals[s * 3 + 2]) / denom;
-        }
-    }
-
-    if (survivors > 0) {
-        // Compacted in sample-index order, so the distribution is
-        // independent of which thread ran which block.
-        std::vector<double> surviving;
-        surviving.reserve(survivors);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (!aborted[i])
-                surviving.push_back(v_safe[i]);
-        }
-        result.safeVelocity =
-            sim::Distribution::fromSamples(std::move(surviving));
-    }
-    return result;
+    return summarize(state, _stageNames, parallel);
 }
 
 CampaignResult
@@ -1095,139 +1173,33 @@ FaultCampaign::runReference(
     std::size_t count, std::uint64_t seed,
     const exec::ParallelOptions &parallel) const
 {
-    if (count < 10)
-        throw ModelError("fault campaign needs >= 10 samples");
-
-    const std::size_t fault_count = _spec.faults.size();
-    std::vector<double> effective_prob(fault_count);
-    for (std::size_t j = 0; j < fault_count; ++j) {
-        effective_prob[j] =
-            std::min(1.0, _spec.faults[j].probability *
-                              _spec.probabilityScale);
-    }
-
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
-
-    std::vector<double> v_safe(count);
-    std::vector<unsigned char> aborted(count, 0);
-    std::vector<std::uint64_t> abort_counts(blocks, 0);
-    std::vector<std::vector<std::uint64_t>> activation_counts(
-        blocks, std::vector<std::uint64_t>(fault_count, 0));
-
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
-
-    const bool stage_path = machine && _spec.pipeline.has_value();
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        stage_path ? blocks : 0,
-        std::vector<std::uint64_t>(_stageCount * 3, 0));
+    RunState state = prepareRun(_spec, _stageCount, count, seed);
     const pipeline::ModularRedundancy redundancy(_spec.redundancy);
 
     exec::ParallelOptions options = parallel;
     options.grain = 1; // One block per chunk.
     exec::parallelFor(
-        blocks,
+        state.blockRngs.size(),
         [&](std::size_t block_begin, std::size_t block_end) {
             for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
+                Rng rng = state.blockRngs[b];
                 const std::size_t lo = b * sampleBlock;
                 const std::size_t hi =
                     std::min(count, lo + sampleBlock);
                 scalarSamples(
-                    effective_prob, redundancy, compute_ceilings, lo,
-                    hi, rng, v_safe.data(), aborted.data(),
-                    abort_counts[b], activation_counts[b].data(),
-                    machine ? ceiling_counts[b].data() : nullptr,
-                    stage_path ? stage_counts[b].data() : nullptr);
+                    state.effectiveProb, redundancy,
+                    state.computeCeilings, lo, hi, rng,
+                    state.vSafe.data(), state.aborted.data(),
+                    state.abortCounts[b],
+                    state.activationCounts[b].data(),
+                    state.machine ? state.ceilingCounts[b].data()
+                                  : nullptr,
+                    state.stagePath ? state.stageCounts[b].data()
+                                    : nullptr);
             }
         },
         options);
-
-    CampaignResult result;
-    result.samples = count;
-
-    std::uint64_t aborts = 0;
-    for (const std::uint64_t block_aborts : abort_counts)
-        aborts += block_aborts;
-    result.abortProbability =
-        static_cast<double>(aborts) / static_cast<double>(count);
-
-    result.faultActivationRate.assign(fault_count, 0.0);
-    for (const auto &block : activation_counts)
-        for (std::size_t j = 0; j < fault_count; ++j)
-            result.faultActivationRate[j] +=
-                static_cast<double>(block[j]);
-    for (std::size_t j = 0; j < fault_count; ++j)
-        result.faultActivationRate[j] /=
-            static_cast<double>(count);
-
-    const std::size_t survivors = count - aborts;
-    if (machine) {
-        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
-        for (const auto &block : ceiling_counts)
-            for (std::size_t k = 0; k < total_ceilings; ++k)
-                ceiling_totals[k] += block[k];
-        result.probComputeCeilingBinds.resize(compute_ceilings);
-        result.probMemoryCeilingBinds.resize(total_ceilings -
-                                             compute_ceilings);
-        for (std::size_t k = 0; k < total_ceilings; ++k) {
-            const double prob =
-                survivors > 0
-                    ? static_cast<double>(ceiling_totals[k]) /
-                          static_cast<double>(survivors)
-                    : 0.0;
-            if (k < compute_ceilings)
-                result.probComputeCeilingBinds[k] = prob;
-            else
-                result.probMemoryCeilingBinds[k - compute_ceilings] =
-                    prob;
-        }
-    }
-    if (stage_path) {
-        std::vector<std::uint64_t> stage_totals(_stageCount * 3, 0);
-        for (const auto &block : stage_counts)
-            for (std::size_t k = 0; k < stage_totals.size(); ++k)
-                stage_totals[k] += block[k];
-        result.stageBindings.resize(_stageCount);
-        for (std::size_t s = 0; s < _stageCount; ++s) {
-            StageBindingStats &stats = result.stageBindings[s];
-            stats.stage = _stageNames[s];
-            const double denom =
-                survivors > 0 ? static_cast<double>(survivors) : 1.0;
-            stats.probComputeBound =
-                static_cast<double>(stage_totals[s * 3 + 0]) / denom;
-            stats.probMemoryBound =
-                static_cast<double>(stage_totals[s * 3 + 1]) / denom;
-            stats.probMeasured =
-                static_cast<double>(stage_totals[s * 3 + 2]) / denom;
-        }
-    }
-
-    if (survivors > 0) {
-        std::vector<double> surviving;
-        surviving.reserve(survivors);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (!aborted[i])
-                surviving.push_back(v_safe[i]);
-        }
-        result.safeVelocity =
-            sim::Distribution::fromSamples(std::move(surviving));
-    }
-    return result;
+    return summarize(state, _stageNames, parallel);
 }
 
 std::vector<DegradationPoint>

@@ -1082,8 +1082,7 @@ runFaultsStudy(const StudyContext &ctx)
     }
     const auto samples = ctx.params.getCount("samples", 4096);
     const auto levels = ctx.params.getCount("levels", 9);
-    const auto seed = static_cast<std::uint64_t>(
-        ctx.params.getNumber("seed", 1.0));
+    const std::uint64_t seed = ctx.params.getUnsigned("seed", 1);
 
     // Any stage-resolved fault — workload-layer latency/failure or
     // the stage-scoped platform kinds — needs the SPA pipeline

@@ -5,8 +5,12 @@
 
 #include "scenario/study.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "support/errors.hh"
 #include "support/strings.hh"
@@ -78,19 +82,47 @@ StudyParams::getNumber(const std::string &name, double fallback) const
     return parsed;
 }
 
+double
+StudyParams::getInteger(const std::string &name, double min,
+                        double max, const char *expects) const
+{
+    // Bound before any cast: beyond 2^53 a double no longer holds
+    // every integer, and beyond the target type's range the cast is
+    // undefined.
+    constexpr double max_exact = 9007199254740992.0; // 2^53
+    max = std::min(max, max_exact);
+    const double parsed = getNumber(name, 0.0);
+    if (parsed < min || parsed > max || parsed != std::floor(parsed)) {
+        throw ModelError("parameter '" + canonicalKey(name) +
+                         "' expects " + expects + " no larger than " +
+                         std::to_string(static_cast<std::uint64_t>(max)) +
+                         ", got '" + get(name) + "'");
+    }
+    return parsed;
+}
+
 std::size_t
 StudyParams::getCount(const std::string &name,
                       std::size_t fallback) const
 {
     if (!has(name))
         return fallback;
-    const double parsed = getNumber(name, 0.0);
-    if (parsed < 1.0 || parsed != std::floor(parsed)) {
-        throw ModelError("parameter '" + canonicalKey(name) +
-                         "' expects a positive integer, got '" +
-                         get(name) + "'");
-    }
-    return static_cast<std::size_t>(parsed);
+    return static_cast<std::size_t>(getInteger(
+        name, 1.0,
+        static_cast<double>(std::numeric_limits<std::size_t>::max()),
+        "a positive integer"));
+}
+
+std::uint64_t
+StudyParams::getUnsigned(const std::string &name,
+                         std::uint64_t fallback) const
+{
+    if (!has(name))
+        return fallback;
+    return static_cast<std::uint64_t>(getInteger(
+        name, 0.0,
+        static_cast<double>(std::numeric_limits<std::uint64_t>::max()),
+        "a non-negative integer"));
 }
 
 StudyResult &

@@ -14,6 +14,8 @@
 #ifndef UAVF1_SCENARIO_STUDY_HH
 #define UAVF1_SCENARIO_STUDY_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -53,10 +55,21 @@ class StudyParams
     /**
      * Positive integer value, or `fallback` when unset.
      *
-     * @throws ModelError when the value does not parse or is < 1
+     * @throws ModelError when the value does not parse, is < 1, or
+     *         exceeds 2^53 (the last integer every double holds)
      */
     std::size_t getCount(const std::string &name,
                          std::size_t fallback) const;
+
+    /**
+     * Non-negative integer value (a seed, say), or `fallback` when
+     * unset.
+     *
+     * @throws ModelError when the value does not parse, is < 0, or
+     *         exceeds 2^53
+     */
+    std::uint64_t getUnsigned(const std::string &name,
+                              std::uint64_t fallback) const;
 
     /** All overrides in insertion order. */
     const std::vector<std::pair<std::string, std::string>> &
@@ -66,6 +79,11 @@ class StudyParams
     }
 
   private:
+    /** The value as an integral double in [min, min(max, 2^53)],
+     * safe to cast; `expects` names the accepted range. */
+    double getInteger(const std::string &name, double min, double max,
+                      const char *expects) const;
+
     std::vector<std::pair<std::string, std::string>> _entries;
 };
 

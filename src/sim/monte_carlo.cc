@@ -19,7 +19,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "core/f1_batch.hh"
 #include "platform/evaluation_plan.hh"
@@ -32,17 +35,305 @@
 
 namespace uavf1::sim {
 
+namespace {
+
+/**
+ * Map a non-NaN double to an unsigned key with the same order: flip
+ * the sign bit of a non-negative value and every bit of a negative
+ * one. Integer order on keys is then the IEEE total order, which is
+ * `<` on doubles except that -0 sorts just below +0.
+ */
+std::uint64_t
+orderKey(double x)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const auto flip =
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(bits) >>
+                                   63) |
+        (std::uint64_t{1} << 63);
+    return bits ^ flip;
+}
+
+/** Inverse of orderKey(). */
+double
+keyValue(std::uint64_t key)
+{
+    constexpr std::uint64_t sign = std::uint64_t{1} << 63;
+    return std::bit_cast<double>((key & sign) != 0 ? key ^ sign : ~key);
+}
+
+// Selection geometry. All three are constants, so chunk boundaries
+// never depend on the thread count and scratch never grows with n.
+constexpr std::size_t kSelectChunk = std::size_t{1} << 16;
+constexpr int kBucketBits = 11;
+constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
+/** Ranges holding at most this many samples are gathered and
+ * selected directly instead of refined by another histogram. */
+constexpr std::size_t kGatherMax = std::size_t{1} << 14;
+
+/**
+ * One key range [lo, lo + span] and what one pass over the samples
+ * learns about it: the extreme keys it actually holds and either its
+ * histogram (kBuckets buckets of width 2^shift) or, when it holds at
+ * most kGatherMax samples, its keys.
+ */
+struct KeyRange
+{
+    std::uint64_t lo = 0;
+    std::uint64_t span = 0;
+    int shift = 0;
+    bool gather = false;
+    std::uint64_t minKey = ~std::uint64_t{0};
+    std::uint64_t maxKey = 0;
+    std::vector<std::uint64_t> hist;
+    std::vector<std::uint64_t> keys;
+};
+
+/** Order statistics fromSamples() wants — the (lo, lo + 1) pairs
+ * bracketing p5/p50/p95 — and so the most ranges one pass scans. */
+constexpr std::size_t kMaxRanges = 6;
+
+/**
+ * One parallel pass over `samples` for up to kMaxRanges disjoint
+ * ranges. Histogram counts and extreme keys are accumulated per slot
+ * and merged after the loop; gathered keys land in claim order. None
+ * of this depends on which thread saw which chunk — counts and
+ * extremes merge exactly, and gathered keys are only ever selected
+ * from — so a pass learns the same at any thread count.
+ */
+void
+scanRanges(const std::vector<double> &samples,
+           std::vector<KeyRange> &ranges,
+           const exec::ParallelOptions &parallel)
+{
+    constexpr std::size_t kStage = 256;
+    const std::size_t nr = ranges.size();
+    std::array<std::uint64_t, kMaxRanges> lo{};
+    std::array<std::uint64_t, kMaxRanges> span{};
+    std::array<int, kMaxRanges> shift{};
+    std::array<bool, kMaxRanges> gather{};
+    // Histogram ranges get consecutive per-slot tables; gathered
+    // ranges need none.
+    std::array<std::size_t, kMaxRanges> table{};
+    std::size_t tables = 0;
+    for (std::size_t r = 0; r < nr; ++r) {
+        lo[r] = ranges[r].lo;
+        span[r] = ranges[r].span;
+        shift[r] = ranges[r].shift;
+        gather[r] = ranges[r].gather;
+        table[r] = gather[r] ? 0 : tables++;
+    }
+    std::array<std::atomic<std::size_t>, kMaxRanges> filled{};
+
+    exec::ParallelOptions options = parallel;
+    options.grain = kSelectChunk;
+    const std::size_t slots = exec::maxSlots(options);
+    std::vector<std::uint64_t> hist(slots * tables * kBuckets, 0);
+    std::vector<std::uint64_t> extremes(slots * nr * 2);
+    for (std::size_t i = 0; i < extremes.size(); i += 2) {
+        extremes[i] = ~std::uint64_t{0};
+        extremes[i + 1] = 0;
+    }
+
+    exec::parallelForSlots(
+        samples.size(),
+        [&](std::size_t slot, std::size_t begin, std::size_t end) {
+            std::uint64_t *slot_hist =
+                hist.data() + slot * tables * kBuckets;
+            std::array<std::uint64_t, kMaxRanges> min_key;
+            std::array<std::uint64_t, kMaxRanges> max_key;
+            min_key.fill(~std::uint64_t{0});
+            max_key.fill(0);
+            std::array<std::array<std::uint64_t, kStage>, kMaxRanges>
+                stage{};
+            std::array<std::size_t, kMaxRanges> staged{};
+            const auto flush = [&](std::size_t r) {
+                const std::size_t at = filled[r].fetch_add(
+                    staged[r], std::memory_order_relaxed);
+                std::copy_n(stage[r].begin(), staged[r],
+                            ranges[r].keys.begin() +
+                                static_cast<std::ptrdiff_t>(at));
+                staged[r] = 0;
+            };
+            for (std::size_t i = begin; i < end; ++i) {
+                const std::uint64_t key = orderKey(samples[i]);
+                for (std::size_t r = 0; r < nr; ++r) {
+                    const std::uint64_t offset = key - lo[r];
+                    if (offset > span[r])
+                        continue;
+                    min_key[r] = key < min_key[r] ? key : min_key[r];
+                    max_key[r] = key > max_key[r] ? key : max_key[r];
+                    if (gather[r]) {
+                        stage[r][staged[r]++] = key;
+                        if (staged[r] == kStage)
+                            flush(r);
+                    } else {
+                        ++slot_hist[table[r] * kBuckets +
+                                    (offset >> shift[r])];
+                    }
+                    break;
+                }
+            }
+            std::uint64_t *slot_ext = &extremes[slot * nr * 2];
+            for (std::size_t r = 0; r < nr; ++r) {
+                if (staged[r] != 0)
+                    flush(r);
+                slot_ext[2 * r] = std::min(slot_ext[2 * r], min_key[r]);
+                slot_ext[2 * r + 1] =
+                    std::max(slot_ext[2 * r + 1], max_key[r]);
+            }
+        },
+        options);
+
+    for (std::size_t r = 0; r < nr; ++r) {
+        KeyRange &range = ranges[r];
+        for (std::size_t slot = 0; slot < slots; ++slot) {
+            const std::uint64_t *ext = &extremes[(slot * nr + r) * 2];
+            range.minKey = std::min(range.minKey, ext[0]);
+            range.maxKey = std::max(range.maxKey, ext[1]);
+            if (range.gather)
+                continue;
+            const std::uint64_t *counts =
+                &hist[(slot * tables + table[r]) * kBuckets];
+            for (std::size_t b = 0; b < kBuckets; ++b)
+                range.hist[b] += counts[b];
+        }
+    }
+}
+
+/**
+ * The exact order statistics of `samples` at the given ranks, as
+ * keys. Every wanted rank starts in the range of all keys; each pass
+ * narrows it to the histogram bucket holding it (2^kBucketBits
+ * times narrower), until its range holds one key, holds only equal
+ * values (the short cut for heavily tied data), or is small enough
+ * to gather and select from directly. A 64-bit key space bounds the
+ * passes at ceil(64 / kBucketBits).
+ */
+std::array<std::uint64_t, kMaxRanges>
+selectKeys(const std::vector<double> &samples,
+           const std::array<std::size_t, kMaxRanges> &ranks,
+           std::uint64_t lo, std::uint64_t hi,
+           const exec::ParallelOptions &parallel)
+{
+    struct Want
+    {
+        std::uint64_t lo, span;
+        std::size_t count, rank;
+        bool done;
+    };
+    std::array<Want, kMaxRanges> wants{};
+    std::array<std::uint64_t, kMaxRanges> keys{};
+    for (std::size_t w = 0; w < kMaxRanges; ++w)
+        wants[w] = {lo, hi - lo, samples.size(), ranks[w], false};
+
+    for (;;) {
+        std::vector<KeyRange> ranges;
+        ranges.reserve(kMaxRanges);
+        std::array<std::size_t, kMaxRanges> range_of{};
+        for (std::size_t w = 0; w < kMaxRanges; ++w) {
+            Want &want = wants[w];
+            if (!want.done && want.span == 0) {
+                keys[w] = want.lo;
+                want.done = true;
+            }
+            if (want.done)
+                continue;
+            std::size_t r = 0;
+            while (r < ranges.size() && ranges[r].lo != want.lo)
+                ++r;
+            range_of[w] = r;
+            if (r < ranges.size())
+                continue;
+            KeyRange &range = ranges.emplace_back();
+            range.lo = want.lo;
+            range.span = want.span;
+            range.gather = want.count <= kGatherMax;
+            if (range.gather) {
+                range.keys.resize(want.count);
+            } else {
+                range.shift = std::max(
+                    0, static_cast<int>(std::bit_width(want.span)) -
+                           kBucketBits);
+                range.hist.assign(kBuckets, 0);
+            }
+        }
+        if (ranges.empty())
+            return keys;
+
+        scanRanges(samples, ranges, parallel);
+
+        for (std::size_t w = 0; w < kMaxRanges; ++w) {
+            Want &want = wants[w];
+            if (want.done)
+                continue;
+            KeyRange &range = ranges[range_of[w]];
+            if (range.minKey == range.maxKey) {
+                keys[w] = range.minKey;
+                want.done = true;
+            } else if (range.gather) {
+                const auto nth = range.keys.begin() +
+                                 static_cast<std::ptrdiff_t>(want.rank);
+                std::nth_element(range.keys.begin(), nth,
+                                 range.keys.end());
+                keys[w] = *nth;
+                want.done = true;
+            } else {
+                std::size_t b = 0;
+                while (want.rank >= range.hist[b]) {
+                    want.rank -= range.hist[b];
+                    ++b;
+                }
+                // The bucket, clipped to the keys the range holds.
+                // maxKey >= bucket_lo (the bucket is not empty), so
+                // the clip never computes past the top key.
+                const std::uint64_t bucket_lo =
+                    range.lo + (std::uint64_t{b} << range.shift);
+                const std::uint64_t width_less_one =
+                    (std::uint64_t{1} << range.shift) - 1;
+                const std::uint64_t top =
+                    range.maxKey - bucket_lo < width_less_one
+                        ? range.maxKey
+                        : bucket_lo + width_less_one;
+                want.lo = std::max(bucket_lo, range.minKey);
+                want.span = top - want.lo;
+                want.count = range.hist[b];
+            }
+        }
+    }
+}
+
+} // namespace
+
 Distribution
-Distribution::fromSamples(std::vector<double> samples)
+Distribution::fromSamples(const std::vector<double> &samples,
+                          const exec::ParallelOptions &parallel)
 {
     if (samples.empty())
         throw ModelError("distribution requires samples");
 
+    // One sequential pass: the sample-order sum the mean has always
+    // used, with the extremes and a NaN check folded in.
     Distribution out;
     const std::size_t n = samples.size();
     double sum = 0.0;
-    for (double s : samples)
+    double lo = samples[0];
+    double hi = samples[0];
+    bool nan = false;
+    for (double s : samples) {
         sum += s;
+        lo = s < lo ? s : lo;
+        hi = hi < s ? s : hi;
+        nan |= s != s;
+    }
+    if (nan) {
+        const auto at = std::find_if(samples.begin(), samples.end(),
+                                     [](double s) { return s != s; });
+        throw ModelError(
+            "distribution sample " +
+            std::to_string(at - samples.begin()) +
+            " is NaN; percentiles need ordered values");
+    }
     out.mean = sum / static_cast<double>(n);
     double var = 0.0;
     for (double s : samples)
@@ -52,59 +343,28 @@ Distribution::fromSamples(std::vector<double> samples)
 
     // Only six order statistics are needed — the (lo, lo + 1)
     // pairs bracketing p5/p50/p95.
-    std::array<std::size_t, 6> ranks{};
+    std::array<std::size_t, kMaxRanges> ranks{};
     std::array<double, 3> fracs{};
     for (std::size_t i = 0; i < 3; ++i) {
         constexpr double kPercentiles[3] = {5.0, 50.0, 95.0};
         const double rank = kPercentiles[i] / 100.0 *
                             static_cast<double>(n - 1);
-        const std::size_t lo = static_cast<std::size_t>(rank);
-        ranks[2 * i] = lo;
-        ranks[2 * i + 1] = std::min(lo + 1, n - 1);
-        fracs[i] = rank - static_cast<double>(lo);
+        const std::size_t lo_rank = static_cast<std::size_t>(rank);
+        ranks[2 * i] = lo_rank;
+        ranks[2 * i + 1] = std::min(lo_rank + 1, n - 1);
+        fracs[i] = rank - static_cast<double>(lo_rank);
     }
 
-    std::array<double, 6> stat{};
-    if (n < 64) {
-        std::sort(samples.begin(), samples.end());
-        for (std::size_t i = 0; i < 6; ++i)
-            stat[i] = samples[ranks[i]];
-    } else {
-        // Select the three lo ranks with nth_element — median over
-        // the whole array first and then one pass per half, so no
-        // partition ever revisits the other half; each lo + 1
-        // statistic is the minimum of the range the partitions
-        // bound it to (the value at sorted position k + 1 is the
-        // smallest element stored right of pinned position k),
-        // a cheap vectorizable scan instead of another partition
-        // pass. Every selected value is an exact order statistic,
-        // identical to the sorted-array one; n >= 64 keeps
-        // l < m < h strict and every min range non-empty.
-        const auto begin = samples.begin();
-        const auto minOver = [&](std::size_t lo, std::size_t hi) {
-            double v = samples[lo];
-            for (std::size_t i = lo + 1; i < hi; ++i)
-                v = samples[i] < v ? samples[i] : v;
-            return v;
-        };
-        const std::size_t l = ranks[0];
-        const std::size_t m = ranks[2];
-        const std::size_t h = ranks[4];
-        std::nth_element(begin, begin + m, samples.end());
-        stat[2] = samples[m];
-        stat[3] = ranks[3] == m ? stat[2] : minOver(m + 1, n);
-        std::nth_element(begin, begin + l, begin + m);
-        stat[0] = samples[l];
-        stat[1] = ranks[1] == l ? stat[0] : minOver(l + 1, m + 1);
-        std::nth_element(begin + m + 1, begin + h, samples.end());
-        stat[4] = samples[h];
-        stat[5] = ranks[5] == h ? stat[4] : minOver(h + 1, n);
-    }
+    // A zero extreme widens to both signed zeros: `<` cannot tell
+    // them apart, but their keys differ.
+    const std::array<std::uint64_t, kMaxRanges> keys = selectKeys(
+        samples, ranks, orderKey(lo == 0.0 ? -0.0 : lo),
+        orderKey(hi == 0.0 ? 0.0 : hi), parallel);
 
     auto interpolate = [&](std::size_t i) {
-        const double lo = stat[2 * i];
-        const double hi = stat[2 * i + 1];
-        return lo + fracs[i] * (hi - lo);
+        const double lo_value = keyValue(keys[2 * i]);
+        const double hi_value = keyValue(keys[2 * i + 1]);
+        return lo_value + fracs[i] * (hi_value - lo_value);
     };
     out.p5 = interpolate(0);
     out.p50 = interpolate(1);
@@ -327,7 +587,7 @@ scalarSamples(const UncertaintySpec &spec,
 
 /** Shared tally-merge and distribution-building tail of both run
  * flavours. Per-block tallies are merged in block order — the
- * determinism contract. */
+ * determinism contract — and the summaries run on `parallel`. */
 UncertaintyResult
 buildResult(
     std::size_t count,
@@ -337,8 +597,9 @@ buildResult(
     const std::vector<std::vector<std::uint64_t>> &ceiling_counts,
     const std::vector<std::string> &stage_names,
     const std::vector<std::vector<std::uint64_t>> &stage_counts,
-    std::vector<double> v_safe, std::vector<double> knee,
-    std::vector<double> roof)
+    const std::vector<double> &v_safe, const std::vector<double> &knee,
+    const std::vector<double> &roof,
+    const exec::ParallelOptions &parallel)
 {
     UncertaintyResult result;
     result.samples = count;
@@ -406,9 +667,25 @@ buildResult(
         static_cast<double>(
             totals[static_cast<std::size_t>(BoundType::PhysicsBound)]) /
         n;
-    result.safeVelocity = Distribution::fromSamples(std::move(v_safe));
-    result.kneeThroughput = Distribution::fromSamples(std::move(knee));
-    result.roofVelocity = Distribution::fromSamples(std::move(roof));
+
+    // The three summaries run concurrently: each one's sequential
+    // sum pass overlaps the others', and their parallel selection
+    // passes fan out to whichever workers are idle.
+    const std::array<const std::vector<double> *, 3> outputs = {
+        &v_safe, &knee, &roof};
+    const std::array<Distribution *, 3> summaries = {
+        &result.safeVelocity, &result.kneeThroughput,
+        &result.roofVelocity};
+    exec::ParallelOptions fan_out = parallel;
+    fan_out.grain = 1;
+    exec::parallelFor(
+        outputs.size(),
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                *summaries[i] =
+                    Distribution::fromSamples(*outputs[i], parallel);
+        },
+        fan_out);
     return result;
 }
 
@@ -633,8 +910,7 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
     return buildResult(count, bound_counts, machine != nullptr,
                        compute_ceilings, total_ceilings,
                        ceiling_counts, stage_names, stage_counts,
-                       std::move(v_safe), std::move(knee),
-                       std::move(roof));
+                       v_safe, knee, roof, parallel);
 }
 
 UncertaintyResult
@@ -709,8 +985,7 @@ MonteCarloAnalyzer::runReference(
     return buildResult(count, bound_counts, machine != nullptr,
                        compute_ceilings, total_ceilings,
                        ceiling_counts, stage_names, stage_counts,
-                       std::move(v_safe), std::move(knee),
-                       std::move(roof));
+                       v_safe, knee, roof, parallel);
 }
 
 } // namespace uavf1::sim

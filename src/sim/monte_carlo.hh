@@ -88,8 +88,19 @@ struct Distribution
     double p50 = 0.0;
     double p95 = 0.0;
 
-    /** Compute the summary from raw samples (consumes order). */
-    static Distribution fromSamples(std::vector<double> samples);
+    /**
+     * Compute the summary from raw samples. The mean and stddev are
+     * sample-order sums; the percentiles interpolate between exact
+     * order statistics, found by a bucket selection that runs on
+     * `parallel`'s pool (and honours its cancel token) with scratch
+     * bounded independently of the sample count. The result is
+     * bit-identical at any thread count.
+     *
+     * @throws ModelError when `samples` is empty or holds a NaN
+     */
+    static Distribution
+    fromSamples(const std::vector<double> &samples,
+                const exec::ParallelOptions &parallel = {});
 };
 
 /** Monte-Carlo outputs. */

@@ -9,12 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "components/catalog.hh"
 #include "core/uav_config.hh"
+#include "exec/thread_pool.hh"
 #include "mission/mission_model.hh"
 #include "plot/ascii_renderer.hh"
 #include "plot/csv_writer.hh"
@@ -217,33 +224,139 @@ TEST(Distribution, SingleSampleAndTwoSamples)
     EXPECT_NEAR(two.stddev, std::sqrt(2.0), 1e-12);
 }
 
+/** Bit pattern of a double: EXPECT_EQ on it tells apart what `==`
+ * cannot and lets a NaN result equal itself. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** The summary by definition: sample-order sums, then order
+ * statistics read off a fully sorted copy. */
+sim::Distribution
+fullSortReference(std::vector<double> samples)
+{
+    const std::size_t n = samples.size();
+    sim::Distribution out;
+    double sum = 0.0;
+    for (double s : samples)
+        sum += s;
+    out.mean = sum / static_cast<double>(n);
+    double var = 0.0;
+    for (double s : samples)
+        var += (s - out.mean) * (s - out.mean);
+    out.stddev =
+        n > 1 ? std::sqrt(var / static_cast<double>(n - 1)) : 0.0;
+    std::sort(samples.begin(), samples.end());
+    const auto percentile = [&](double p) {
+        const double rank = p / 100.0 * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, n - 1);
+        return samples[lo] + (rank - static_cast<double>(lo)) *
+                                 (samples[hi] - samples[lo]);
+    };
+    out.p5 = percentile(5.0);
+    out.p50 = percentile(50.0);
+    out.p95 = percentile(95.0);
+    return out;
+}
+
 TEST(Distribution, PercentilesMatchFullSortReference)
 {
-    // Regression: the nth_element-based selection must return the
-    // exact order statistics a full sort would (an earlier draft
-    // repartitioned already-pinned ranks and corrupted p5/p50).
-    Rng rng(77);
-    std::vector<double> samples;
-    for (int i = 0; i < 1000; ++i)
-        samples.push_back(rng.uniform());
+    // The bucket selection must return exactly the order statistics
+    // a full sort would, on every input shape it treats differently:
+    // tied data (all equal, a 95/5 split, the few distinct v_safe
+    // levels of a fault campaign) short-cuts through single-valued
+    // ranges, continuous data narrows by histogram then gathers, and
+    // wide key ranges (negatives reaching into subnormals, +-inf)
+    // take several refinement passes. Sizes straddle the 64-sample
+    // and 2^16 boundaries; each result must be the same bits at 1, 2
+    // and 8 threads.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double levels[8] = {9.81, 9.5, 8.75, 8.0, 7.2, 6.1, 4.4, 2.0};
+    const std::pair<const char *, std::function<double(Rng &)>>
+        families[] = {
+            {"all equal", [](Rng &) { return 7.25; }},
+            {"95/5 split",
+             [](Rng &rng) { return rng.uniform() < 0.95 ? 9.5 : 3.0; }},
+            {"8 campaign levels",
+             [&](Rng &rng) {
+                 // Geometric weights: most missions see no fault.
+                 std::size_t k = 0;
+                 while (k < 7 && rng.uniform() < 0.3)
+                     ++k;
+                 return levels[k];
+             }},
+            {"continuous",
+             [](Rng &rng) { return 6.0 * std::exp(0.2 * rng.normal()); }},
+            {"negative and subnormal",
+             [](Rng &rng) {
+                 const double u = rng.uniform();
+                 if (u < 0.3)
+                     return -1e3 * rng.uniform();
+                 if (u < 0.6)
+                     return 4e-310 * rng.uniform(); // Subnormal.
+                 return -4e-310 * rng.uniform();
+             }},
+            {"+-inf tails",
+             [](Rng &rng) {
+                 // Wide enough that p5 and p95 land on the infinities.
+                 const double u = rng.uniform();
+                 if (u < 0.06)
+                     return -inf;
+                 if (u > 0.94)
+                     return inf;
+                 return 1e3 * (rng.uniform() - 0.5);
+             }},
+        };
+    exec::ThreadPool one(1);
+    exec::ThreadPool two(2);
+    exec::ThreadPool eight(8);
+    for (const auto &[family, draw] : families) {
+        for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 65535u,
+                                    65537u, 2000000u}) {
+            Rng rng(77 + n);
+            std::vector<double> samples(n);
+            for (double &s : samples)
+                s = draw(rng);
+            const sim::Distribution want = fullSortReference(samples);
+            for (exec::ThreadPool *pool : {&one, &two, &eight}) {
+                exec::ParallelOptions options;
+                options.pool = pool;
+                const sim::Distribution got =
+                    sim::Distribution::fromSamples(samples, options);
+                const std::string where =
+                    std::string(family) + ", n=" + std::to_string(n) +
+                    ", threads=" + std::to_string(pool->threadCount());
+                EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
+                EXPECT_EQ(bits(got.stddev), bits(want.stddev)) << where;
+                EXPECT_EQ(bits(got.p5), bits(want.p5)) << where;
+                EXPECT_EQ(bits(got.p50), bits(want.p50)) << where;
+                EXPECT_EQ(bits(got.p95), bits(want.p95)) << where;
+            }
+        }
+    }
+}
 
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const auto reference = [&](double p) {
-        const double rank =
-            p / 100.0 * static_cast<double>(sorted.size() - 1);
-        const std::size_t lo = static_cast<std::size_t>(rank);
-        const std::size_t hi =
-            std::min(lo + 1, sorted.size() - 1);
-        return sorted[lo] +
-               (rank - static_cast<double>(lo)) *
-                   (sorted[hi] - sorted[lo]);
-    };
-
-    const auto dist = sim::Distribution::fromSamples(samples);
-    EXPECT_DOUBLE_EQ(dist.p5, reference(5.0));
-    EXPECT_DOUBLE_EQ(dist.p50, reference(50.0));
-    EXPECT_DOUBLE_EQ(dist.p95, reference(95.0));
+TEST(Distribution, NaNSampleIsRejectedByName)
+{
+    // A NaN has no rank: it must fail with a ModelError naming the
+    // sample, before any value is used to pick a bucket or an index.
+    for (const std::size_t n : {1u, 65u, 100000u}) {
+        std::vector<double> samples(n, 1.0);
+        samples[n / 2] = std::numeric_limits<double>::quiet_NaN();
+        try {
+            (void)sim::Distribution::fromSamples(samples);
+            FAIL() << "NaN sample accepted at n=" << n;
+        } catch (const ModelError &error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find("NaN"), std::string::npos) << message;
+            EXPECT_NE(message.find("sample " + std::to_string(n / 2)),
+                      std::string::npos)
+                << message;
+        }
+    }
 }
 
 TEST(OracleCsvFile, RoundTripViaDisk)

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -33,6 +35,7 @@
 #include "studies/presets.hh"
 #include "support/atomic_file.hh"
 #include "support/errors.hh"
+#include "support/rng.hh"
 #include "workload/spa_pipeline.hh"
 #include "workload/stage_eval.hh"
 #include "workload/throughput.hh"
@@ -385,6 +388,91 @@ TEST(FaultCampaign, FaultedCampaignIsBitIdenticalAcrossThreads)
     const auto reseeded = campaign.run(count, 43, on8);
     EXPECT_NE(serial.safeVelocity.mean,
               reseeded.safeVelocity.mean);
+}
+
+TEST(FaultCampaign, SurvivorsAreSummarizedInSampleOrder)
+{
+    // Two sensor faults: a full dropout aborts the mission, a half
+    // dropout lowers v_safe. Replaying the campaign's documented
+    // draws (one forked Rng per sampleBlock block, one uniform per
+    // fault per sample) predicts every survivor's v_safe, so the
+    // survivor summary has an independent oracle: sample-order sums
+    // and a full sort. This pins the block-offset compaction and the
+    // order statistics, not just run() == runReference().
+    CampaignSpec spec = tx2Campaign("none");
+    FaultSpec dropout;
+    dropout.name = "dropout";
+    dropout.kind = FaultKind::SensorDropout;
+    dropout.probability = 0.3;
+    dropout.sensorDerate = 1.0;
+    FaultSpec halved = dropout;
+    halved.name = "halved";
+    halved.probability = 0.5;
+    halved.sensorDerate = 0.5;
+    spec.faults = {dropout, halved};
+    const FaultCampaign campaign(spec);
+
+    CampaignSpec always_halved = spec;
+    always_halved.faults = {halved};
+    always_halved.faults[0].probability = 1.0;
+    const double v_full = campaign.baseline().safeVelocity.value();
+    const double v_half =
+        FaultCampaign(always_halved).run(100, 1).safeVelocity.p50;
+    ASSERT_LT(v_half, v_full);
+
+    const std::size_t count = 100003; // A partial last block.
+    const std::uint64_t seed = 11;
+    std::vector<double> survivors;
+    Rng root(seed);
+    for (std::size_t lo = 0; lo < count;
+         lo += FaultCampaign::sampleBlock) {
+        Rng rng = root.fork();
+        const std::size_t hi =
+            std::min(count, lo + FaultCampaign::sampleBlock);
+        for (std::size_t i = lo; i < hi; ++i) {
+            const bool aborts = rng.uniform() < dropout.probability;
+            const bool halves = rng.uniform() < halved.probability;
+            if (!aborts)
+                survivors.push_back(halves ? v_half : v_full);
+        }
+    }
+    double sum = 0.0;
+    for (const double v : survivors)
+        sum += v;
+    const double mean = sum / static_cast<double>(survivors.size());
+    double var = 0.0;
+    for (const double v : survivors)
+        var += (v - mean) * (v - mean);
+    const double stddev =
+        std::sqrt(var / static_cast<double>(survivors.size() - 1));
+    std::sort(survivors.begin(), survivors.end());
+    const auto percentile = [&](double p) {
+        const double rank =
+            p / 100.0 * static_cast<double>(survivors.size() - 1);
+        const auto lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, survivors.size() - 1);
+        return survivors[lo] + (rank - static_cast<double>(lo)) *
+                                   (survivors[hi] - survivors[lo]);
+    };
+
+    exec::ThreadPool pool1(1);
+    exec::ThreadPool pool8(8);
+    for (exec::ThreadPool *pool : {&pool1, &pool8}) {
+        exec::ParallelOptions options;
+        options.pool = pool;
+        for (const CampaignResult &result :
+             {campaign.run(count, seed, options),
+              campaign.runReference(count, seed, options)}) {
+            EXPECT_EQ(result.abortProbability,
+                      1.0 - static_cast<double>(survivors.size()) /
+                                static_cast<double>(count));
+            EXPECT_EQ(result.safeVelocity.mean, mean);
+            EXPECT_EQ(result.safeVelocity.stddev, stddev);
+            EXPECT_EQ(result.safeVelocity.p5, percentile(5.0));
+            EXPECT_EQ(result.safeVelocity.p50, percentile(50.0));
+            EXPECT_EQ(result.safeVelocity.p95, percentile(95.0));
+        }
+    }
 }
 
 TEST(FaultCampaign, DegradationCurveStartsAtTheBaseline)

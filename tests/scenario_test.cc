@@ -134,6 +134,38 @@ TEST(Params, NumbersCountsAndErrors)
     EXPECT_EQ(params.entries().front().second, "32");
 }
 
+TEST(Params, IntegersAreBoundedBeforeTheCast)
+{
+    // A double past 2^53 (or past the target type) must be rejected
+    // by name, never cast: the cast would be undefined.
+    StudyParams params;
+    params.set("samples", "1e20");
+    try {
+        (void)params.getCount("samples", 1);
+        FAIL() << "samples=1e20 accepted";
+    } catch (const ModelError &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("'samples'"), std::string::npos)
+            << message;
+        EXPECT_NE(message.find("9007199254740992"), std::string::npos)
+            << message;
+    }
+    params.set("samples", "9007199254740992");
+    EXPECT_EQ(params.getCount("samples", 1), 9007199254740992u);
+    params.set("samples", "9007199254740994");
+    EXPECT_THROW(params.getCount("samples", 1), ModelError);
+
+    EXPECT_EQ(params.getUnsigned("seed", 7), 7u);
+    params.set("seed", "0");
+    EXPECT_EQ(params.getUnsigned("seed", 7), 0u);
+    params.set("seed", "4294967296");
+    EXPECT_EQ(params.getUnsigned("seed", 7), 4294967296u);
+    for (const char *bad : {"-1", "1e30", "2.5", "-0.5", "seven"}) {
+        params.set("seed", bad);
+        EXPECT_THROW(params.getUnsigned("seed", 7), ModelError) << bad;
+    }
+}
+
 TEST(Spec, ParsesTheLoadConfigGrammar)
 {
     const ScenarioSpec spec = ScenarioSpec::parse(
@@ -665,6 +697,35 @@ TEST(Runner, FaultsStudyRejectsOutOfRangeParams)
         << failed.error;
     EXPECT_NE(failed.error.find("dual"), std::string::npos)
         << failed.error;
+}
+
+TEST(Runner, FaultsStudyBoundsCountsAndSeedsBeforeTheCast)
+{
+    ScenarioSpec spec;
+    spec.study = "faults";
+    spec.overrides.set("fault", "ecc-fallback");
+    spec.overrides.set("samples", "64");
+    spec.overrides.set("levels", "2");
+    const ScenarioRunner runner;
+    ASSERT_TRUE(runner.run(spec).ok);
+
+    // Counts and seeds are bounded before they are cast: a huge
+    // sample count must name `samples` rather than trip the
+    // campaign's "needs >= 10 samples" check after a wrapped cast,
+    // and a negative or huge seed is refused rather than wrapped.
+    for (const auto &[key, value] :
+         {std::pair{"samples", "1e20"}, std::pair{"seed", "-1"},
+          std::pair{"seed", "1e30"}}) {
+        ScenarioSpec bad = spec;
+        bad.overrides.set(key, value);
+        const ScenarioOutcome failed = runner.run(bad);
+        EXPECT_FALSE(failed.ok) << key << "=" << value;
+        EXPECT_NE(failed.error.find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << failed.error;
+        EXPECT_EQ(failed.error.find(">= 10 samples"), std::string::npos)
+            << failed.error;
+    }
 }
 
 TEST(Runner, DeadlineTimesOutAnOverrunningScenario)
