@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <utility>
 
 namespace uavf1::exec {
 
@@ -153,8 +154,11 @@ runLoop(std::size_t count,
     state->closed = true;
     state->done.wait(lock,
                      [&] { return state->activeHelpers == 0; });
-    if (state->error)
-        std::rethrow_exception(state->error);
+    // Take the error out of the shared state: a worker may drop the
+    // last reference to the state later, and the exception must not
+    // be released there while the caller's handler still reads it.
+    if (std::exception_ptr error = std::exchange(state->error, {}))
+        std::rethrow_exception(error);
 }
 
 } // namespace

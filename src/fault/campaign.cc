@@ -2,26 +2,28 @@
  * @file
  * FaultCampaign implementation.
  *
- * run() is the batched hot path. A sample's outcome (aside from its
- * sensor derate) is fully determined by its (platform mask, pipeline
- * mask) pair, so the winner-selection arithmetic — including the
- * redundancy voter sequence — is collapsed into a pair table
- * computed once per run with the exact scalar operation order, and
- * the per-sample loop becomes draws + table lookups + the
- * core::analyzeVSafeBlock kernel. runReference() keeps the original
- * mission-at-a-time loop as the bit-identity oracle; when a kernel
- * validation flag trips, run() re-executes the sub-batch through it
- * from a saved RNG state so the thrown error matches the scalar
- * path exactly.
+ * A mission's outcome is a pure function of its fault-activation
+ * mask, so the constructor evaluates every mask once through the
+ * scalar F1Model::analyzeInto into an outcome table. run() then only
+ * draws (one uniform per fault, as the scalar loop does), stores
+ * each mission's mask and counts it; the tallies and the exact
+ * percentiles follow from the mask histogram, and only the two
+ * sample-order sums of the v_safe moments walk the masks in order.
+ * runReference() keeps the original mission-at-a-time loop,
+ * summarized through sim::Distribution::fromSamples, as the
+ * bit-identity oracle; when run() draws a mask whose inputs the
+ * scalar path rejects, it replays that block through the same loop
+ * from the block's Rng, so the error thrown matches exactly.
  */
 
 #include "fault/campaign.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <memory>
+#include <span>
+#include <stdexcept>
 
-#include "core/f1_batch.hh"
 #include "support/errors.hh"
 #include "support/validate.hh"
 #include "workload/stage_eval.hh"
@@ -64,6 +66,41 @@ isPipelineFault(FaultKind kind)
 
 } // namespace
 
+struct FaultCampaign::Tallies
+{
+    std::uint64_t aborts = 0;
+    std::vector<std::uint64_t> activations; ///< Per fault.
+    /** Per flat ceiling slot; empty without a platform. */
+    std::vector<std::uint64_t> ceilings;
+    /** [stage * 3 + kind], kind 0 compute, 1 memory, 2 measured;
+     * empty off the stage path. */
+    std::vector<std::uint64_t> stages;
+
+    explicit Tallies(const FaultCampaign &campaign)
+    {
+        const CampaignSpec &spec = campaign._spec;
+        activations.assign(spec.faults.size(), 0);
+        if (spec.platform) {
+            ceilings.assign(spec.platform->computeCeilings().size() +
+                                spec.platform->memoryCeilings().size(),
+                            0);
+            if (spec.pipeline)
+                stages.assign(campaign._stageCount * 3, 0);
+        }
+    }
+
+    void add(const Tallies &other)
+    {
+        aborts += other.aborts;
+        for (std::size_t j = 0; j < activations.size(); ++j)
+            activations[j] += other.activations[j];
+        for (std::size_t k = 0; k < ceilings.size(); ++k)
+            ceilings[k] += other.ceilings[k];
+        for (std::size_t k = 0; k < stages.size(); ++k)
+            stages[k] += other.stages[k];
+    }
+};
+
 FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
 {
     // Validate the nominal by constructing the model once.
@@ -83,13 +120,28 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
     }
 
     // Each layer's fault subsets are enumerated into a variant
-    // table indexed by activation mask, so the per-layer count is
-    // capped to keep the tables small.
+    // table, and every subset of all faults into the outcome table,
+    // so the counts are capped to keep the tables small (2^16
+    // outcomes at most).
     constexpr std::size_t max_per_layer = 8;
-    if (_platformFaults.size() > max_per_layer ||
-        _pipelineFaults.size() > max_per_layer) {
-        throw ModelError(
-            "fault campaign supports at most 8 faults per layer");
+    constexpr std::size_t max_faults = 16;
+    for (const auto &[layer, faults] :
+         {std::pair{"platform", &_platformFaults},
+          std::pair{"pipeline", &_pipelineFaults},
+          std::pair{"sensor", &_sensorFaults}}) {
+        if (faults->size() > max_per_layer) {
+            throw ModelError(
+                "fault campaign supports at most " +
+                std::to_string(max_per_layer) +
+                " faults per layer, but the " + layer + " layer has " +
+                std::to_string(faults->size()));
+        }
+    }
+    if (_spec.faults.size() > max_faults) {
+        throw ModelError("fault campaign supports at most " +
+                         std::to_string(max_faults) +
+                         " faults in all, but the spec has " +
+                         std::to_string(_spec.faults.size()));
     }
 
     if (!_platformFaults.empty() && !_spec.platform) {
@@ -191,6 +243,7 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
         }
         precomputePipelineVariants();
     }
+    compileOutcomes();
 }
 
 void
@@ -204,7 +257,7 @@ FaultCampaign::precomputePlatformVariants()
         _stageCount = _spec.pipeline->stages().size();
         _stageNames = _spec.pipeline->stageNames();
         _stageBase.assign(masks * _stageCount, 0.0);
-        _stageSlot.assign(masks * _stageCount, measuredSlot);
+        _stageSlot.assign(masks * _stageCount, noSlot);
     }
     for (std::size_t mask = 0; mask < masks; ++mask) {
         platform::RooflinePlatform::Spec degraded;
@@ -458,6 +511,96 @@ FaultCampaign::precomputePipelineVariants()
     }
 }
 
+void
+FaultCampaign::compileOutcomes()
+{
+    // A mission's outcome depends only on which faults are active,
+    // so each activation mask is evaluated once here, in the scalar
+    // path's operation order, and a run only counts masks.
+    const platform::RooflinePlatform *machine =
+        _spec.platform ? &*_spec.platform : nullptr;
+    const std::size_t compute_ceilings =
+        machine ? machine->computeCeilings().size() : 0;
+    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
+    _outcomes.resize(std::size_t{1} << _spec.faults.size());
+    core::F1Analysis analysis;
+    for (std::size_t mask = 0; mask < _outcomes.size(); ++mask) {
+        std::size_t platform_mask = 0;
+        std::size_t pipeline_mask = 0;
+        std::size_t platform_bit = 0;
+        std::size_t pipeline_bit = 0;
+        double sensor_fraction = 1.0;
+        for (std::size_t j = 0; j < _spec.faults.size(); ++j) {
+            const std::size_t active = (mask >> j) & 1;
+            const FaultSpec &fault = _spec.faults[j];
+            if (isPlatformFault(fault.kind))
+                platform_mask |= active << platform_bit++;
+            else if (isPipelineFault(fault.kind))
+                pipeline_mask |= active << pipeline_bit++;
+            else if (active)
+                sensor_fraction *= 1.0 - fault.sensorDerate;
+        }
+
+        Outcome &outcome = _outcomes[mask];
+        outcome.platformMask = static_cast<std::uint32_t>(platform_mask);
+        core::F1Inputs inputs = _spec.nominal;
+        bool abort = sensor_fraction <= 0.0;
+        platform::CeilingRef binding{};
+        if (machine) {
+            const PlatformVariant &variant =
+                _platformVariants[platform_mask];
+            abort = abort || variant.aborts;
+            inputs.computeRate = units::Hertz(variant.computeRate);
+            binding = variant.binding;
+        }
+        if (_spec.pipeline) {
+            const PipelineVariant &variant =
+                _pipelineVariants[pipeline_mask];
+            abort = abort || variant.aborts;
+            double pipeline_rate = variant.throughputHz;
+            if (!abort && machine) {
+                const double *base =
+                    &_stageBase[platform_mask * _stageCount];
+                const double *inflation =
+                    &_stageInflation[pipeline_mask * _stageCount];
+                double total = 0.0;
+                for (std::size_t s = 0; s < _stageCount; ++s)
+                    total += base[s] * inflation[s];
+                pipeline_rate =
+                    redundancy
+                        .effectiveThroughput(units::Hertz(1.0 / total))
+                        .value();
+            }
+            if (!abort && (!machine ||
+                           pipeline_rate < inputs.computeRate.value())) {
+                inputs.computeRate = units::Hertz(pipeline_rate);
+                binding = {};
+            }
+        }
+        outcome.aborts = abort;
+        if (abort)
+            continue;
+        inputs.sensorRate = units::Hertz(inputs.sensorRate.value() *
+                                         sensor_fraction);
+        inputs.computeBinding = binding;
+        try {
+            core::F1Model::analyzeInto(inputs, analysis);
+            outcome.vSafe = analysis.safeVelocity.value();
+        } catch (const ModelError &) {
+            // Raised only if a mission draws this mask: run() then
+            // replays the draws through scalarSamples(), which
+            // throws this error at that mission.
+            outcome.throws = true;
+        }
+        if (binding.attributed) {
+            outcome.ceilingSlot = static_cast<std::uint32_t>(
+                binding.kind == platform::CeilingKind::Compute
+                    ? binding.index
+                    : compute_ceilings + binding.index);
+        }
+    }
+}
+
 core::F1Analysis
 FaultCampaign::baseline() const
 {
@@ -493,18 +636,18 @@ FaultCampaign::baseline() const
 }
 
 void
-FaultCampaign::scalarSamples(
-    const std::vector<double> &effective_prob,
-    const pipeline::ModularRedundancy &redundancy,
-    std::size_t compute_ceilings, std::size_t lo, std::size_t hi,
-    Rng &rng, double *v_safe, unsigned char *aborted,
-    std::uint64_t &abort_count, std::uint64_t *activation_counts,
-    std::uint64_t *ceiling_counts, std::uint64_t *stage_counts) const
+FaultCampaign::scalarSamples(const std::vector<double> &effective_prob,
+                             std::size_t lo, std::size_t hi, Rng &rng,
+                             double *v_safe, unsigned char *aborted,
+                             Tallies &tallies) const
 {
     const std::size_t fault_count = _spec.faults.size();
     const platform::RooflinePlatform *machine =
         _spec.platform ? &*_spec.platform : nullptr;
+    const std::size_t compute_ceilings =
+        machine ? machine->computeCeilings().size() : 0;
     const bool stage_path = machine && _spec.pipeline.has_value();
+    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
     core::F1Analysis analysis;
     for (std::size_t i = lo; i < hi; ++i) {
         // Exactly one draw per fault, active or not, so the stream a
@@ -532,7 +675,7 @@ FaultCampaign::scalarSamples(
                 sensor_fraction *= 1.0 - fault.sensorDerate;
             }
             if (active)
-                ++activation_counts[j];
+                ++tallies.activations[j];
         }
 
         core::F1Inputs inputs = _spec.nominal;
@@ -575,597 +718,248 @@ FaultCampaign::scalarSamples(
             }
         }
         if (abort) {
-            aborted[i] = 1;
-            ++abort_count;
+            aborted[i - lo] = 1;
+            ++tallies.aborts;
             continue;
         }
         inputs.sensorRate = units::Hertz(inputs.sensorRate.value() *
                                          sensor_fraction);
         inputs.computeBinding = binding;
         core::F1Model::analyzeInto(inputs, analysis);
-        v_safe[i] = analysis.safeVelocity.value();
+        v_safe[i - lo] = analysis.safeVelocity.value();
         if (machine && binding.attributed) {
             const std::size_t slot =
                 binding.kind == platform::CeilingKind::Compute
                     ? binding.index
                     : compute_ceilings + binding.index;
-            ++ceiling_counts[slot];
+            ++tallies.ceilings[slot];
         }
         if (stage_path) {
             const std::uint32_t *slots =
                 &_stageSlot[platform_mask * _stageCount];
             for (std::size_t s = 0; s < _stageCount; ++s) {
                 const std::size_t kind =
-                    slots[s] == measuredSlot
+                    slots[s] == noSlot
                         ? 2
                         : (slots[s] < compute_ceilings ? 0 : 1);
-                ++stage_counts[s * 3 + kind];
+                ++tallies.stages[s * 3 + kind];
             }
         }
     }
 }
 
+
 namespace {
 
-/** Per-slot scratch for the batched campaign run, reused across
- * blocks. Aligned like the Monte-Carlo arena so the v_safe
- * kernel's stride loads never split a cache line. */
-struct alignas(64) CampaignArena
-{
-    static constexpr std::size_t cap =
-        sim::MonteCarloAnalyzer::kernelBlock;
-    std::uint32_t platformMask[cap];
-    std::uint32_t pipelineMask[cap];
-    double sensorFraction[cap];
-    std::uint8_t abortFlag[cap];
-    /** Dense (non-aborted) lanes for the kernel. */
-    std::uint32_t denseIndex[cap]; ///< Global sample index.
-    std::uint32_t densePair[cap];  ///< Pair-table index.
-    std::uint32_t densePlatformMask[cap];
-    double sensorRate[cap];
-    double computeRate[cap];
-    double vSafe[cap];
-    /** Per-fault activation tallies, committed post-validation. */
-    std::vector<std::uint64_t> activations;
-    /** Platform-mask histogram for batched stage tallies. */
-    std::vector<std::uint64_t> maskHist;
-    /** Uniform draws for one sub-block, sample-major
-     * [i * faultCount + j]; filled by Rng::uniformBlock so the
-     * activation loop is free of the serial generator chain. */
-    std::vector<double> draws;
-};
-
 /**
- * What run() and runReference() share: the per-fault activation
- * probabilities, one forked Rng per sample block, the layer shape,
- * and the per-sample outputs and per-block tallies each loop fills
- * for summarize() to merge.
+ * What run() and runReference() draw from: each fault's activation
+ * probability at a severity scale, and one forked Rng per sample
+ * block — the same deterministic decomposition as
+ * MonteCarloAnalyzer, with substreams keyed by block index.
  */
-struct RunState
+struct Draws
 {
-    std::vector<double> effectiveProb;
+    std::vector<double> probability;
     std::vector<Rng> blockRngs;
-    const platform::RooflinePlatform *machine = nullptr;
-    std::size_t computeCeilings = 0;
-    std::size_t totalCeilings = 0;
-    bool stagePath = false;
-
-    std::vector<double> vSafe;
-    std::vector<unsigned char> aborted;
-    std::vector<std::uint64_t> abortCounts;
-    std::vector<std::vector<std::uint64_t>> activationCounts;
-    /** Per block; empty without a platform. */
-    std::vector<std::vector<std::uint64_t>> ceilingCounts;
-    /** Per block, stage * 3 + kind; empty off the stage path. */
-    std::vector<std::vector<std::uint64_t>> stageCounts;
 };
 
-RunState
-prepareRun(const CampaignSpec &spec, std::size_t stage_count,
-           std::size_t count, std::uint64_t seed)
+Draws
+prepareDraws(const CampaignSpec &spec, double scale, std::size_t count,
+             std::uint64_t seed)
 {
     if (count < 10)
         throw ModelError("fault campaign needs >= 10 samples");
-
-    RunState state;
-    const std::size_t fault_count = spec.faults.size();
-    state.effectiveProb.resize(fault_count);
-    for (std::size_t j = 0; j < fault_count; ++j) {
-        state.effectiveProb[j] = std::min(
-            1.0, spec.faults[j].probability * spec.probabilityScale);
-    }
-
-    // Same deterministic decomposition as MonteCarloAnalyzer:
-    // fixed-size blocks on forked substreams keyed by block index,
-    // per-block tallies merged in block order.
+    Draws draws;
+    for (const FaultSpec &fault : spec.faults)
+        draws.probability.push_back(
+            std::min(1.0, fault.probability * scale));
     const std::size_t blocks =
         (count + FaultCampaign::sampleBlock - 1) /
         FaultCampaign::sampleBlock;
-    state.blockRngs.reserve(blocks);
+    draws.blockRngs.reserve(blocks);
     Rng root(seed);
     for (std::size_t b = 0; b < blocks; ++b)
-        state.blockRngs.push_back(root.fork());
-
-    if (spec.platform) {
-        state.machine = &*spec.platform;
-        state.computeCeilings = state.machine->computeCeilings().size();
-        state.totalCeilings = state.computeCeilings +
-                              state.machine->memoryCeilings().size();
-    }
-    state.stagePath = state.machine && spec.pipeline.has_value();
-
-    state.vSafe.resize(count);
-    state.aborted.assign(count, 0);
-    state.abortCounts.assign(blocks, 0);
-    state.activationCounts.assign(
-        blocks, std::vector<std::uint64_t>(fault_count, 0));
-    state.ceilingCounts.assign(
-        state.machine ? blocks : 0,
-        std::vector<std::uint64_t>(state.totalCeilings, 0));
-    state.stageCounts.assign(
-        state.stagePath ? blocks : 0,
-        std::vector<std::uint64_t>(stage_count * 3, 0));
-    return state;
-}
-
-/**
- * The shared tail of run() and runReference(): merge the per-block
- * tallies in block order, compact the survivors' v_safe in sample
- * order and summarize it. Compaction runs on `parallel`, each block
- * writing at the offset its predecessors' survivor counts fix, so
- * the compacted order — and the result — is the serial one.
- */
-CampaignResult
-summarize(const RunState &state,
-          const std::vector<std::string> &stage_names,
-          const exec::ParallelOptions &parallel)
-{
-    const std::size_t count = state.vSafe.size();
-    const std::size_t fault_count = state.effectiveProb.size();
-    CampaignResult result;
-    result.samples = count;
-
-    std::uint64_t aborts = 0;
-    for (const std::uint64_t block_aborts : state.abortCounts)
-        aborts += block_aborts;
-    result.abortProbability =
-        static_cast<double>(aborts) / static_cast<double>(count);
-
-    result.faultActivationRate.assign(fault_count, 0.0);
-    for (const auto &block : state.activationCounts)
-        for (std::size_t j = 0; j < fault_count; ++j)
-            result.faultActivationRate[j] +=
-                static_cast<double>(block[j]);
-    for (std::size_t j = 0; j < fault_count; ++j)
-        result.faultActivationRate[j] /=
-            static_cast<double>(count);
-
-    const std::size_t survivors = count - aborts;
-    if (state.machine) {
-        const std::size_t compute_ceilings = state.computeCeilings;
-        const std::size_t total_ceilings = state.totalCeilings;
-        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
-        for (const auto &block : state.ceilingCounts)
-            for (std::size_t k = 0; k < total_ceilings; ++k)
-                ceiling_totals[k] += block[k];
-        result.probComputeCeilingBinds.resize(compute_ceilings);
-        result.probMemoryCeilingBinds.resize(total_ceilings -
-                                             compute_ceilings);
-        for (std::size_t k = 0; k < total_ceilings; ++k) {
-            const double prob =
-                survivors > 0
-                    ? static_cast<double>(ceiling_totals[k]) /
-                          static_cast<double>(survivors)
-                    : 0.0;
-            if (k < compute_ceilings)
-                result.probComputeCeilingBinds[k] = prob;
-            else
-                result.probMemoryCeilingBinds[k - compute_ceilings] =
-                    prob;
-        }
-    }
-    if (state.stagePath) {
-        const std::size_t stage_count = stage_names.size();
-        std::vector<std::uint64_t> stage_totals(stage_count * 3, 0);
-        for (const auto &block : state.stageCounts)
-            for (std::size_t k = 0; k < stage_totals.size(); ++k)
-                stage_totals[k] += block[k];
-        result.stageBindings.resize(stage_count);
-        for (std::size_t s = 0; s < stage_count; ++s) {
-            StageBindingStats &stats = result.stageBindings[s];
-            stats.stage = stage_names[s];
-            const double denom =
-                survivors > 0 ? static_cast<double>(survivors) : 1.0;
-            stats.probComputeBound =
-                static_cast<double>(stage_totals[s * 3 + 0]) / denom;
-            stats.probMemoryBound =
-                static_cast<double>(stage_totals[s * 3 + 1]) / denom;
-            stats.probMeasured =
-                static_cast<double>(stage_totals[s * 3 + 2]) / denom;
-        }
-    }
-
-    if (survivors == count) {
-        result.safeVelocity =
-            sim::Distribution::fromSamples(state.vSafe, parallel);
-    } else if (survivors > 0) {
-        constexpr std::size_t block_size = FaultCampaign::sampleBlock;
-        const std::size_t blocks = state.abortCounts.size();
-        std::vector<std::size_t> offsets(blocks);
-        std::size_t offset = 0;
-        for (std::size_t b = 0; b < blocks; ++b) {
-            offsets[b] = offset;
-            offset += std::min(block_size, count - b * block_size) -
-                      state.abortCounts[b];
-        }
-        std::vector<double> surviving(survivors);
-        exec::ParallelOptions options = parallel;
-        options.grain = 16; // ~32k samples per chunk.
-        exec::parallelFor(
-            blocks,
-            [&](std::size_t block_begin, std::size_t block_end) {
-                for (std::size_t b = block_begin; b < block_end; ++b) {
-                    std::size_t out = offsets[b];
-                    const std::size_t hi =
-                        std::min(count, (b + 1) * block_size);
-                    for (std::size_t i = b * block_size; i < hi; ++i) {
-                        if (!state.aborted[i])
-                            surviving[out++] = state.vSafe[i];
-                    }
-                }
-            },
-            options);
-        result.safeVelocity =
-            sim::Distribution::fromSamples(surviving, parallel);
-    }
-    return result;
+        draws.blockRngs.push_back(root.fork());
+    return draws;
 }
 
 } // namespace
 
 CampaignResult
+FaultCampaign::tallyResult(const Tallies &tallies,
+                           std::size_t count) const
+{
+    CampaignResult result;
+    result.samples = count;
+    const auto n = static_cast<double>(count);
+    result.abortProbability = static_cast<double>(tallies.aborts) / n;
+    for (const std::uint64_t hits : tallies.activations)
+        result.faultActivationRate.push_back(
+            static_cast<double>(hits) / n);
+    const std::uint64_t survivors = count - tallies.aborts;
+    const auto share = [&](std::uint64_t hits) {
+        return survivors > 0 ? static_cast<double>(hits) /
+                                   static_cast<double>(survivors)
+                             : 0.0;
+    };
+    const std::size_t compute_ceilings =
+        _spec.platform ? _spec.platform->computeCeilings().size() : 0;
+    for (std::size_t k = 0; k < tallies.ceilings.size(); ++k) {
+        (k < compute_ceilings ? result.probComputeCeilingBinds
+                              : result.probMemoryCeilingBinds)
+            .push_back(share(tallies.ceilings[k]));
+    }
+    for (std::size_t s = 0; s < tallies.stages.size() / 3; ++s) {
+        StageBindingStats &stats = result.stageBindings.emplace_back();
+        stats.stage = _stageNames[s];
+        stats.probComputeBound = share(tallies.stages[s * 3 + 0]);
+        stats.probMemoryBound = share(tallies.stages[s * 3 + 1]);
+        stats.probMeasured = share(tallies.stages[s * 3 + 2]);
+    }
+    return result;
+}
+
+CampaignResult
 FaultCampaign::run(std::size_t count, std::uint64_t seed,
                    const exec::ParallelOptions &parallel) const
 {
-    RunState state = prepareRun(_spec, _stageCount, count, seed);
+    return runAtScale(count, seed, _spec.probabilityScale, parallel);
+}
+
+CampaignResult
+FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
+                          double scale,
+                          const exec::ParallelOptions &parallel) const
+{
+    const Draws draws = prepareDraws(_spec, scale, count, seed);
     const std::size_t fault_count = _spec.faults.size();
-    const std::size_t blocks = state.blockRngs.size();
-    const std::vector<double> &effective_prob = state.effectiveProb;
-    const platform::RooflinePlatform *machine = state.machine;
-    const std::size_t compute_ceilings = state.computeCeilings;
-    const bool stage_path = state.stagePath;
-    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
+    const std::size_t masks = _outcomes.size();
+    bool any_throws = false;
+    for (const Outcome &outcome : _outcomes)
+        any_throws = any_throws || outcome.throws;
 
-    // Per-fault layer routing, precomputed out of the draw loop.
-    // layer: 0 platform, 1 pipeline, 2 sensor; bit is the mask bit
-    // within the fault's layer.
-    std::vector<std::uint8_t> fault_layer(fault_count, 2);
-    std::vector<std::uint32_t> fault_bit(fault_count, 0);
-    std::vector<double> sensor_keep(fault_count, 1.0);
-    {
-        std::uint32_t platform_bit = 0;
-        std::uint32_t pipeline_bit = 0;
-        for (std::size_t j = 0; j < fault_count; ++j) {
-            const FaultSpec &fault = _spec.faults[j];
-            if (isPlatformFault(fault.kind)) {
-                fault_layer[j] = 0;
-                fault_bit[j] = platform_bit++;
-            } else if (isPipelineFault(fault.kind)) {
-                fault_layer[j] = 1;
-                fault_bit[j] = pipeline_bit++;
-            } else {
-                sensor_keep[j] = 1.0 - fault.sensorDerate;
-            }
-        }
-    }
-
-    // Branch-light companions for the draw loop: the mask bit a
-    // fault contributes when active (0 outside its layer) and the
-    // sensor multiplier applied when active (1.0 for non-sensor
-    // faults; x * 1.0 is exact, so the product sequence is
-    // unchanged).
-    std::vector<std::uint32_t> active_pbit(fault_count, 0);
-    std::vector<std::uint32_t> active_qbit(fault_count, 0);
-    std::vector<double> active_keep(fault_count, 1.0);
-    for (std::size_t j = 0; j < fault_count; ++j) {
-        if (fault_layer[j] == 0)
-            active_pbit[j] = std::uint32_t{1} << fault_bit[j];
-        else if (fault_layer[j] == 1)
-            active_qbit[j] = std::uint32_t{1} << fault_bit[j];
-        else
-            active_keep[j] = sensor_keep[j];
-    }
-
-    // Pair tables over (platform mask, pipeline mask): every
-    // mask-determined per-sample expression — the stage-path
-    // latency sum, the redundancy voter arithmetic, the
-    // pipeline-vs-platform winner select, the flat binding slot —
-    // evaluated once per pair with the exact scalar operation
-    // order. pair = platform_mask * qmasks + pipeline_mask.
-    const std::size_t pmasks =
-        machine ? _platformVariants.size() : 1;
-    const std::size_t qmasks =
-        _spec.pipeline ? _pipelineVariants.size() : 1;
-    constexpr std::uint32_t no_slot = ~std::uint32_t{0};
-    std::vector<std::uint8_t> pair_aborts(pmasks * qmasks, 0);
-    std::vector<double> pair_rate(pmasks * qmasks, 0.0);
-    std::vector<std::uint32_t> pair_slot(pmasks * qmasks, no_slot);
-    const double nominal_compute = _spec.nominal.computeRate.value();
-    for (std::size_t p = 0; p < pmasks; ++p) {
-        for (std::size_t q = 0; q < qmasks; ++q) {
-            const std::size_t pair = p * qmasks + q;
-            bool abort = false;
-            double rate = nominal_compute;
-            std::uint32_t slot = no_slot;
-            if (machine) {
-                const PlatformVariant &variant = _platformVariants[p];
-                abort = abort || variant.aborts;
-                rate = variant.computeRate;
-                if (variant.binding.attributed) {
-                    slot = static_cast<std::uint32_t>(
-                        variant.binding.kind ==
-                                platform::CeilingKind::Compute
-                            ? variant.binding.index
-                            : compute_ceilings +
-                                  variant.binding.index);
-                }
-            }
-            if (_spec.pipeline) {
-                const PipelineVariant &variant = _pipelineVariants[q];
-                abort = abort || variant.aborts;
-                double pipeline_rate = variant.throughputHz;
-                if (!abort && stage_path) {
-                    const double *base =
-                        &_stageBase[p * _stageCount];
-                    const double *inflation =
-                        &_stageInflation[q * _stageCount];
-                    double total = 0.0;
-                    for (std::size_t s = 0; s < _stageCount; ++s)
-                        total += base[s] * inflation[s];
-                    pipeline_rate =
-                        redundancy
-                            .effectiveThroughput(
-                                units::Hertz(1.0 / total))
-                            .value();
-                }
-                if (!abort && (!machine || pipeline_rate < rate)) {
-                    rate = pipeline_rate;
-                    slot = no_slot;
-                }
-            }
-            pair_aborts[pair] = abort ? 1 : 0;
-            pair_rate[pair] = rate;
-            pair_slot[pair] = slot;
-        }
-    }
-
-    // Stage-kind table per platform mask (kind: 0 compute, 1 memory,
-    // 2 measured), so per-sample stage tallies reduce to one
-    // platform-mask histogram per block.
-    std::vector<std::uint8_t> stage_kind;
-    if (stage_path) {
-        stage_kind.resize(pmasks * _stageCount, 2);
-        for (std::size_t p = 0; p < pmasks; ++p) {
-            for (std::size_t s = 0; s < _stageCount; ++s) {
-                const std::uint32_t slot =
-                    _stageSlot[p * _stageCount + s];
-                stage_kind[p * _stageCount + s] =
-                    slot == measuredSlot
-                        ? 2
-                        : (slot < compute_ceilings ? 0 : 1);
-            }
-        }
-    }
-
-    const double nominal_sensor = _spec.nominal.sensorRate.value();
-    const double nominal_amax = _spec.nominal.aMax.value();
-    const double nominal_range = _spec.nominal.sensingRange.value();
-    const double control = _spec.nominal.controlRate.value();
-    const double knee_fraction = _spec.nominal.kneeFraction;
-    constexpr std::size_t kernel_block =
-        sim::MonteCarloAnalyzer::kernelBlock;
-
+    // Each mission is coded by its activation mask (<= 16 bits) and
+    // counted in its slot's mask histogram. Histograms sit more
+    // than a cache line apart, so slots never share one. The keys
+    // are left unfilled: the sampling loop writes every one.
+    const auto key_store =
+        std::make_unique_for_overwrite<std::uint16_t[]>(count);
+    const std::span<std::uint16_t> keys(key_store.get(), count);
     exec::ParallelOptions options = parallel;
     options.grain = 1; // One block per chunk.
-    std::vector<CampaignArena> arenas(exec::maxSlots(options));
-    for (auto &arena : arenas) {
-        arena.activations.assign(fault_count, 0);
-        arena.maskHist.assign(stage_path ? pmasks : 0, 0);
-        arena.draws.assign(kernel_block * fault_count, 0.0);
-    }
+    const std::size_t slots = exec::maxSlots(options);
+    const std::size_t stride = masks + 16;
+    std::vector<std::uint64_t> hist(slots * stride, 0);
+    // Missions per uniformBlock call: the draw buffer stays in L1.
+    constexpr std::size_t sub_block = 64;
+    std::vector<std::vector<double>> uniforms(
+        slots, std::vector<double>(sub_block * fault_count));
 
     exec::parallelForSlots(
-        blocks,
-        [&](std::size_t slot_index, std::size_t block_begin,
+        draws.blockRngs.size(),
+        [&](std::size_t slot, std::size_t block_begin,
             std::size_t block_end) {
-            CampaignArena &arena = arenas[slot_index];
+            std::uint64_t *slot_hist = &hist[slot * stride];
+            double *u = uniforms[slot].data();
+            const double *probability = draws.probability.data();
             for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = state.blockRngs[b];
+                Rng rng = draws.blockRngs[b];
                 const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                if (stage_path)
-                    std::fill(arena.maskHist.begin(),
-                              arena.maskHist.end(), 0);
-                for (std::size_t sub = lo; sub < hi;
-                     sub += kernel_block) {
-                    const std::size_t m =
-                        std::min(hi - sub, kernel_block);
-                    Rng rescan_rng = rng;
-
-                    // Phase A: draws — one uniform per fault per
-                    // sample, in fault order, exactly the scalar
-                    // sequence (uniformBlock emits the same
-                    // stream without the serial generator chain).
-                    std::fill(arena.activations.begin(),
-                              arena.activations.end(), 0);
-                    rng.uniformBlock(arena.draws.data(),
-                                     m * fault_count);
-                    if (fault_count <= 64) {
-                        // Activations are rare, so reduce each
-                        // sample to one activation bitmask (a
-                        // compare/or chain) and run the mask and
-                        // derate bookkeeping over set bits only.
-                        // Bits ascend in fault order, so the
-                        // sensor-keep multiplies happen in exactly
-                        // the scalar sequence.
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const double *draw =
-                                arena.draws.data() +
-                                i * fault_count;
-                            std::uint64_t amask = 0;
-                            for (std::size_t j = 0;
-                                 j < fault_count; ++j)
-                                amask |= draw[j] <
-                                                 effective_prob[j]
-                                             ? std::uint64_t{1}
-                                                   << j
-                                             : 0u;
-                            std::uint32_t pmask = 0;
-                            std::uint32_t qmask = 0;
-                            double sensor_fraction = 1.0;
-                            for (std::uint64_t t = amask; t != 0;
-                                 t &= t - 1) {
-                                const std::size_t j =
-                                    static_cast<std::size_t>(
-                                        std::countr_zero(t));
-                                pmask |= active_pbit[j];
-                                qmask |= active_qbit[j];
-                                sensor_fraction *= active_keep[j];
-                                ++arena.activations[j];
-                            }
-                            arena.platformMask[i] = pmask;
-                            arena.pipelineMask[i] = qmask;
-                            arena.sensorFraction[i] =
-                                sensor_fraction;
-                        }
-                    } else {
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const double *draw =
-                                arena.draws.data() +
-                                i * fault_count;
-                            std::uint32_t pmask = 0;
-                            std::uint32_t qmask = 0;
-                            double sensor_fraction = 1.0;
-                            for (std::size_t j = 0;
-                                 j < fault_count; ++j) {
-                                const bool active =
-                                    draw[j] < effective_prob[j];
-                                pmask |=
-                                    active ? active_pbit[j] : 0u;
-                                qmask |=
-                                    active ? active_qbit[j] : 0u;
-                                sensor_fraction *=
-                                    active ? active_keep[j] : 1.0;
-                                arena.activations[j] +=
-                                    active ? 1 : 0;
-                            }
-                            arena.platformMask[i] = pmask;
-                            arena.pipelineMask[i] = qmask;
-                            arena.sensorFraction[i] =
-                                sensor_fraction;
-                        }
-                    }
-
-                    // Phase B: pair-table lookups; compact the
-                    // non-aborted samples into dense kernel lanes.
-                    // requireInRange's exact acceptance (NaN
-                    // passes both comparisons, as in the scalar).
-                    std::size_t dense = 0;
-                    bool ok = !(knee_fraction < 1e-6 ||
-                                knee_fraction > 1.0 - 1e-9);
+                const std::size_t hi = std::min(count, lo + sampleBlock);
+                for (std::size_t sub = lo; sub < hi; sub += sub_block) {
+                    // One uniform per fault per mission, in fault
+                    // order: the scalar path's own draw sequence.
+                    const std::size_t m = std::min(hi - sub, sub_block);
+                    rng.uniformBlock(u, m * fault_count);
                     for (std::size_t i = 0; i < m; ++i) {
-                        const std::size_t pair =
-                            arena.platformMask[i] * qmasks +
-                            arena.pipelineMask[i];
-                        const bool abort =
-                            arena.sensorFraction[i] <= 0.0 ||
-                            pair_aborts[pair] != 0;
-                        arena.abortFlag[i] = abort ? 1 : 0;
-                        if (abort)
-                            continue;
-                        arena.denseIndex[dense] =
-                            static_cast<std::uint32_t>(sub + i);
-                        arena.densePair[dense] =
-                            static_cast<std::uint32_t>(pair);
-                        arena.densePlatformMask[dense] =
-                            arena.platformMask[i];
-                        arena.sensorRate[dense] =
-                            nominal_sensor *
-                            arena.sensorFraction[i];
-                        arena.computeRate[dense] = pair_rate[pair];
-                        ++dense;
-                    }
-
-                    // Phase C: the v_safe kernel over the dense
-                    // lanes (physics is constant — the campaign
-                    // never perturbs the airframe).
-                    ok = core::analyzeVSafeBlock(
-                             nominal_amax, nominal_range,
-                             arena.sensorRate, arena.computeRate,
-                             control, dense, arena.vSafe) &&
-                         ok;
-
-                    if (!ok) {
-                        // Scalar fallback from the saved RNG state:
-                        // the first failing sample throws the
-                        // scalar path's own error, and nothing was
-                        // committed for this sub-batch.
-                        std::uint64_t abort_local = 0;
-                        scalarSamples(
-                            effective_prob, redundancy,
-                            compute_ceilings, sub, sub + m,
-                            rescan_rng, state.vSafe.data(),
-                            state.aborted.data(), abort_local,
-                            state.activationCounts[b].data(),
-                            machine ? state.ceilingCounts[b].data()
-                                    : nullptr,
-                            stage_path ? state.stageCounts[b].data()
-                                       : nullptr);
-                        state.abortCounts[b] += abort_local;
-                        continue;
-                    }
-
-                    // Commit: activations, aborts, outputs and
-                    // tallies, only after every phase validated.
-                    for (std::size_t j = 0; j < fault_count; ++j)
-                        state.activationCounts[b][j] +=
-                            arena.activations[j];
-                    for (std::size_t i = 0; i < m; ++i) {
-                        if (arena.abortFlag[i]) {
-                            state.aborted[sub + i] = 1;
-                            ++state.abortCounts[b];
-                        }
-                    }
-                    for (std::size_t k = 0; k < dense; ++k) {
-                        state.vSafe[arena.denseIndex[k]] = arena.vSafe[k];
-                        const std::uint32_t ceiling =
-                            pair_slot[arena.densePair[k]];
-                        if (machine && ceiling != no_slot)
-                            ++state.ceilingCounts[b][ceiling];
-                        if (stage_path)
-                            ++arena.maskHist
-                                  [arena.densePlatformMask[k]];
+                        const double *draw = u + i * fault_count;
+                        std::uint32_t mask = 0;
+                        for (std::size_t j = 0; j < fault_count; ++j)
+                            mask |= static_cast<std::uint32_t>(
+                                        draw[j] < probability[j])
+                                    << j;
+                        keys[sub + i] = static_cast<std::uint16_t>(mask);
+                        ++slot_hist[mask];
                     }
                 }
-                if (stage_path) {
-                    for (std::size_t p = 0; p < pmasks; ++p) {
-                        const std::uint64_t hits = arena.maskHist[p];
-                        if (hits == 0)
-                            continue;
-                        const std::uint8_t *kinds =
-                            &stage_kind[p * _stageCount];
-                        for (std::size_t s = 0; s < _stageCount;
-                             ++s)
-                            state.stageCounts[b][s * 3 + kinds[s]] +=
-                                hits;
-                    }
-                }
+                bool rejected = false;
+                for (std::size_t i = lo; any_throws && i < hi; ++i)
+                    rejected = rejected || _outcomes[keys[i]].throws;
+                if (!rejected)
+                    continue;
+                // Replay the block through the scalar path from its
+                // own Rng: the first rejected mission throws the
+                // scalar path's error.
+                std::vector<double> v_safe(hi - lo);
+                std::vector<unsigned char> aborted(hi - lo);
+                Tallies scratch(*this);
+                Rng replay = draws.blockRngs[b];
+                scalarSamples(draws.probability, lo, hi, replay,
+                              v_safe.data(), aborted.data(), scratch);
+                throw std::logic_error(
+                    "fault campaign outcome table rejects a mission "
+                    "the scalar path accepts");
             }
         },
         options);
 
-    return summarize(state, _stageNames, parallel);
+    // Everything but the v_safe moments follows from the merged
+    // histogram and the outcome table.
+    std::vector<std::uint64_t> counts(masks, 0);
+    for (std::size_t slot = 0; slot < slots; ++slot)
+        for (std::size_t mask = 0; mask < masks; ++mask)
+            counts[mask] += hist[slot * stride + mask];
+    Tallies tallies(*this);
+    std::vector<double> v_safe(masks, 0.0);
+    std::vector<std::uint64_t> survivors(masks, 0);
+    bool nan = false;
+    const std::size_t compute_ceilings =
+        _spec.platform ? _spec.platform->computeCeilings().size() : 0;
+    for (std::size_t mask = 0; mask < masks; ++mask) {
+        const std::uint64_t hits = counts[mask];
+        const Outcome &outcome = _outcomes[mask];
+        if (hits == 0)
+            continue;
+        for (std::size_t j = 0; j < fault_count; ++j)
+            tallies.activations[j] += ((mask >> j) & 1) * hits;
+        if (outcome.aborts) {
+            tallies.aborts += hits;
+            continue;
+        }
+        survivors[mask] = hits;
+        v_safe[mask] = outcome.vSafe;
+        nan = nan || outcome.vSafe != outcome.vSafe;
+        if (outcome.ceilingSlot != noSlot)
+            tallies.ceilings[outcome.ceilingSlot] += hits;
+        for (std::size_t s = 0; s < tallies.stages.size() / 3; ++s) {
+            const std::uint32_t slot =
+                _stageSlot[outcome.platformMask * _stageCount + s];
+            const std::size_t kind =
+                slot == noSlot ? 2 : (slot < compute_ceilings ? 0 : 1);
+            tallies.stages[s * 3 + kind] += hits;
+        }
+    }
+    CampaignResult result = tallyResult(tallies, count);
+    if (tallies.aborts == count)
+        return result;
+    if (nan) {
+        // fromSamples() names the first NaN survivor by its index.
+        std::vector<double> samples;
+        for (const std::uint16_t key : keys)
+            if (survivors[key] != 0)
+                samples.push_back(v_safe[key]);
+        result.safeVelocity =
+            sim::Distribution::fromSamples(samples, parallel);
+        return result;
+    }
+    result.safeVelocity = sim::Distribution::fromHistogram(
+        v_safe, survivors, [&](const std::vector<double> &terms) {
+            double sum = 0.0;
+            for (const std::uint16_t key : keys)
+                sum += terms[key];
+            return sum;
+        });
+    return result;
 }
 
 CampaignResult
@@ -1173,33 +967,42 @@ FaultCampaign::runReference(
     std::size_t count, std::uint64_t seed,
     const exec::ParallelOptions &parallel) const
 {
-    RunState state = prepareRun(_spec, _stageCount, count, seed);
-    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
+    const Draws draws =
+        prepareDraws(_spec, _spec.probabilityScale, count, seed);
+    const std::size_t blocks = draws.blockRngs.size();
+    std::vector<double> v_safe(count);
+    std::vector<unsigned char> aborted(count, 0);
+    std::vector<Tallies> block_tallies(blocks, Tallies(*this));
 
     exec::ParallelOptions options = parallel;
     options.grain = 1; // One block per chunk.
     exec::parallelFor(
-        state.blockRngs.size(),
+        blocks,
         [&](std::size_t block_begin, std::size_t block_end) {
             for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = state.blockRngs[b];
+                Rng rng = draws.blockRngs[b];
                 const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                scalarSamples(
-                    state.effectiveProb, redundancy,
-                    state.computeCeilings, lo, hi, rng,
-                    state.vSafe.data(), state.aborted.data(),
-                    state.abortCounts[b],
-                    state.activationCounts[b].data(),
-                    state.machine ? state.ceilingCounts[b].data()
-                                  : nullptr,
-                    state.stagePath ? state.stageCounts[b].data()
-                                    : nullptr);
+                const std::size_t hi = std::min(count, lo + sampleBlock);
+                scalarSamples(draws.probability, lo, hi, rng,
+                              &v_safe[lo], &aborted[lo],
+                              block_tallies[b]);
             }
         },
         options);
-    return summarize(state, _stageNames, parallel);
+
+    Tallies tallies(*this);
+    for (const Tallies &block : block_tallies)
+        tallies.add(block);
+    CampaignResult result = tallyResult(tallies, count);
+    std::vector<double> survivors;
+    survivors.reserve(count - tallies.aborts);
+    for (std::size_t i = 0; i < count; ++i)
+        if (!aborted[i])
+            survivors.push_back(v_safe[i]);
+    if (!survivors.empty())
+        result.safeVelocity =
+            sim::Distribution::fromSamples(survivors, parallel);
+    return result;
 }
 
 std::vector<DegradationPoint>
@@ -1207,31 +1010,43 @@ FaultCampaign::degradationCurve(
     std::size_t levels, std::size_t samples_per_level,
     std::uint64_t seed, const exec::ParallelOptions &parallel) const
 {
+    return sweepSeverity(levels, samples_per_level, seed, parallel)
+        .curve;
+}
+
+FaultCampaign::SeveritySweep
+FaultCampaign::sweepSeverity(std::size_t levels,
+                             std::size_t samples_per_level,
+                             std::uint64_t seed,
+                             const exec::ParallelOptions &parallel) const
+{
     if (levels < 2)
         throw ModelError("degradation curve needs >= 2 levels");
 
-    std::vector<DegradationPoint> curve;
-    curve.reserve(levels);
+    SeveritySweep sweep;
+    sweep.curve.reserve(levels);
     for (std::size_t level = 0; level < levels; ++level) {
         const double scale =
             static_cast<double>(level) /
             static_cast<double>(levels - 1);
-        CampaignSpec scaled = _spec;
-        scaled.probabilityScale = _spec.probabilityScale * scale;
-        const FaultCampaign campaign(std::move(scaled));
         // The same seed at every level, so the curve varies only
-        // with severity, not with resampling noise.
-        const CampaignResult result =
-            campaign.run(samples_per_level, seed, parallel);
+        // with severity, not with resampling noise. The outcome
+        // table does not depend on the probabilities, so every
+        // level reuses it.
+        CampaignResult result =
+            runAtScale(samples_per_level, seed,
+                       _spec.probabilityScale * scale, parallel);
         DegradationPoint point;
         point.scale = scale;
         point.meanSafeVelocity = result.safeVelocity.mean;
         point.p5SafeVelocity = result.safeVelocity.p5;
         point.p95SafeVelocity = result.safeVelocity.p95;
         point.abortProbability = result.abortProbability;
-        curve.push_back(point);
+        sweep.curve.push_back(point);
+        if (level + 1 == levels)
+            sweep.fullSeverity = std::move(result);
     }
-    return curve;
+    return sweep;
 }
 
 } // namespace uavf1::fault

@@ -21,8 +21,10 @@
  * All degraded platform variants (one per subset of platform-layer
  * faults) and pipeline variants (per subset of workload-layer
  * faults) are precomputed at construction, where configuration
- * errors surface with full messages; the sampling loop itself is
- * table lookups and never throws.
+ * errors surface with full messages. So is a mission's whole
+ * outcome, which depends only on which faults are active: run()
+ * codes each mission by its activation mask and summarizes from
+ * the mask histogram.
  */
 
 #ifndef UAVF1_FAULT_CAMPAIGN_HH
@@ -83,7 +85,10 @@ struct CampaignSpec
     pipeline::RedundancyScheme redundancy =
         pipeline::RedundancyScheme::None;
 
-    /** Fault modes to sample; at most 8 per layer. */
+    /**
+     * Fault modes to sample: at most 8 per layer (platform,
+     * pipeline, sensor) and 16 in all.
+     */
     std::vector<FaultSpec> faults;
 
     /**
@@ -155,7 +160,7 @@ class FaultCampaign
      * @throws ModelError on an invalid fault spec, a platform/
      *         pipeline fault without its layer configured, an
      *         unknown stage name, an out-of-range ceiling index, or
-     *         more than 8 faults in one layer
+     *         more than 8 faults in one layer or 16 in all
      */
     explicit FaultCampaign(CampaignSpec spec);
 
@@ -183,13 +188,15 @@ class FaultCampaign
         const exec::ParallelOptions &parallel = {}) const;
 
     /**
-     * Mission-at-a-time reference implementation. run() collapses
-     * the per-sample outcome into precomputed (platform mask,
-     * pipeline mask) pair tables and batched SoA kernels; this is
-     * the original scalar loop, kept as the bit-identity oracle for
-     * the property tests and the baseline side of the perf benches.
-     * For any (spec, count, seed) the two return bit-identical
-     * results.
+     * Mission-at-a-time reference implementation. run() looks each
+     * mission's outcome up in a table indexed by its activation
+     * mask and summarizes from the mask histogram; this is the
+     * original scalar loop, summarized through
+     * sim::Distribution::fromSamples, kept as the bit-identity
+     * oracle for the property tests and the baseline side of the
+     * perf benches. For any (spec, count, seed) the two return
+     * bit-identical results, and throw the same error when a
+     * mission's inputs are rejected.
      */
     CampaignResult
     runReference(std::size_t count, std::uint64_t seed = 1,
@@ -210,6 +217,24 @@ class FaultCampaign
                      std::uint64_t seed = 1,
                      const exec::ParallelOptions &parallel = {}) const;
 
+    /** run() and degradationCurve() of one (samples, seed). */
+    struct SeveritySweep
+    {
+        CampaignResult fullSeverity; ///< run(samples, seed).
+        std::vector<DegradationPoint> curve;
+    };
+
+    /**
+     * run() and degradationCurve() together, sampling the full
+     * severity once: the curve's top level (scale 1) is exactly
+     * the spec run() samples, so `fullSeverity` is that level's
+     * result, bit-identical to run(samples_per_level, seed).
+     */
+    SeveritySweep
+    sweepSeverity(std::size_t levels, std::size_t samples_per_level,
+                  std::uint64_t seed = 1,
+                  const exec::ParallelOptions &parallel = {}) const;
+
     /** Samples per RNG substream block (the determinism grain). */
     static constexpr std::size_t sampleBlock = 2048;
 
@@ -229,28 +254,55 @@ class FaultCampaign
         double throughputHz = 0.0; ///< Hz, when not aborting.
     };
 
+    /** Slot sentinel: no ceiling attributed (a measurement-sourced
+     * stage, or a mission whose pipeline rate won). */
+    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
+
+    /**
+     * What one activation mask (bit j set: fault j active) does to
+     * a mission, as the scalar path evaluates it.
+     */
+    struct Outcome
+    {
+        double vSafe = 0.0; ///< When neither aborting nor throwing.
+        /** Flat slot of the binding ceiling (compute ceilings
+         * first), or noSlot when unattributed. */
+        std::uint32_t ceilingSlot = noSlot;
+        /** Row of the per-stage tables (_stageSlot). */
+        std::uint32_t platformMask = 0;
+        bool aborts = false;
+        /** F1Model::analyzeInto rejects the mission's inputs. */
+        bool throws = false;
+    };
+
     void precomputePlatformVariants();
     void precomputePipelineVariants();
+    void compileOutcomes();
+
+    /** run() at probabilityScale `scale` instead of the spec's. */
+    CampaignResult runAtScale(std::size_t count, std::uint64_t seed,
+                              double scale,
+                              const exec::ParallelOptions &parallel) const;
+
+    /** A run's integer tallies (aborts, activations, ceiling and
+     * stage bindings), summed over its missions. */
+    struct Tallies;
 
     /**
      * The scalar per-sample loop over samples [lo, hi) of one RNG
-     * block — the reference semantics run() falls back to when a
-     * kernel validation flag trips, and everything runReference()
-     * executes. Tally pointers may be null when the matching layer
-     * is unconfigured.
+     * block — everything runReference() executes, and what run()
+     * replays a block through when it draws a mask whose outcome
+     * throws. Outputs are indexed from `lo`.
      */
     void scalarSamples(const std::vector<double> &effective_prob,
-                       const pipeline::ModularRedundancy &redundancy,
-                       std::size_t compute_ceilings, std::size_t lo,
-                       std::size_t hi, Rng &rng, double *v_safe,
-                       unsigned char *aborted,
-                       std::uint64_t &abort_count,
-                       std::uint64_t *activation_counts,
-                       std::uint64_t *ceiling_counts,
-                       std::uint64_t *stage_counts) const;
+                       std::size_t lo, std::size_t hi, Rng &rng,
+                       double *v_safe, unsigned char *aborted,
+                       Tallies &tallies) const;
 
-    /** Stage-slot sentinel: measurement-sourced, no ceiling. */
-    static constexpr std::uint32_t measuredSlot = ~std::uint32_t{0};
+    /** Everything but the v_safe distribution, from the tallies of
+     * `count` missions. */
+    CampaignResult tallyResult(const Tallies &tallies,
+                               std::size_t count) const;
 
     CampaignSpec _spec;
     /** Fault indices by layer (order preserved within each). */
@@ -260,12 +312,15 @@ class FaultCampaign
     /** Variant tables indexed by the layer's activation mask. */
     std::vector<PlatformVariant> _platformVariants;
     std::vector<PipelineVariant> _pipelineVariants;
+    /** Mission outcomes indexed by the activation mask over all
+     * faults; independent of the probabilities. */
+    std::vector<Outcome> _outcomes;
     /**
      * Per-stage tables of the workload-aware path, used only when
      * both platform and pipeline are configured. _stageBase holds
      * each platform variant's evaluated per-stage latency (seconds)
      * and _stageSlot its binding — a flat ceiling slot (compute
-     * ceilings first) or measuredSlot — both indexed
+     * ceilings first) or noSlot — both indexed
      * [platform_mask * _stageCount + stage]. _stageInflation holds
      * each pipeline variant's per-stage latency-inflation product,
      * indexed [pipeline_mask * _stageCount + stage]. A sample's

@@ -44,6 +44,13 @@ namespace uavf1::scenario {
 
 namespace {
 
+// Resource caps: the largest counts a study accepts, checked before
+// any cast or allocation, so an oversized scenario fails naming its
+// parameter instead of wrapping or exhausting memory.
+constexpr std::size_t kMaxSweepPoints = 100000; ///< Points per series.
+constexpr std::size_t kMaxMissions = 100000000; ///< faults samples.
+constexpr std::size_t kMaxLevels = 1000;        ///< faults levels.
+
 StudyResult
 runFig02Study(const StudyContext &)
 {
@@ -119,7 +126,7 @@ StudyResult
 runFig05Study(const StudyContext &ctx)
 {
     const studies::Fig05Result fig = studies::runFig05(
-        ctx.params.getCount("sweep_samples", 128));
+        ctx.params.getCount("sweep_samples", 128, kMaxSweepPoints));
     StudyResult result;
     result.xLabel = "f_action_hz";
     result.yLabel = "v_safe_mps";
@@ -190,7 +197,8 @@ StudyResult
 runFig09Study(const StudyContext &ctx)
 {
     const studies::Fig09Result fig = studies::runFig09(
-        ctx.params.getCount("sweep_samples", 141), ctx.parallel);
+        ctx.params.getCount("sweep_samples", 141, kMaxSweepPoints),
+        ctx.parallel);
     StudyResult result;
     result.xLabel = "payload_g";
     result.yLabel = "v_safe_mps";
@@ -580,7 +588,8 @@ runRooflineStudy(const StudyContext &ctx)
         op_name.empty() ? 0 : machine.operatingPointIndex(op_name);
     const double ai_min = ctx.params.getNumber("ai_min", 0.01);
     const double ai_max = ctx.params.getNumber("ai_max", 1000.0);
-    const auto samples = ctx.params.getCount("samples", 97);
+    const auto samples =
+        ctx.params.getCount("samples", 97, kMaxSweepPoints);
     const std::string workloads =
         toLower(trim(ctx.params.get("workloads", "standard")));
     if (workloads != "standard" && workloads != "annotated") {
@@ -782,7 +791,7 @@ runSweepStudy(const StudyContext &ctx)
         ctx.params.get("knob", "payload_weight");
     const double from = ctx.params.getNumber("from", 0.0);
     const double to = ctx.params.getNumber("to", 1200.0);
-    const auto steps = ctx.params.getCount("steps", 25);
+    const auto steps = ctx.params.getCount("steps", 25, kMaxSweepPoints);
 
     StudyParams knob_overrides;
     for (const auto &entry : ctx.params.entries()) {
@@ -1080,8 +1089,9 @@ runFaultsStudy(const StudyContext &ctx)
             "); the degradation curve already sweeps scale 0 to "
             "fault_scale");
     }
-    const auto samples = ctx.params.getCount("samples", 4096);
-    const auto levels = ctx.params.getCount("levels", 9);
+    const auto samples =
+        ctx.params.getCount("samples", 4096, kMaxMissions);
+    const auto levels = ctx.params.getCount("levels", 9, kMaxLevels);
     const std::uint64_t seed = ctx.params.getUnsigned("seed", 1);
 
     // Any stage-resolved fault — workload-layer latency/failure or
@@ -1167,11 +1177,11 @@ runFaultsStudy(const StudyContext &ctx)
     const fault::FaultCampaign campaign(std::move(campaign_spec));
 
     const core::F1Analysis baseline = campaign.baseline();
-    const fault::CampaignResult worst =
-        campaign.run(samples, seed, ctx.parallel);
-    const std::vector<fault::DegradationPoint> curve =
-        campaign.degradationCurve(levels, samples, seed,
-                                  ctx.parallel);
+    // The curve's top level is the full-severity run, sampled once.
+    const fault::FaultCampaign::SeveritySweep sweep =
+        campaign.sweepSeverity(levels, samples, seed, ctx.parallel);
+    const fault::CampaignResult &worst = sweep.fullSeverity;
+    const std::vector<fault::DegradationPoint> &curve = sweep.curve;
 
     StudyResult result;
     result.xLabel = "fault_scale";

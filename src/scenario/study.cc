@@ -102,15 +102,13 @@ StudyParams::getInteger(const std::string &name, double min,
 }
 
 std::size_t
-StudyParams::getCount(const std::string &name,
-                      std::size_t fallback) const
+StudyParams::getCount(const std::string &name, std::size_t fallback,
+                      std::size_t max) const
 {
     if (!has(name))
         return fallback;
     return static_cast<std::size_t>(getInteger(
-        name, 1.0,
-        static_cast<double>(std::numeric_limits<std::size_t>::max()),
-        "a positive integer"));
+        name, 1.0, static_cast<double>(max), "a positive integer"));
 }
 
 std::uint64_t

@@ -53,13 +53,15 @@ class StudyParams
     double getNumber(const std::string &name, double fallback) const;
 
     /**
-     * Positive integer value, or `fallback` when unset.
+     * Positive integer value, or `fallback` when unset. `max` caps
+     * what a study can afford to allocate or loop over.
      *
-     * @throws ModelError when the value does not parse, is < 1, or
-     *         exceeds 2^53 (the last integer every double holds)
+     * @throws ModelError naming the parameter when the value does
+     *         not parse, is < 1, or exceeds min(max, 2^53) (2^53 is
+     *         the last integer every double holds)
      */
-    std::size_t getCount(const std::string &name,
-                         std::size_t fallback) const;
+    std::size_t getCount(const std::string &name, std::size_t fallback,
+                         std::size_t max = SIZE_MAX) const;
 
     /**
      * Non-negative integer value (a seed, say), or `fallback` when

@@ -303,6 +303,55 @@ selectKeys(const std::vector<double> &samples,
     }
 }
 
+/**
+ * Where p5/p50/p95 of n samples sit: the ranks of the (lo, lo + 1)
+ * order-statistic pairs bracketing each, and how far between the
+ * pair each lies. fromSamples() and fromHistogram() differ only in
+ * how they find those order statistics.
+ */
+struct PercentileRanks
+{
+    std::array<std::size_t, kMaxRanges> ranks{};
+    std::array<double, 3> fracs{};
+
+    explicit PercentileRanks(std::size_t n)
+    {
+        for (std::size_t i = 0; i < 3; ++i) {
+            constexpr double kPercentiles[3] = {5.0, 50.0, 95.0};
+            const double rank = kPercentiles[i] / 100.0 *
+                                static_cast<double>(n - 1);
+            const std::size_t lo_rank = static_cast<std::size_t>(rank);
+            ranks[2 * i] = lo_rank;
+            ranks[2 * i + 1] = std::min(lo_rank + 1, n - 1);
+            fracs[i] = rank - static_cast<double>(lo_rank);
+        }
+    }
+
+    /** Set out's percentiles from the order statistics at `ranks`,
+     * given as orderKey()s. */
+    void interpolate(const std::array<std::uint64_t, kMaxRanges> &keys,
+                     Distribution &out) const
+    {
+        const auto at = [&](std::size_t i) {
+            const double lo_value = keyValue(keys[2 * i]);
+            const double hi_value = keyValue(keys[2 * i + 1]);
+            return lo_value + fracs[i] * (hi_value - lo_value);
+        };
+        out.p5 = at(0);
+        out.p50 = at(1);
+        out.p95 = at(2);
+    }
+};
+
+/** The sample stddev from the sum of squared deviations. */
+double
+sampleStddev(double squared_deviations, std::size_t n)
+{
+    return n > 1 ? std::sqrt(squared_deviations /
+                             static_cast<double>(n - 1))
+                 : 0.0;
+}
+
 } // namespace
 
 Distribution
@@ -338,37 +387,65 @@ Distribution::fromSamples(const std::vector<double> &samples,
     double var = 0.0;
     for (double s : samples)
         var += (s - out.mean) * (s - out.mean);
-    out.stddev =
-        n > 1 ? std::sqrt(var / static_cast<double>(n - 1)) : 0.0;
-
-    // Only six order statistics are needed — the (lo, lo + 1)
-    // pairs bracketing p5/p50/p95.
-    std::array<std::size_t, kMaxRanges> ranks{};
-    std::array<double, 3> fracs{};
-    for (std::size_t i = 0; i < 3; ++i) {
-        constexpr double kPercentiles[3] = {5.0, 50.0, 95.0};
-        const double rank = kPercentiles[i] / 100.0 *
-                            static_cast<double>(n - 1);
-        const std::size_t lo_rank = static_cast<std::size_t>(rank);
-        ranks[2 * i] = lo_rank;
-        ranks[2 * i + 1] = std::min(lo_rank + 1, n - 1);
-        fracs[i] = rank - static_cast<double>(lo_rank);
-    }
+    out.stddev = sampleStddev(var, n);
 
     // A zero extreme widens to both signed zeros: `<` cannot tell
     // them apart, but their keys differ.
-    const std::array<std::uint64_t, kMaxRanges> keys = selectKeys(
-        samples, ranks, orderKey(lo == 0.0 ? -0.0 : lo),
-        orderKey(hi == 0.0 ? 0.0 : hi), parallel);
+    const PercentileRanks ranks(n);
+    ranks.interpolate(selectKeys(samples, ranks.ranks,
+                                 orderKey(lo == 0.0 ? -0.0 : lo),
+                                 orderKey(hi == 0.0 ? 0.0 : hi),
+                                 parallel),
+                      out);
+    return out;
+}
 
-    auto interpolate = [&](std::size_t i) {
-        const double lo_value = keyValue(keys[2 * i]);
-        const double hi_value = keyValue(keys[2 * i + 1]);
-        return lo_value + fracs[i] * (hi_value - lo_value);
-    };
-    out.p5 = interpolate(0);
-    out.p50 = interpolate(1);
-    out.p95 = interpolate(2);
+Distribution
+Distribution::fromHistogram(const std::vector<double> &values,
+                            const std::vector<std::uint64_t> &counts,
+                            const SampleOrderSum &sampleOrderSum)
+{
+    // The counted values in key order: selection by a cumulative
+    // walk, in the same IEEE total order fromSamples() selects in.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted;
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < values.size(); ++k) {
+        if (counts[k] == 0)
+            continue;
+        if (values[k] != values[k]) {
+            throw ModelError("distribution value " + std::to_string(k) +
+                             " is NaN; percentiles need ordered "
+                             "values");
+        }
+        sorted.emplace_back(orderKey(values[k]), counts[k]);
+        n += counts[k];
+    }
+    if (n == 0)
+        throw ModelError("distribution requires samples");
+    std::sort(sorted.begin(), sorted.end());
+
+    Distribution out;
+    std::vector<double> terms(values.size(), 0.0);
+    for (std::size_t k = 0; k < values.size(); ++k)
+        terms[k] = counts[k] != 0 ? values[k] : 0.0;
+    out.mean = sampleOrderSum(terms) / static_cast<double>(n);
+    for (std::size_t k = 0; k < values.size(); ++k) {
+        terms[k] = counts[k] != 0
+                       ? (values[k] - out.mean) * (values[k] - out.mean)
+                       : 0.0;
+    }
+    out.stddev = sampleStddev(sampleOrderSum(terms), n);
+
+    const PercentileRanks ranks(n);
+    std::array<std::uint64_t, kMaxRanges> keys{};
+    for (std::size_t w = 0; w < kMaxRanges; ++w) {
+        std::size_t below = 0;
+        std::size_t e = 0;
+        while (below + sorted[e].second <= ranks.ranks[w])
+            below += sorted[e++].second;
+        keys[w] = sorted[e].first;
+    }
+    ranks.interpolate(keys, out);
     return out;
 }
 

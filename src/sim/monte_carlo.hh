@@ -15,6 +15,7 @@
 #define UAVF1_SIM_MONTE_CARLO_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -101,6 +102,31 @@ struct Distribution
     static Distribution
     fromSamples(const std::vector<double> &samples,
                 const exec::ParallelOptions &parallel = {});
+
+    /**
+     * Sums terms[k_i] over the samples i in sample order, where k_i
+     * indexes sample i's value in a histogram (see fromHistogram).
+     */
+    using SampleOrderSum =
+        std::function<double(const std::vector<double> &terms)>;
+
+    /**
+     * The same summary for samples that take few distinct values:
+     * `values[k]` occurs `counts[k]` times. The percentiles are read
+     * off the histogram; the mean and stddev are the two sums
+     * `sampleOrderSum` walks in sample order. Every term of a value
+     * with a zero count is +0.0, so such a key may appear in the
+     * walk (adding +0.0 to a sum that starts at +0.0 changes no
+     * bit). The result is bit-identical to fromSamples() on the
+     * expanded samples.
+     *
+     * @throws ModelError when every count is zero or a counted
+     *         value is NaN
+     */
+    static Distribution
+    fromHistogram(const std::vector<double> &values,
+                  const std::vector<std::uint64_t> &counts,
+                  const SampleOrderSum &sampleOrderSum);
 };
 
 /** Monte-Carlo outputs. */

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <new>
 #include <set>
@@ -558,7 +559,7 @@ campaignSpecs()
     specs.push_back(staged);
 
     // Combined platform + pipeline + sensor: every layer at once,
-    // exercising the per-stage path's pair tables.
+    // exercising the per-stage path's outcome table.
     fault::CampaignSpec combined = staged;
     const auto algorithms = workload::annotatedAlgorithms();
     const auto &spa = algorithms.byName("SPA package delivery");
@@ -589,6 +590,165 @@ TEST(CampaignBatch, RunMatchesReferenceAtEveryThreadCount)
             expectIdentical(reference,
                             campaign.run(count, 13, options));
         }
+    }
+}
+
+TEST(CampaignBatch, SixteenFaultCampaignMatchesReference)
+{
+    // The widest campaign the outcome table admits: 8 platform
+    // faults (stage-scoped ones included), 4 pipeline and 4 sensor
+    // faults, so the table has 2^16 entries and a mission's mask
+    // needs all 16 key bits.
+    const auto algorithms = workload::annotatedAlgorithms();
+    const auto &spa = algorithms.byName("SPA package delivery");
+    const platform::RooflinePlatform &navion =
+        preset("TX2-CPU + Navion");
+    fault::CampaignSpec spec;
+    spec.nominal = studies::pelicanInputs(units::Hertz(20.0));
+    spec.platform = navion;
+    spec.profile = workload::workloadProfile(spa, navion);
+    spec.workPerFrameGop = spa.workPerFrameGop();
+    spec.pipeline = workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+    spec.redundancy = pipeline::RedundancyScheme::Dual;
+    for (const char *suite :
+         {"ecc-fallback", "cache-contention", "ceiling-derate",
+          "thermal-throttle", "stage-failure", "sensor-dropout"}) {
+        for (const fault::FaultSpec &fault :
+             fault::findFaultSuite(suite).faults)
+            spec.faults.push_back(fault);
+    }
+    for (const double factor : {1.5, 2.0}) {
+        fault::FaultSpec slow;
+        slow.name = "SLAM slowdown x" + std::to_string(factor);
+        slow.kind = fault::FaultKind::StageLatencyInflation;
+        slow.probability = 0.25;
+        slow.stage = "SLAM";
+        slow.latencyFactor = factor;
+        spec.faults.push_back(slow);
+    }
+    for (const double derate : {0.25, 0.75}) {
+        fault::FaultSpec sensor;
+        sensor.name = "sensor derate " + std::to_string(derate);
+        sensor.kind = fault::FaultKind::SensorDropout;
+        sensor.probability = 0.3;
+        sensor.sensorDerate = derate;
+        spec.faults.push_back(sensor);
+    }
+    ASSERT_EQ(spec.faults.size(), 16u);
+    const fault::FaultCampaign campaign(spec);
+
+    exec::ThreadPool pool(8);
+    const std::size_t count = 4111;
+    const fault::CampaignResult reference =
+        campaign.runReference(count, 29);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        exec::ParallelOptions options;
+        options.pool = &pool;
+        options.maxThreads = threads;
+        expectIdentical(reference, campaign.run(count, 29, options));
+    }
+}
+
+/** A DRAM stall, in about one mission in a thousand, that derates
+ * the memory roof to the smallest subnormal bandwidth. */
+fault::FaultSpec
+dramStall()
+{
+    fault::FaultSpec stall;
+    stall.name = "DRAM stall";
+    stall.kind = fault::FaultKind::CeilingDerate;
+    stall.ceilingKind = platform::CeilingKind::Memory;
+    stall.ceilingIndex = 0;
+    stall.derate = std::numeric_limits<double>::denorm_min();
+    stall.probability = 0.001;
+    return stall;
+}
+
+/** The ModelError message `call` throws, or "" when it returns. */
+template <typename Call>
+std::string
+errorOf(const Call &call)
+{
+    try {
+        call();
+    } catch (const ModelError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CampaignBatch, RejectedOutcomeThrowsAtTheSameMissionOnBothPaths)
+{
+    // An outcome the scalar path rejects: a DRAM stall derates the
+    // memory roof to the smallest subnormal, so the compute rate
+    // underflows to 0 and F1Model refuses it. The campaign still
+    // constructs; only a mission that draws the stall throws.
+    fault::CampaignSpec spec = tx2Campaign("mixed");
+    spec.workPerFrameGop = 1e6;
+    spec.faults.push_back(dramStall());
+    const fault::FaultCampaign campaign(spec);
+
+    // Locate the first rejected mission on the oracle alone: the
+    // draws of missions [0, n) do not depend on n, so the oracle
+    // throws exactly when n passes that mission.
+    const std::uint64_t seed = 5;
+    std::size_t clean = 10;
+    std::size_t rejected = 20000;
+    ASSERT_EQ(errorOf([&] { campaign.runReference(clean, seed); }), "");
+    ASSERT_NE(errorOf([&] { campaign.runReference(rejected, seed); }), "");
+    while (rejected - clean > 1) {
+        const std::size_t mid = (clean + rejected) / 2;
+        if (errorOf([&] { campaign.runReference(mid, seed); }).empty())
+            clean = mid;
+        else
+            rejected = mid;
+    }
+    const std::string message =
+        errorOf([&] { campaign.runReference(rejected, seed); });
+    EXPECT_NE(message.find("computeRate"), std::string::npos)
+        << message;
+
+    exec::ThreadPool pool(8);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        exec::ParallelOptions options;
+        options.pool = &pool;
+        options.maxThreads = threads;
+        EXPECT_EQ(errorOf([&] { campaign.run(rejected, seed, options); }),
+                  message)
+            << threads << " threads";
+        // One mission fewer never draws the stall: both paths run.
+        expectIdentical(campaign.runReference(clean, seed),
+                        campaign.run(clean, seed, options));
+    }
+
+    // Nor does a campaign whose stall never activates.
+    spec.faults.back().probability = 0.0;
+    const fault::FaultCampaign idle(spec);
+    expectIdentical(idle.runReference(rejected, seed),
+                    idle.run(rejected, seed));
+}
+
+TEST(CampaignBatch, NaNSafeVelocityIsNamedLikeTheOracle)
+{
+    // The same DRAM stall at DroNet's own work per frame leaves a
+    // subnormal compute rate: F1Model accepts it, but its period
+    // overflows and v_safe comes out NaN. The summary then fails on
+    // both paths naming the same survivor.
+    fault::CampaignSpec spec = tx2Campaign("mixed");
+    spec.faults.push_back(dramStall());
+    const fault::FaultCampaign campaign(spec);
+
+    const std::string message =
+        errorOf([&] { campaign.runReference(20000, 5); });
+    EXPECT_NE(message.find("is NaN"), std::string::npos) << message;
+    exec::ThreadPool pool(8);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        exec::ParallelOptions options;
+        options.pool = &pool;
+        options.maxThreads = threads;
+        EXPECT_EQ(errorOf([&] { campaign.run(20000, 5, options); }),
+                  message)
+            << threads << " threads";
     }
 }
 

@@ -8,7 +8,7 @@
  * exact agreement across all four evaluation paths:
  *
  *   1. the scalar per-mission reference (runReference),
- *   2. the batched pair-table path (run),
+ *   2. the batched outcome-table path (run),
  *   3. both of the above with the SIMD kernels forced to the
  *      width-1 scalar backend (the in-process equivalent of
  *      UAVF1_SIMD=scalar),

@@ -359,6 +359,59 @@ TEST(Distribution, NaNSampleIsRejectedByName)
     }
 }
 
+TEST(Distribution, HistogramMatchesFromSamplesOnTheExpandedSamples)
+{
+    // A histogram summary must be the same bits as fromSamples() on
+    // the samples it counts: ties, both signed zeros (-0 ranks below
+    // +0), a value with a zero count (its key may still appear in
+    // the walk), and sizes at the edges of the rank arithmetic.
+    const std::vector<double> values = {2.5, -0.0, 0.0, 9.75, -3.0,
+                                        2.5, 1e-310, 6.0};
+    for (const std::size_t n : {1u, 2u, 65u}) {
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            Rng rng(seed * 1000 + n);
+            // Value 7 never counts: it stands for an aborted mission,
+            // whose key the sample-order walk still meets.
+            std::vector<std::size_t> keys;
+            std::vector<std::uint64_t> counts(values.size(), 0);
+            std::vector<double> samples;
+            while (samples.size() < n) {
+                if (rng.uniform() < 0.3)
+                    keys.push_back(7);
+                const auto k =
+                    static_cast<std::size_t>(rng.uniform() * 7.0);
+                keys.push_back(k);
+                ++counts[k];
+                samples.push_back(values[k]);
+            }
+            ASSERT_EQ(samples.size(), n);
+            const sim::Distribution want =
+                sim::Distribution::fromSamples(samples);
+            const sim::Distribution got = sim::Distribution::fromHistogram(
+                values, counts, [&](const std::vector<double> &terms) {
+                    double sum = 0.0;
+                    for (const std::size_t key : keys)
+                        sum += terms[key];
+                    return sum;
+                });
+            const std::string where = "n=" + std::to_string(n) +
+                                      " seed=" + std::to_string(seed);
+            EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
+            EXPECT_EQ(bits(got.stddev), bits(want.stddev)) << where;
+            EXPECT_EQ(bits(got.p5), bits(want.p5)) << where;
+            EXPECT_EQ(bits(got.p50), bits(want.p50)) << where;
+            EXPECT_EQ(bits(got.p95), bits(want.p95)) << where;
+        }
+    }
+
+    // All-zero counts are no samples at all.
+    EXPECT_THROW(sim::Distribution::fromHistogram(
+                     {1.0}, {0}, [](const std::vector<double> &) {
+                         return 0.0;
+                     }),
+                 ModelError);
+}
+
 TEST(OracleCsvFile, RoundTripViaDisk)
 {
     const auto oracle = workload::ThroughputOracle::standard();

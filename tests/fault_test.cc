@@ -618,6 +618,67 @@ TEST(FaultCampaign, ConstructorRejectsMisconfiguredCampaigns)
     EXPECT_THROW(campaign.degradationCurve(1, 100), ModelError);
 }
 
+TEST(FaultCampaign, FaultCountsAreCappedByName)
+{
+    // Each layer holds at most 8 faults — the sensor layer included —
+    // and a campaign at most 16, which bounds the outcome table at
+    // 2^16 entries. The error names the limit and the layer.
+    const auto expect_rejected = [](const CampaignSpec &spec,
+                                    const std::string &needle) {
+        try {
+            const FaultCampaign campaign(spec);
+            ADD_FAILURE() << "accepted " << spec.faults.size()
+                          << " faults";
+        } catch (const ModelError &error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find(needle), std::string::npos)
+                << message;
+        }
+    };
+    const auto sensor = [](int i) {
+        FaultSpec f;
+        f.name = "sensor " + std::to_string(i);
+        f.kind = FaultKind::SensorDropout;
+        f.probability = 0.1;
+        f.sensorDerate = 0.5;
+        return f;
+    };
+    const auto derate = [](int i) {
+        FaultSpec f;
+        f.name = "derate " + std::to_string(i);
+        f.kind = FaultKind::CeilingDerate;
+        f.ceilingIndex = 0;
+        f.derate = 0.9;
+        f.probability = 0.1;
+        return f;
+    };
+
+    CampaignSpec sensors = tx2Campaign("none");
+    for (int i = 0; i < 9; ++i)
+        sensors.faults.push_back(sensor(i));
+    expect_rejected(sensors, "at most 8 faults per layer, but the "
+                             "sensor layer has 9");
+
+    // 8 platform + 8 sensor faults fit; one more fault of a third
+    // layer overflows the 16-fault table even within its layer cap.
+    CampaignSpec full = tx2Campaign("none");
+    for (int i = 0; i < 8; ++i) {
+        full.faults.push_back(derate(i));
+        full.faults.push_back(sensor(i));
+    }
+    EXPECT_NO_THROW(FaultCampaign{full});
+    full.pipeline = workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+    FaultSpec slow;
+    slow.name = "planner slowdown";
+    slow.kind = FaultKind::StageLatencyInflation;
+    slow.stage = "Path planner";
+    slow.latencyFactor = 2.0;
+    slow.probability = 0.1;
+    full.faults.push_back(slow);
+    expect_rejected(full, "at most 16 faults in all, but the spec "
+                          "has 17");
+}
+
 /** A TX2-CPU + Navion campaign with the mavbench pipeline: the
  * configuration where the stage-gated accelerator ceiling is in
  * play, so stage-scoped platform faults have a roof to demote. */

@@ -8,17 +8,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "exec/thread_pool.hh"
+#include "fault/campaign.hh"
+#include "fault/fault_spec.hh"
 #include "plot/json_writer.hh"
 #include "scenario/runner.hh"
 #include "scenario/spec.hh"
 #include "scenario/study.hh"
+#include "skyline/session.hh"
 #include "support/errors.hh"
+#include "workload/algorithm.hh"
+#include "workload/spa_pipeline.hh"
+#include "workload/throughput.hh"
 
 namespace {
 
@@ -725,6 +732,163 @@ TEST(Runner, FaultsStudyBoundsCountsAndSeedsBeforeTheCast)
             << failed.error;
         EXPECT_EQ(failed.error.find(">= 10 samples"), std::string::npos)
             << failed.error;
+    }
+}
+
+TEST(Runner, StudiesCapResourceCountsByName)
+{
+    // Every count a study loops over or allocates from is bounded
+    // before the cast or the allocation, by name. Before the caps,
+    // steps=4294967298 wrapped to 2 steps through the int cast and
+    // ran; the later values died in a bare std::bad_alloc or
+    // allocated gigabytes.
+    struct Case
+    {
+        const char *study, *key, *value, *cap;
+    };
+    const Case cases[] = {
+        {"sweep", "steps", "4294967298", "100000"},
+        {"sweep", "steps", "1e9", "100000"},
+        {"faults", "samples", "100000001", "100000000"},
+        {"faults", "levels", "1001", "1000"},
+        {"roofline", "samples", "1e6", "100000"},
+        {"fig09", "sweep_samples", "1e6", "100000"},
+    };
+    const ScenarioRunner runner;
+    for (const Case &c : cases) {
+        ScenarioSpec spec;
+        spec.study = c.study;
+        spec.overrides.set(c.key, c.value);
+        const ScenarioOutcome failed = runner.run(spec);
+        // Fatal: an uncapped count would go on to allocate.
+        ASSERT_FALSE(failed.ok) << c.key << "=" << c.value;
+        EXPECT_NE(failed.error.find(std::string("'") + c.key + "'"),
+                  std::string::npos)
+            << failed.error;
+        EXPECT_NE(failed.error.find(std::string("no larger than ") +
+                                    c.cap),
+                  std::string::npos)
+            << failed.error;
+    }
+
+    // The caps themselves are accepted.
+    ScenarioSpec sweep;
+    sweep.study = "sweep";
+    sweep.overrides.set("steps", "100000");
+    sweep.overrides.set("knob", "payload_weight");
+    EXPECT_TRUE(runner.run(sweep).ok);
+}
+
+/** A faults-study metric by name. */
+double
+studyMetric(const ScenarioOutcome &outcome, const std::string &name)
+{
+    for (const auto &m : outcome.result.metrics) {
+        if (m.name == name)
+            return m.value;
+    }
+    ADD_FAILURE() << "missing metric " << name;
+    return -1.0;
+}
+
+TEST(Runner, FaultsStudySamplesTheFullSeverityOnce)
+{
+    // The study's degraded_*/activation_*/binds_*/stage_* metrics
+    // and the curve's top point come from one sampling of the full
+    // severity; both must be exactly a direct run() of the campaign
+    // the study builds.
+    for (const auto &[suite_name, platform_name] :
+         {std::pair{"mixed", "Nvidia TX2"},
+          std::pair{"ecc-fallback", "TX2-CPU + Navion"}}) {
+        ScenarioSpec spec;
+        spec.study = "faults";
+        spec.overrides.set("fault", suite_name);
+        spec.overrides.set("platform", platform_name);
+        spec.overrides.set("samples", "3001");
+        spec.overrides.set("levels", "4");
+        spec.overrides.set("seed", "9");
+        const ScenarioOutcome outcome = ScenarioRunner().run(spec);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+
+        // The campaign exactly as the study builds it at default
+        // knobs.
+        skyline::SkylineSession session;
+        session.set("platform", platform_name);
+        const auto machine = session.rooflinePlatform();
+        ASSERT_TRUE(machine.has_value());
+        const auto algorithms = workload::annotatedAlgorithms();
+        const auto &algorithm =
+            algorithms.byName(session.knobs().algorithm);
+        const fault::FaultSuite &suite = fault::findFaultSuite(suite_name);
+        fault::CampaignSpec campaign_spec;
+        campaign_spec.nominal = session.model().inputs();
+        campaign_spec.platform = machine;
+        campaign_spec.profile =
+            workload::workloadProfile(algorithm, *machine);
+        campaign_spec.workPerFrameGop = algorithm.workPerFrameGop();
+        if (std::string(suite_name) == "ecc-fallback") {
+            campaign_spec.pipeline =
+                workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+            campaign_spec.redundancy = pipeline::RedundancyScheme::Dual;
+        }
+        campaign_spec.faults = suite.faults;
+        const fault::CampaignResult direct =
+            fault::FaultCampaign(campaign_spec).run(3001, 9);
+
+        std::vector<std::pair<std::string, double>> want = {
+            {"degraded_v_safe_mean", direct.safeVelocity.mean},
+            {"degraded_v_safe_p5", direct.safeVelocity.p5},
+            {"abort_probability", direct.abortProbability},
+            {"samples", static_cast<double>(direct.samples)}};
+        for (std::size_t j = 0; j < suite.faults.size(); ++j) {
+            want.emplace_back(
+                "activation_" +
+                    ScenarioRunner::sanitizeLabel(suite.faults[j].name),
+                direct.faultActivationRate[j]);
+        }
+        for (std::size_t i = 0; i < direct.probComputeCeilingBinds.size();
+             ++i) {
+            want.emplace_back("binds_compute_" +
+                                  machine->computeCeilings()[i].name,
+                              direct.probComputeCeilingBinds[i]);
+        }
+        for (std::size_t i = 0; i < direct.probMemoryCeilingBinds.size();
+             ++i) {
+            want.emplace_back("binds_memory_" +
+                                  machine->memoryCeilings()[i].name,
+                              direct.probMemoryCeilingBinds[i]);
+        }
+        for (const auto &stats : direct.stageBindings) {
+            const std::string prefix =
+                "stage_" + ScenarioRunner::sanitizeLabel(stats.stage);
+            want.emplace_back(prefix + "_compute_bound",
+                              stats.probComputeBound);
+            want.emplace_back(prefix + "_memory_bound",
+                              stats.probMemoryBound);
+            want.emplace_back(prefix + "_measured", stats.probMeasured);
+        }
+        for (const auto &[name, value] : want) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          studyMetric(outcome, name)),
+                      std::bit_cast<std::uint64_t>(value))
+                << suite_name << ": " << name;
+        }
+
+        // Series order: v_safe mean, p5, p95, abort probability; the
+        // curve's last point is scale 1, the full severity.
+        const auto &series = outcome.result.series;
+        ASSERT_EQ(series.size(), 4u);
+        const double top[4] = {
+            direct.safeVelocity.mean, direct.safeVelocity.p5,
+            direct.safeVelocity.p95, direct.abortProbability};
+        for (std::size_t k = 0; k < 4; ++k) {
+            ASSERT_EQ(series[k].size(), 4u);
+            EXPECT_EQ(series[k].points().back().x, 1.0);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          series[k].points().back().y),
+                      std::bit_cast<std::uint64_t>(top[k]))
+                << suite_name << ": " << series[k].name();
+        }
     }
 }
 
