@@ -1,12 +1,15 @@
 /**
  * @file
- * Shared helpers for the per-figure bench harnesses.
+ * Shared helpers for the ablation and perf bench harnesses.
  *
  * Every bench binary follows the same contract:
- *  1. print the rows/series the paper's table or figure reports,
- *     side by side with the paper's values where quoted;
- *  2. write SVG/CSV artifacts into ./artifacts/;
+ *  1. print its ablation table or timing summary under a banner;
+ *  2. write any artifact (a perf bench's BENCH_*.json) into its own
+ *     ./artifacts/<binary>/ directory;
  *  3. run google-benchmark timers for the underlying model code.
+ *
+ * The paper's quoted values live on the study metrics they check
+ * (scenario::PaperReference), asserted by tests/fidelity_test.cc.
  */
 
 #ifndef UAVF1_BENCH_BENCH_COMMON_HH
@@ -47,19 +50,6 @@ inline void
 banner(const std::string &id, const std::string &title)
 {
     std::printf("\n=== %s: %s ===\n\n", id.c_str(), title.c_str());
-}
-
-/** Print one "paper vs measured" comparison line. */
-inline void
-paperVsOurs(const std::string &what, double paper, double ours,
-            const std::string &unit)
-{
-    const double delta =
-        paper != 0.0 ? 100.0 * (ours - paper) / paper : 0.0;
-    std::printf("  %-46s paper %10.3f %-5s ours %10.3f %-5s "
-                "(%+.1f%%)\n",
-                what.c_str(), paper, unit.c_str(), ours,
-                unit.c_str(), delta);
 }
 
 /** Print a note line. */

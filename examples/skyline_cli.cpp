@@ -20,6 +20,9 @@
  *
  * Artifacts (CSV + SVG + JSON, HTML where a study produces a
  * report) are written under --out (default artifacts/skyline_cli).
+ * run and run-all end with the paper-fidelity table: every value the
+ * paper quotes next to ours, with its tolerance and status; run-all
+ * also writes it to <out>/fidelity.html.
  * Batch execution fans out on the parallel sweep engine and is
  * bit-identical at any thread count.
  *
@@ -35,6 +38,8 @@
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -113,6 +118,31 @@ struct DriverOptions
 };
 
 /**
+ * Parse a flag's integer value in [min, max].
+ *
+ * @throws ModelError naming the flag when the value does not parse,
+ *         overflows a long, or lies outside the range
+ */
+long
+parseIntegerFlag(const char *flag, const std::string &text, long min,
+                 long max, const char *expects)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long parsed = std::strtol(text.c_str(), &end, 10);
+    if (errno == ERANGE) {
+        throw ModelError(std::string(flag) + " value '" + text +
+                         "' is out of range");
+    }
+    if (end == text.c_str() || *end != '\0' || parsed < min ||
+        parsed > max) {
+        throw ModelError(std::string(flag) + " expects " + expects +
+                         ", got '" + text + "'");
+    }
+    return parsed;
+}
+
+/**
  * Parse run/run-all arguments.
  *
  * @throws ModelError on unknown or incomplete options
@@ -133,26 +163,14 @@ parseDriverOptions(int argc, char **argv, int first)
         if (arg == "--set") {
             options.sets.push_back(value("--set"));
         } else if (arg == "--threads") {
-            const std::string text = value("--threads");
-            char *end = nullptr;
-            const long parsed = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || (end && *end != '\0') ||
-                parsed < 1 || parsed > 4096) {
-                throw ModelError("--threads expects a positive "
-                                 "integer, got '" + text + "'");
-            }
-            options.threads = static_cast<std::size_t>(parsed);
+            options.threads = static_cast<std::size_t>(
+                parseIntegerFlag("--threads", value("--threads"), 1,
+                                 4096, "a positive integer"));
         } else if (arg == "--deadline-ms") {
-            const std::string text = value("--deadline-ms");
-            char *end = nullptr;
-            const long parsed = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || (end && *end != '\0') ||
-                parsed < 0) {
-                throw ModelError("--deadline-ms expects a "
-                                 "non-negative integer, got '" +
-                                 text + "'");
-            }
-            options.deadlineMs = static_cast<std::size_t>(parsed);
+            options.deadlineMs =
+                static_cast<std::size_t>(parseIntegerFlag(
+                    "--deadline-ms", value("--deadline-ms"), 0,
+                    LONG_MAX, "a non-negative integer"));
         } else if (arg == "--fail-fast") {
             options.failFast = true;
         } else if (arg == "--out") {
@@ -270,6 +288,21 @@ runScenarios(const DriverOptions &options, bool run_all)
     std::printf("%s",
                 scenario::ScenarioRunner::renderSummary(outcomes)
                     .c_str());
+
+    const std::string fidelity =
+        scenario::ScenarioRunner::renderFidelity(outcomes);
+    if (!fidelity.empty())
+        std::printf("\n%s", fidelity.c_str());
+    if (run_all && !options.outDir.empty() && !fidelity.empty()) {
+        const std::string path = options.outDir + "/fidelity.html";
+        skyline::ReportWriter::writeFile(
+            "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
+            "<title>Paper fidelity</title></head><body>\n"
+            "<h1>Paper fidelity</h1>\n<pre>" +
+                escapeXml(fidelity) + "</pre>\n</body></html>\n",
+            path);
+        std::printf("  artifact: %s\n", path.c_str());
+    }
     return failed == 0 ? 0 : 1;
 }
 

@@ -51,15 +51,24 @@ class CancellationToken
      * Copy of this token whose deadline is `budget` from now. The
      * cancel flag stays shared with the source (an inert source
      * yields a deadline-only token); a non-positive budget yields a
-     * plain copy with no deadline.
+     * plain copy with no deadline. A budget past the clock's range
+     * saturates at time_point::max(), which never expires.
      */
     CancellationToken
     withDeadlineAfter(std::chrono::milliseconds budget) const
     {
+        using Clock = std::chrono::steady_clock;
         CancellationToken token = *this;
         if (budget.count() > 0) {
-            token._deadline =
-                std::chrono::steady_clock::now() + budget;
+            const Clock::time_point now = Clock::now();
+            // Compare in milliseconds: converting a huge budget to
+            // the clock's nanoseconds would itself overflow.
+            const auto headroom =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Clock::time_point::max() - now);
+            token._deadline = budget < headroom
+                                  ? now + budget
+                                  : Clock::time_point::max();
             token._hasDeadline = true;
         }
         return token;

@@ -20,36 +20,6 @@ const char *const palette[] = {
 
 constexpr int paletteSize = 10;
 
-/** Escape the five XML special characters. */
-std::string
-escapeXml(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '&':
-            out += "&amp;";
-            break;
-          case '<':
-            out += "&lt;";
-            break;
-          case '>':
-            out += "&gt;";
-            break;
-          case '"':
-            out += "&quot;";
-            break;
-          case '\'':
-            out += "&apos;";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 std::string

@@ -11,6 +11,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "fault/campaign.hh"
 #include "fault/fault_spec.hh"
@@ -51,6 +55,37 @@ constexpr std::size_t kMaxSweepPoints = 100000; ///< Points per series.
 constexpr std::size_t kMaxMissions = 100000000; ///< faults samples.
 constexpr std::size_t kMaxLevels = 1000;        ///< faults levels.
 
+// Paper references (arXiv 2204.10898). A tolerance is the precision
+// of the quote:
+//  - a number quoted to some digit matches to one unit of that digit
+//    (the paper rounds some values and truncates others: TrailNet's
+//    55/43 Hz = 1.279 appears as 1.27x);
+//  - a round "~" number with one significant figure ("~10 m/s",
+//    "~3x") matches to 10%;
+//  - a value our simulated flights measure matches to the
+//    simulation's resolution, stated in the note.
+// A value outside its tolerance is declared a gap whose note names
+// the cause; tests/fidelity_test.cc asserts both kinds.
+
+/** A paper value the metric matches within `tolerance`. */
+PaperReference
+paper(double value, double tolerance, std::string note)
+{
+    return {value, tolerance, std::move(note)};
+}
+
+/** A paper value the metric misses; `cause` says why. */
+PaperReference
+gap(double value, double tolerance, std::string cause)
+{
+    return {value, tolerance, std::move(cause), true};
+}
+
+/** Why the Table I builds fly at other speeds than the paper's. */
+const char *const kThrustCalibration =
+    "usable thrust is calibrated to 1870 g-f, as Table I's 4 x 435 g "
+    "cannot hover UAV-B (1830 g), so each build's a_max differs";
+
 StudyResult
 runFig02Study(const StudyContext &)
 {
@@ -75,6 +110,17 @@ runFig02Study(const StudyContext &)
                          row.usableEnergyWh, "Wh");
     }
     result.series.push_back(std::move(endurance));
+    result
+        .addMetric("nano_capacity", fig.rows[0].capacityMah, "mAh",
+                   paper(240.0, 1.0, "Fig. 2b: nano battery"))
+        .addMetric("micro_capacity", fig.rows[1].capacityMah, "mAh",
+                   paper(1300.0, 1.0, "Fig. 2b: micro battery"))
+        .addMetric("mini_capacity", fig.rows[2].capacityMah, "mAh",
+                   paper(3830.0, 1.0, "Fig. 2b: mini battery"))
+        .addMetric("nano_endurance", fig.rows[0].enduranceMin, "min",
+                   paper(6.0, 1.0, "Fig. 2b: nano endurance"))
+        .addMetric("mini_endurance", fig.rows[2].enduranceMin, "min",
+                   paper(30.0, 1.0, "Fig. 2b: mini endurance"));
     result.summary = table.render();
     return result;
 }
@@ -138,12 +184,24 @@ runFig05Study(const StudyContext &ctx)
     }
     result.series.push_back(std::move(curve));
 
-    result.addMetric("roof_velocity", fig.roof, "m/s")
-        .addMetric("velocity_at_1hz", fig.velocityAtA, "m/s")
-        .addMetric("velocity_at_100hz", fig.velocityAt100Hz, "m/s")
+    result
+        .addMetric("roof_velocity", fig.roof, "m/s",
+                   paper(32.0, 1.0,
+                         "Fig. 5: v -> 32 m/s as T_action -> 0"))
+        .addMetric("velocity_at_1hz", fig.velocityAtA, "m/s",
+                   paper(10.0, 1.0, "Fig. 5b: ~10 m/s at point A"))
+        .addMetric("velocity_at_100hz", fig.velocityAt100Hz, "m/s",
+                   paper(30.0, 3.0, "Fig. 5b: ~30 m/s at 100 Hz"))
         .addMetric("knee_throughput", fig.kneeThroughput, "Hz")
-        .addMetric("gain_a_to_knee", fig.gainAToKnee)
-        .addMetric("gain_beyond_knee", fig.gainBeyondKnee);
+        .addMetric("gain_a_to_knee", fig.gainAToKnee, "",
+                   gap(3.0, 0.3,
+                       "Fig. 5: 100x the rate buys ~3x the velocity, "
+                       "the ratio of the paper's rounded 10 and 30 "
+                       "m/s; the safety model gives 9.16 -> 31.13 "
+                       "m/s, 3.4x"))
+        .addMetric("gain_beyond_knee", fig.gainBeyondKnee, "",
+                   paper(1.0, 0.1,
+                         "Fig. 5: 100 Hz -> 10 kHz gains ~1x"));
     result.summary = strFormat(
         "Roofline construction: roof %.2f m/s, knee %.1f Hz; "
         "1 Hz -> %.2f m/s, 100 Hz -> %.2f m/s (gain %.2fx, "
@@ -159,6 +217,10 @@ runFig07Study(const StudyContext &ctx)
     const auto results = sim::ValidationHarness::validateAll(
         sim::table1ValidationCases(), ctx.parallel);
     const auto paper_errors = sim::table1PaperErrorPercent();
+    // One 0.05 m/s step of the simulated velocity sweep moves a
+    // build's error by 2.1-5.1 pp, so 2 pp is the finest match the
+    // simulated flights resolve.
+    const double error_resolution = 2.0;
 
     StudyResult result;
     result.xLabel = "commanded_velocity_mps";
@@ -176,7 +238,16 @@ runFig07Study(const StudyContext &ctx)
                           : "-"});
         result.addMetric(r.name + "_predicted", r.predicted, "m/s");
         result.addMetric(r.name + "_observed", r.observed, "m/s");
-        result.addMetric(r.name + "_error", r.errorPercent, "%");
+        result.addMetric(
+            r.name + "_error", r.errorPercent, "%",
+            r.name == "UAV-C"
+                ? gap(paper_errors[i], error_resolution,
+                      "Fig. 7b: our UAV-C flies at 2.54 m/s, not the "
+                      "paper's 1.58 (see table1), and the simulated "
+                      "error grows with speed through the drag and "
+                      "actuation lag the F-1 model omits")
+                : paper(paper_errors[i], error_resolution,
+                        "Fig. 7b: model-vs-flight error"));
 
         plot::Series sweep(r.name,
                            plot::SeriesStyle::LineAndMarkers);
@@ -216,9 +287,16 @@ runFig09Study(const StudyContext &ctx)
     result.series.push_back(std::move(curve));
     result.series.push_back(std::move(markers));
 
-    result.addMetric("drop_a_to_c", fig.dropAtoC, "%")
-        .addMetric("drop_c_to_d", fig.dropCtoD, "%")
-        .addMetric("drop_a_to_b", fig.dropAtoB, "%");
+    // The paper's markers (A 2.13, C 1.58, D 1.53, B 1.51 m/s) imply
+    // the drops, rounded to the percent.
+    const std::string drop_cause =
+        std::string("Fig. 9 markers; ") + kThrustCalibration;
+    result.addMetric("drop_a_to_c", fig.dropAtoC, "%",
+                     gap(26.0, 1.0, drop_cause))
+        .addMetric("drop_c_to_d", fig.dropCtoD, "%",
+                   gap(3.0, 1.0, drop_cause))
+        .addMetric("drop_a_to_b", fig.dropAtoB, "%",
+                   gap(29.0, 1.0, drop_cause));
     result.summary = strFormat(
         "Non-linear payload effect: +50 g A->C costs %.1f%%, "
         "+50 g C->D costs %.1f%%, +210 g A->B costs %.1f%%\n",
@@ -258,8 +336,22 @@ runFig11Study(const StudyContext &ctx)
                    fig.agx30.analysis.roofVelocity.value(), "m/s")
         .addMetric("agx15_roof",
                    fig.agx15.analysis.roofVelocity.value(), "m/s")
-        .addMetric("agx_tdp_gain", fig.agxTdpGain)
-        .addMetric("ncs_wins", fig.ncsWins ? 1.0 : 0.0);
+        .addMetric("agx_tdp_gain", fig.agxTdpGain, "",
+                   paper(1.75, 0.01,
+                         "Fig. 11: the AGX at 15 W raises its roof "
+                         "1.75x"))
+        .addMetric("ncs_wins", fig.ncsWins ? 1.0 : 0.0, "",
+                   paper(1.0, 0.0,
+                         "Fig. 11: the NCS roofline tops the "
+                         "AGX-30W one"))
+        .addMetric("ncs_throughput", fig.ncs.throughputHz, "Hz",
+                   paper(150.0, 1.0, "Fig. 11: DroNet on the NCS"))
+        .addMetric("agx30_throughput", fig.agx30.throughputHz, "Hz",
+                   paper(230.0, 1.0, "Fig. 11: DroNet on the AGX"))
+        .addMetric("agx30_heatsink", fig.agx30.heatsinkGrams, "g",
+                   paper(162.0, 1.0, "Fig. 11: AGX heat sink at 30 W"))
+        .addMetric("agx15_heatsink", fig.agx15.heatsinkGrams, "g",
+                   paper(81.0, 1.0, "Fig. 11: AGX heat sink at 15 W"));
     result.summary =
         table.render() +
         strFormat("AGX 30 W -> 15 W raises the roof %.2fx; NCS %s "
@@ -284,10 +376,16 @@ runFig12Study(const StudyContext &)
     const double at30 = model.mass(units::Watts(30.0)).value();
     const double at15 = model.mass(units::Watts(15.0)).value();
     const double at1_5 = model.mass(units::Watts(1.5)).value();
-    result.addMetric("mass_at_30w", at30, "g")
-        .addMetric("mass_at_15w", at15, "g")
-        .addMetric("mass_at_1_5w", at1_5, "g")
-        .addMetric("mass_ratio_20x_tdp", at30 / at1_5);
+    result
+        .addMetric("mass_at_30w", at30, "g",
+                   paper(162.0, 1.0, "Fig. 12: 162 g at 30 W"))
+        .addMetric("mass_at_15w", at15, "g",
+                   paper(81.0, 1.0, "Fig. 12: 81 g at 15 W"))
+        .addMetric("mass_at_1_5w", at1_5, "g",
+                   paper(10.0, 1.0, "Fig. 12: ~10 g at 1.5 W"))
+        .addMetric("mass_ratio_20x_tdp", at30 / at1_5, "",
+                   paper(16.2, 0.1,
+                         "Fig. 12: ~20x the TDP, ~16.2x the mass"));
     result.summary = strFormat(
         "Heat-sink scaling: %.0f g @ 30 W, %.0f g @ 15 W, "
         "%.0f g @ 1.5 W (~20x TDP -> %.1fx mass)\n",
@@ -306,7 +404,15 @@ runFig13Study(const StudyContext &)
     TextTable table({"Algorithm", "Throughput (Hz)",
                      "v_safe (m/s)", "Factor vs knee"});
     plot::Series points("algorithms", plot::SeriesStyle::Markers);
-    for (const auto &entry : fig.entries) {
+    // Entries are SPA, TrailNet, DroNet; the paper quotes the first
+    // two factors.
+    const std::optional<PaperReference> factor_refs[] = {
+        paper(39.0, 1.0, "Fig. 13: SPA needs 39x to reach the knee"),
+        paper(1.27, 0.01,
+              "Fig. 13: TrailNet is over-provisioned 1.27x"),
+        std::nullopt};
+    for (std::size_t i = 0; i < fig.entries.size(); ++i) {
+        const studies::Fig13Entry &entry = fig.entries[i];
         table.addRow(
             {entry.algorithm, trimmedNumber(entry.throughputHz),
              trimmedNumber(entry.analysis.safeVelocity.value(), 2),
@@ -314,10 +420,25 @@ runFig13Study(const StudyContext &)
         points.add(entry.throughputHz,
                    entry.analysis.safeVelocity.value());
         result.addMetric(entry.algorithm + "_factor_vs_knee",
-                         entry.factorVsKnee);
+                         entry.factorVsKnee, "",
+                         i < std::size(factor_refs) ? factor_refs[i]
+                                                    : std::nullopt);
     }
     result.series.push_back(std::move(points));
-    result.addMetric("knee_throughput", fig.kneeThroughput, "Hz");
+    const studies::Fig13Entry &spa = fig.entries[0];
+    const studies::Fig13Entry &dronet = fig.entries[2];
+    result
+        .addMetric("knee_throughput", fig.kneeThroughput, "Hz",
+                   paper(43.0, 1.0, "Fig. 13: Pelican knee at 43 Hz"))
+        .addMetric(spa.algorithm + "_v_safe",
+                   spa.analysis.safeVelocity.value(), "m/s",
+                   paper(2.3, 0.1, "Fig. 13: SPA flies at 2.3 m/s"))
+        .addMetric(dronet.algorithm + "_compute_margin",
+                   dronet.throughputHz / fig.kneeThroughput, "",
+                   gap(4.13, 0.01,
+                       "Fig. 13: DroNet's 178 Hz over the knee; the "
+                       "paper truncates 178/43 = 4.1395, our knee of "
+                       "42.995 Hz gives 4.1401"));
     result.summary = table.render();
     return result;
 }
@@ -347,7 +468,9 @@ runFig14Study(const StudyContext &)
     result.series.push_back(std::move(points));
 
     result
-        .addMetric("velocity_loss", fig.velocityLossPercent, "%")
+        .addMetric("velocity_loss", fig.velocityLossPercent, "%",
+                   paper(33.0, 1.0,
+                         "Fig. 14: DMR costs 33% of v_safe"))
         .addMetric("single_v_safe",
                    fig.single.analysis.safeVelocity.value(), "m/s")
         .addMetric("dual_v_safe",
@@ -386,10 +509,37 @@ runFig15Study(const StudyContext &)
     result.series.push_back(std::move(pelican));
     result.series.push_back(std::move(spark));
 
-    result.addMetric("pelican_knee", fig.pelicanKnee, "Hz")
-        .addMetric("spark_knee", fig.sparkKnee, "Hz")
+    const auto raspi4_speedup = [&](const char *algorithm) {
+        return fig.find("AscTec Pelican", algorithm, "Ras-Pi4")
+            .factorVsKnee;
+    };
+    result
+        .addMetric("pelican_knee", fig.pelicanKnee, "Hz",
+                   paper(43.0, 1.0, "Fig. 15: Pelican knee at 43 Hz"))
+        .addMetric("spark_knee", fig.sparkKnee, "Hz",
+                   paper(30.0, 1.0, "Fig. 15: Spark knee at 30 Hz"))
         .addMetric("entries",
-                   static_cast<double>(fig.entries.size()));
+                   static_cast<double>(fig.entries.size()))
+        .addMetric("spark_tx2_dronet_over_provision",
+                   fig.find("DJI Spark", "DroNet", "Nvidia TX2")
+                           .throughputHz /
+                       fig.sparkKnee,
+                   "",
+                   paper(6.0, 0.6,
+                         "Fig. 15: DroNet on a TX2 over-provisions "
+                         "the Spark ~6x"))
+        .addMetric("pelican_raspi4_dronet_speedup",
+                   raspi4_speedup("DroNet"), "",
+                   paper(3.3, 0.1,
+                         "Fig. 15: Ras-Pi4 needs 3.3x for DroNet"))
+        .addMetric("pelican_raspi4_trailnet_speedup",
+                   raspi4_speedup("TrailNet"), "",
+                   paper(110.0, 1.0,
+                         "Fig. 15: Ras-Pi4 needs 110x for TrailNet"))
+        .addMetric("pelican_raspi4_cad2rl_speedup",
+                   raspi4_speedup("CAD2RL"), "",
+                   paper(660.0, 1.0,
+                         "Fig. 15: Ras-Pi4 needs 660x for CAD2RL"));
     result.summary = table.render();
     return result;
 }
@@ -416,11 +566,27 @@ runFig16Study(const StudyContext &ctx)
     }
     result.series.push_back(std::move(points));
 
-    result.addMetric("knee_throughput", fig.kneeThroughput, "Hz")
-        .addMetric("pulp_required_speedup",
-                   fig.pulp.requiredSpeedup)
+    result
+        .addMetric("knee_throughput", fig.kneeThroughput, "Hz",
+                   paper(26.0, 1.0, "Fig. 16: nano-UAV knee at 26 Hz"))
+        .addMetric("pulp_required_speedup", fig.pulp.requiredSpeedup,
+                   "",
+                   paper(4.33, 0.01, "Fig. 16: PULP-DroNet needs "
+                                     "4.33x"))
         .addMetric("navion_required_speedup",
-                   fig.navion.requiredSpeedup);
+                   fig.navion.requiredSpeedup, "",
+                   paper(21.1, 0.1, "Fig. 16: Navion in SPA needs "
+                                    "21.1x"))
+        .addMetric("pulp_throughput", fig.pulp.throughputHz, "Hz",
+                   paper(6.0, 1.0, "Fig. 16: PULP-DroNet at 6 Hz"))
+        .addMetric("navion_latency",
+                   fig.navionPipeline.totalLatency().value() * 1000.0,
+                   "ms",
+                   paper(810.0, 1.0,
+                         "Fig. 16: SPA with Navion takes 810 ms"))
+        .addMetric("navion_throughput", fig.navion.throughputHz, "Hz",
+                   paper(1.23, 0.01,
+                         "Fig. 16: SPA with Navion at 1.23 Hz"));
     result.summary = table.render();
     return result;
 }
@@ -436,6 +602,10 @@ runTable1Study(const StudyContext &)
     TextTable table({"UAV", "Takeoff (g)", "Predicted (m/s)"});
     plot::Series points("Table I builds",
                         plot::SeriesStyle::Markers);
+    // The paper's predictions for UAV-A..D (its Fig. 9 markers).
+    const double paper_predicted[] = {2.13, 1.51, 1.58, 1.53};
+    const std::string predicted_cause =
+        std::string("Fig. 9 marker; ") + kThrustCalibration;
     char letter = 'A';
     for (const auto &vcase : cases) {
         const double takeoff =
@@ -445,8 +615,9 @@ runTable1Study(const StudyContext &)
         table.addRow({vcase.name, trimmedNumber(takeoff),
                       trimmedNumber(predicted, 3)});
         points.add(takeoff, predicted);
-        result.addMetric(vcase.name + "_predicted", predicted,
-                         "m/s");
+        result.addMetric(
+            vcase.name + "_predicted", predicted, "m/s",
+            gap(paper_predicted[letter - 'A'], 0.01, predicted_cause));
         result.addMetric(vcase.name + "_takeoff", takeoff, "g");
         ++letter;
     }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 
 #include "plot/chart.hh"
@@ -123,8 +124,12 @@ ScenarioRunner::runWithBasename(const ScenarioSpec &spec,
     // both at its chunk boundaries.
     exec::CancellationToken token = options.parallel.cancel;
     if (options.deadlineMs > 0) {
-        token = token.withDeadlineAfter(
-            std::chrono::milliseconds(options.deadlineMs));
+        // Clamp before the cast: a size_t above the signed range
+        // would turn negative and disable the deadline.
+        using std::chrono::milliseconds;
+        token = token.withDeadlineAfter(milliseconds(
+            std::min<std::size_t>(options.deadlineMs,
+                                  milliseconds::max().count())));
     }
     if (token.cancelRequested()) {
         outcome.status = ScenarioStatus::Cancelled;
@@ -305,6 +310,45 @@ ScenarioRunner::renderSummary(
     out += strFormat("%zu scenario(s), %zu failed\n",
                      outcomes.size(), failed);
     return out;
+}
+
+std::string
+ScenarioRunner::renderFidelity(
+    const std::vector<ScenarioOutcome> &outcomes)
+{
+    TextTable table({"Study", "Quantity", "Paper", "Ours", "Delta",
+                     "Tolerance", "Status", "Note"});
+    std::size_t ok = 0;
+    std::size_t gaps = 0;
+    std::size_t failed = 0;
+    for (const auto &outcome : outcomes) {
+        for (const auto &metric : outcome.result.metrics) {
+            if (!metric.paper)
+                continue;
+            const PaperReference &ref = *metric.paper;
+            const double delta = metric.value - ref.value;
+            // A gap must lie outside its tolerance, any other
+            // reference inside it.
+            const bool holds =
+                (std::fabs(delta) <= ref.tolerance) != ref.gap;
+            ++(!holds ? failed : ref.gap ? gaps : ok);
+            const std::string unit =
+                metric.unit.empty() ? "" : " " + metric.unit;
+            table.addRow({outcome.study, metric.name,
+                          trimmedNumber(ref.value, 4) + unit,
+                          trimmedNumber(metric.value, 4) + unit,
+                          strFormat("%+.4g", delta),
+                          trimmedNumber(ref.tolerance, 4),
+                          !holds ? "FAIL" : ref.gap ? "GAP" : "ok",
+                          ref.note});
+        }
+    }
+    if (table.rowCount() == 0)
+        return "";
+    return table.render() +
+           strFormat("%zu paper reference(s): %zu ok, %zu gap, "
+                     "%zu FAIL\n",
+                     table.rowCount(), ok, gaps, failed);
 }
 
 } // namespace uavf1::scenario

@@ -120,6 +120,17 @@ class ScenarioRunner
     static std::string
     renderSummary(const std::vector<ScenarioOutcome> &outcomes);
 
+    /**
+     * A text table of every paper reference in a batch: study,
+     * quantity, paper, ours, delta, tolerance, status and note. The
+     * status is "ok" inside the tolerance, "GAP" for a declared gap
+     * outside it, and "FAIL" otherwise (a declared gap inside its
+     * tolerance fails too: it is closed and must be reclassified).
+     * Empty when no outcome carries a reference.
+     */
+    static std::string
+    renderFidelity(const std::vector<ScenarioOutcome> &outcomes);
+
     /** Filesystem-safe artifact basename for a label. */
     static std::string sanitizeLabel(const std::string &label);
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "support/errors.hh"
 #include "support/strings.hh"
@@ -125,9 +126,10 @@ StudyParams::getUnsigned(const std::string &name,
 
 StudyResult &
 StudyResult::addMetric(const std::string &name, double value,
-                       const std::string &unit)
+                       const std::string &unit,
+                       std::optional<PaperReference> paper)
 {
-    metrics.push_back({name, value, unit});
+    metrics.push_back({name, value, unit, std::move(paper)});
     return *this;
 }
 

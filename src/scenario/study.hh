@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,12 +90,28 @@ class StudyParams
     std::vector<std::pair<std::string, std::string>> _entries;
 };
 
+/**
+ * A value the paper quotes for a study metric, and how closely the
+ * metric must match it. tests/fidelity_test.cc asserts every one;
+ * the JSON artifact never carries it.
+ */
+struct PaperReference
+{
+    double value = 0.0;     ///< The paper's number.
+    double tolerance = 0.0; ///< Absolute, in the metric's unit.
+    /** Where the paper states it; for a gap, the divergence's cause. */
+    std::string note;
+    /** A known divergence: the metric lies outside the tolerance. */
+    bool gap = false;
+};
+
 /** One named metric of a study result. */
 struct StudyMetric
 {
     std::string name;   ///< e.g. "knee_throughput".
     double value = 0.0;
     std::string unit;   ///< e.g. "Hz"; empty for ratios/flags.
+    std::optional<PaperReference> paper; ///< Set when the paper quotes it.
 };
 
 /** Everything a study run produces. */
@@ -110,7 +127,8 @@ struct StudyResult
 
     /** Append one metric (fluent helper for study adapters). */
     StudyResult &addMetric(const std::string &name, double value,
-                           const std::string &unit = "");
+                           const std::string &unit = "",
+                           std::optional<PaperReference> paper = {});
 };
 
 /** What a study hands to its run function. */

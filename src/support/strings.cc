@@ -47,6 +47,35 @@ trimmedNumber(double value, int precision)
 }
 
 std::string
+escapeXml(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text) {
+        switch (c) {
+          case '&':
+            out += "&amp;";
+            break;
+          case '<':
+            out += "&lt;";
+            break;
+          case '>':
+            out += "&gt;";
+            break;
+          case '"':
+            out += "&quot;";
+            break;
+          case '\'':
+            out += "&apos;";
+            break;
+          default:
+            out += c;
+        }
+    }
+    return out;
+}
+
+std::string
 join(const std::vector<std::string> &pieces, const std::string &sep)
 {
     std::string out;

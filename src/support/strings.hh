@@ -19,6 +19,9 @@ std::string strFormat(const char *fmt, ...)
  * zeros ("2.130" -> "2.13", "3.000" -> "3"). */
 std::string trimmedNumber(double value, int precision = 3);
 
+/** Escape the five XML/HTML special characters. */
+std::string escapeXml(const std::string &text);
+
 /** Join pieces with a separator. */
 std::string join(const std::vector<std::string> &pieces,
                  const std::string &sep);

@@ -156,6 +156,18 @@ TEST(Cancellation, DeadlineExpiresASlowParallelLoop)
         TimeoutError);
 }
 
+TEST(Cancellation, MaxBudgetSaturatesAndNeverExpires)
+{
+    // now() + milliseconds::max() overflows the clock; the deadline
+    // must saturate instead of wrapping into the past.
+    const exec::CancellationToken token =
+        exec::CancellationToken().withDeadlineAfter(
+            std::chrono::milliseconds::max());
+    EXPECT_TRUE(token.armed());
+    EXPECT_FALSE(token.deadlineExpired());
+    EXPECT_NO_THROW(token.checkpoint());
+}
+
 TEST(Cancellation, UntrippedTokenDoesNotPerturbResults)
 {
     exec::ThreadPool pool(4);

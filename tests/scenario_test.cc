@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -935,6 +936,24 @@ TEST(Runner, Fig07HonoursItsDeadline)
     EXPECT_EQ(outcome.status, ScenarioStatus::Timeout) << outcome.error;
     EXPECT_TRUE(outcome.artifacts.empty());
     EXPECT_TRUE(fs::is_empty(dir));
+}
+
+TEST(Runner, Fig07RunsUnderAnUnboundedDeadline)
+{
+    // Budgets past the clock's range mean "no limit": SIZE_MAX is
+    // above the signed range of milliseconds, INT64_MAX ms overflows
+    // now() + budget. Neither may time out at the first checkpoint.
+    for (const std::size_t budget :
+         {std::size_t{SIZE_MAX}, std::size_t{INT64_MAX}}) {
+        ScenarioSpec spec;
+        spec.study = "fig07";
+        RunnerOptions options;
+        options.deadlineMs = budget;
+        const ScenarioOutcome outcome =
+            ScenarioRunner().run(spec, options);
+        EXPECT_TRUE(outcome.ok) << budget << ": " << outcome.error;
+        EXPECT_EQ(outcome.status, ScenarioStatus::Ok);
+    }
 }
 
 TEST(Runner, FailFastCancelsTheRestOfTheBatch)
