@@ -9,8 +9,6 @@
  * experiment uses.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -91,24 +89,11 @@ printAblation()
                 "each case study documents its law");
 }
 
-void
-BM_LawEvaluation(benchmark::State &state)
-{
-    const auto config = buildWithLaw(
-        "AscTec Pelican", "Nvidia TX2", "RGB-D 60FPS (4.5m)",
-        physics::AccelerationLaw::HoverConstrained);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(config.maxAcceleration());
-}
-BENCHMARK(BM_LawEvaluation);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

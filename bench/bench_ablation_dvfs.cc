@@ -13,8 +13,6 @@
  * the trade.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -152,26 +150,11 @@ printAblation()
     }
 }
 
-void
-BM_DvfsDerate(benchmark::State &state)
-{
-    const auto catalog = components::Catalog::standard();
-    const auto &tx2 = catalog.computes().byName("Nvidia TX2");
-    const workload::DvfsModel dvfs;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dvfs.derateToThroughput(
-            tx2, units::Hertz(178.0), units::Hertz(35.6), " x"));
-    }
-}
-BENCHMARK(BM_DvfsDerate);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * UAV-A and re-measures the validation error, attributing the gap.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -79,23 +77,11 @@ printAblation()
                 "jerk/drag discussion suggests)");
 }
 
-void
-BM_ValidationRun(benchmark::State &state)
-{
-    const auto base = table1ValidationCases()[0];
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            ValidationHarness::validate(base));
-}
-BENCHMARK(BM_ValidationRun)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,8 +11,6 @@
  * paper's quantitative story depends on that convention.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -70,27 +68,11 @@ printAblation()
     std::printf("%s\n", bounds.render().c_str());
 }
 
-void
-BM_KneeSweep(benchmark::State &state)
-{
-    core::F1Inputs inputs = studies::pelicanInputs(units::Hertz(55.0));
-    for (auto _ : state) {
-        for (double k : {0.90, 0.95, 0.98, 0.99}) {
-            inputs.kneeFraction = k;
-            benchmark::DoNotOptimize(
-                core::F1Model(inputs).analyze());
-        }
-    }
-}
-BENCHMARK(BM_KneeSweep);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

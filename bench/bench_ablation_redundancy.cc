@@ -7,8 +7,6 @@
  * quantifying the velocity-vs-reliability trade at each depth.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -83,28 +81,11 @@ printAblation()
                 "weight envelope");
 }
 
-void
-BM_RedundancySweep(benchmark::State &state)
-{
-    for (auto _ : state) {
-        for (const auto scheme :
-             {pipeline::RedundancyScheme::None,
-              pipeline::RedundancyScheme::Dual,
-              pipeline::RedundancyScheme::Triple}) {
-            benchmark::DoNotOptimize(
-                buildWithScheme(scheme).f1Model().analyze());
-        }
-    }
-}
-BENCHMARK(BM_RedundancySweep);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

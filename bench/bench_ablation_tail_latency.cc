@@ -11,8 +11,6 @@
  * overstates relative to p95/p99/worst-case sizing.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -79,36 +77,11 @@ printAblation()
                 "refinement the single-number F-1 model hides");
 }
 
-void
-BM_TraceSynthesis(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(LatencyTrace::synthesize(
-            "bench", units::Seconds(0.9), 0.6, 1024, 7));
-    }
-}
-BENCHMARK(BM_TraceSynthesis);
-
-void
-BM_PercentileQuery(benchmark::State &state)
-{
-    const auto trace = LatencyTrace::synthesize(
-        "bench", units::Seconds(0.9), 0.6, 4096, 7);
-    double p = 50.0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(trace.percentile(p));
-        p = p < 99.0 ? p + 0.5 : 50.0;
-    }
-}
-BENCHMARK(BM_PercentileQuery);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * how *certain* the bound classification actually is.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -77,28 +75,11 @@ printAblation()
                 "which the deterministic model cannot express");
 }
 
-void
-BM_MonteCarlo(benchmark::State &state)
-{
-    UncertaintySpec spec;
-    spec.nominal = studies::pelicanInputs(units::Hertz(178.0));
-    const MonteCarloAnalyzer analyzer(spec);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            analyzer.run(static_cast<std::size_t>(state.range(0)),
-                         1));
-    }
-}
-BENCHMARK(BM_MonteCarlo)->Arg(1000)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

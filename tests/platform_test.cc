@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "components/catalog.hh"
 #include "core/f1_model.hh"
@@ -142,7 +143,10 @@ TEST(RooflinePlatform, PropertySingleCeilingEqualsFlatBound)
 {
     // The acceptance property: a one-compute/one-memory family must
     // reproduce the flat min(peak, AI x BW) bound bit-for-bit at
-    // every DVFS operating point.
+    // every DVFS operating point, and on every family -- the
+    // multi-ceiling catalog presets included -- the default
+    // (unannotated) WorkloadProfile is the flat-AI evaluation,
+    // bit-for-bit.
     const double peak = 1330.0;
     const double bw = 59.7;
     const workload::DvfsModel dvfs;
@@ -152,37 +156,47 @@ TEST(RooflinePlatform, PropertySingleCeilingEqualsFlatBound)
                      {"p55", 0.55},
                      {"p33", 0.33},
                      {"floor", 0.2}});
-    const RooflinePlatform machine =
+    const RooflinePlatform flat_machine =
         RooflinePlatform::singleCeiling(
             "flat", Gops(peak), GigabytesPerSecond(bw), Watts(7.5))
             .withOperatingPoints(points);
+    const auto catalog = components::Catalog::standard();
+    std::vector<const RooflinePlatform *> machines = {&flat_machine};
+    for (const RooflinePlatform &family : catalog.rooflines().items())
+        machines.push_back(&family);
 
-    for (std::size_t op = 0; op < points.size(); ++op) {
-        const double f = points[op].frequencyFraction;
-        // 37 log-spaced intensities across eight decades.
-        for (int i = 0; i <= 36; ++i) {
-            const double ai = std::pow(10.0, -4.0 + i * 8.0 / 36.0);
-            const double flat =
-                std::min(peak * f, ai * (bw * f));
-            const AttainableBound bound =
-                machine.attainable(OpsPerByte(ai), op);
-            EXPECT_EQ(bound.attainable.value(), flat)
-                << "op " << op << " ai " << ai;
-            // The default (unannotated) WorkloadProfile is the
-            // same evaluation, bit-for-bit.
-            WorkloadProfile profile;
-            profile.ai = OpsPerByte(ai);
-            EXPECT_EQ(machine.attainable(profile, op)
-                          .attainable.value(),
-                      flat)
-                << "profile op " << op << " ai " << ai;
-            // With one ceiling per family the attribution index is
-            // always 0 and the kind matches the flat argmin.
-            EXPECT_EQ(bound.binding.index, 0);
-            EXPECT_EQ(bound.binding.kind,
-                      peak * f <= ai * (bw * f)
-                          ? CeilingKind::Compute
-                          : CeilingKind::Memory);
+    for (const RooflinePlatform *machine : machines) {
+        const auto &ops = machine->operatingPoints();
+        for (std::size_t op = 0; op < ops.size(); ++op) {
+            const double f = ops[op].frequencyFraction;
+            // 37 log-spaced intensities across eight decades.
+            for (int i = 0; i <= 36; ++i) {
+                const double ai = std::pow(10.0, -4.0 + i * 8.0 / 36.0);
+                const AttainableBound bound =
+                    machine->attainable(OpsPerByte(ai), op);
+                WorkloadProfile profile;
+                profile.ai = OpsPerByte(ai);
+                const AttainableBound via_profile =
+                    machine->attainable(profile, op);
+                EXPECT_EQ(via_profile.attainable.value(),
+                          bound.attainable.value())
+                    << machine->name() << " op " << op << " ai " << ai;
+                EXPECT_EQ(via_profile.binding, bound.binding)
+                    << machine->name() << " op " << op << " ai " << ai;
+                if (machine != &flat_machine)
+                    continue;
+
+                const double flat = std::min(peak * f, ai * (bw * f));
+                EXPECT_EQ(bound.attainable.value(), flat)
+                    << "op " << op << " ai " << ai;
+                // With one ceiling per family the attribution index
+                // is always 0 and the kind matches the flat argmin.
+                EXPECT_EQ(bound.binding.index, 0);
+                EXPECT_EQ(bound.binding.kind,
+                          peak * f <= ai * (bw * f)
+                              ? CeilingKind::Compute
+                              : CeilingKind::Memory);
+            }
         }
     }
 }

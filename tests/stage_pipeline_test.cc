@@ -90,8 +90,9 @@ TEST(StageEval, MeasuredLatenciesWinOnTheMeasuredPlatform)
     }
     // Totals reproduce the pipeline's own arithmetic bit-for-bit:
     // 909 ms -> the paper's 1.1 Hz TX2 anchor.
-    EXPECT_DOUBLE_EQ(bound.totalLatencySeconds,
-                     pipeline.totalLatency().value());
+    EXPECT_EQ(bound.totalLatencySeconds,
+              pipeline.totalLatency().value());
+    EXPECT_EQ(bound.throughputHz, pipeline.throughput().value());
     EXPECT_NEAR(bound.throughputHz, 1.1, 0.001);
     EXPECT_EQ(evaluator.stageName(bound.bottleneckIndex),
               "Path planner");
