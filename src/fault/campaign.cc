@@ -5,23 +5,25 @@
  * A mission's outcome is a pure function of its fault-activation
  * mask, so the constructor evaluates every mask once through the
  * scalar F1Model::analyzeInto into an outcome table. run() then only
- * draws (one uniform per fault, as the scalar loop does), stores
- * each mission's mask and counts it; the tallies and the exact
- * percentiles follow from the mask histogram, and only the two
- * sample-order sums of the v_safe moments walk the masks in order.
+ * draws (one uniform per fault, as the scalar loop does) and counts
+ * each mission's mask in a per-slot histogram; it keeps no
+ * per-mission state. The tallies, the exact percentiles and the
+ * exactly rounded v_safe moments all follow from the merged
+ * histogram in O(masks) (sim::Distribution::fromHistogram).
  * runReference() keeps the original mission-at-a-time loop,
  * summarized through sim::Distribution::fromSamples, as the
- * bit-identity oracle; when run() draws a mask whose inputs the
- * scalar path rejects, it replays that block through the same loop
- * from the block's Rng, so the error thrown matches exactly.
+ * bit-identity oracle; both summaries sum the same terms exactly, so
+ * they agree by construction. The two rare failures replay draws in
+ * block order: a drawn mask whose inputs the scalar path rejects
+ * sends its first block through that loop from the block's Rng, so
+ * the error thrown matches exactly, and a NaN v_safe is named by its
+ * index among the survivors, as fromSamples() names it.
  */
 
 #include "fault/campaign.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <span>
 #include <stdexcept>
 
 #include "support/errors.hh"
@@ -406,20 +408,24 @@ FaultCampaign::precomputePlatformVariants()
             }
         }
         // A derate-0 fault that strips a stage's *only* admitted
-        // roof leaves it with 0 GOPS attainable — the stage cannot
-        // execute at all, so the mission aborts for this fault
-        // combination (the stage-eval spine would otherwise reject
-        // the infinite latency). SLAM-style stages with a fallback
-        // roof never hit this: their derated class just loses ties.
+        // roof leaves it with 0 GOPS attainable, and a derate deep
+        // enough (a subnormal) leaves so little that its modeled
+        // latency overflows — either way the stage cannot execute,
+        // so the mission aborts for this fault combination (the
+        // stage-eval spine would otherwise reject the infinite
+        // latency). SLAM-style stages with a fallback roof never hit
+        // this: their derated class just loses ties.
         bool stage_removed = false;
         for (std::size_t s = 0; s < _stageCount && !stage_removed;
              ++s) {
             if (!evaluator.stageAnnotated(s))
                 continue;
-            stage_removed =
+            const double attainable =
                 degraded_machine
                     .attainable(evaluator.stageProfile(s), op_index)
-                    .attainable.value() <= 0.0;
+                    .attainable.value();
+            stage_removed =
+                !std::isfinite(evaluator.stageWorkGop(s) / attainable);
         }
         if (stage_removed) {
             _platformVariants.back().aborts = true;
@@ -783,6 +789,37 @@ prepareDraws(const CampaignSpec &spec, double scale, std::size_t count,
     return draws;
 }
 
+/** Missions per uniformBlock call in run(): the draw buffer stays
+ * in L1. */
+constexpr std::size_t kDrawRun = 64;
+
+/**
+ * Draw the activation masks of missions [lo, hi) of one block from
+ * its Rng — one uniform per fault per mission, in fault order: the
+ * scalar path's own draw sequence — and hand each mission's mask, in
+ * order, to `visit(mask)`. `u` holds kDrawRun * (fault count)
+ * doubles.
+ */
+template <typename Visit>
+void
+drawMasks(const std::vector<double> &probability, std::size_t lo,
+          std::size_t hi, Rng &rng, double *u, Visit &&visit)
+{
+    const std::size_t fault_count = probability.size();
+    const double *p = probability.data();
+    for (std::size_t run = lo; run < hi; run += kDrawRun) {
+        const std::size_t m = std::min(hi - run, kDrawRun);
+        rng.uniformBlock(u, m * fault_count);
+        for (std::size_t i = 0; i < m; ++i) {
+            const double *draw = u + i * fault_count;
+            std::uint32_t mask = 0;
+            for (std::size_t j = 0; j < fault_count; ++j)
+                mask |= static_cast<std::uint32_t>(draw[j] < p[j]) << j;
+            visit(mask);
+        }
+    }
+}
+
 } // namespace
 
 CampaignResult
@@ -834,77 +871,37 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
     const Draws draws = prepareDraws(_spec, scale, count, seed);
     const std::size_t fault_count = _spec.faults.size();
     const std::size_t masks = _outcomes.size();
-    bool any_throws = false;
-    for (const Outcome &outcome : _outcomes)
-        any_throws = any_throws || outcome.throws;
 
-    // Each mission is coded by its activation mask (<= 16 bits) and
-    // counted in its slot's mask histogram. Histograms sit more
-    // than a cache line apart, so slots never share one. The keys
-    // are left unfilled: the sampling loop writes every one.
-    const auto key_store =
-        std::make_unique_for_overwrite<std::uint16_t[]>(count);
-    const std::span<std::uint16_t> keys(key_store.get(), count);
+    // Each mission only bumps its slot's histogram at its activation
+    // mask. Histograms sit more than a cache line apart, so slots
+    // never share one.
     exec::ParallelOptions options = parallel;
     options.grain = 1; // One block per chunk.
     const std::size_t slots = exec::maxSlots(options);
     const std::size_t stride = masks + 16;
     std::vector<std::uint64_t> hist(slots * stride, 0);
-    // Missions per uniformBlock call: the draw buffer stays in L1.
-    constexpr std::size_t sub_block = 64;
     std::vector<std::vector<double>> uniforms(
-        slots, std::vector<double>(sub_block * fault_count));
-
+        slots, std::vector<double>(kDrawRun * fault_count));
     exec::parallelForSlots(
         draws.blockRngs.size(),
         [&](std::size_t slot, std::size_t block_begin,
             std::size_t block_end) {
             std::uint64_t *slot_hist = &hist[slot * stride];
-            double *u = uniforms[slot].data();
-            const double *probability = draws.probability.data();
             for (std::size_t b = block_begin; b < block_end; ++b) {
                 Rng rng = draws.blockRngs[b];
                 const std::size_t lo = b * sampleBlock;
-                const std::size_t hi = std::min(count, lo + sampleBlock);
-                for (std::size_t sub = lo; sub < hi; sub += sub_block) {
-                    // One uniform per fault per mission, in fault
-                    // order: the scalar path's own draw sequence.
-                    const std::size_t m = std::min(hi - sub, sub_block);
-                    rng.uniformBlock(u, m * fault_count);
-                    for (std::size_t i = 0; i < m; ++i) {
-                        const double *draw = u + i * fault_count;
-                        std::uint32_t mask = 0;
-                        for (std::size_t j = 0; j < fault_count; ++j)
-                            mask |= static_cast<std::uint32_t>(
-                                        draw[j] < probability[j])
-                                    << j;
-                        keys[sub + i] = static_cast<std::uint16_t>(mask);
-                        ++slot_hist[mask];
-                    }
-                }
-                bool rejected = false;
-                for (std::size_t i = lo; any_throws && i < hi; ++i)
-                    rejected = rejected || _outcomes[keys[i]].throws;
-                if (!rejected)
-                    continue;
-                // Replay the block through the scalar path from its
-                // own Rng: the first rejected mission throws the
-                // scalar path's error.
-                std::vector<double> v_safe(hi - lo);
-                std::vector<unsigned char> aborted(hi - lo);
-                Tallies scratch(*this);
-                Rng replay = draws.blockRngs[b];
-                scalarSamples(draws.probability, lo, hi, replay,
-                              v_safe.data(), aborted.data(), scratch);
-                throw std::logic_error(
-                    "fault campaign outcome table rejects a mission "
-                    "the scalar path accepts");
+                drawMasks(draws.probability, lo,
+                          std::min(count, lo + sampleBlock), rng,
+                          uniforms[slot].data(),
+                          [&](std::uint32_t mask) {
+                              ++slot_hist[mask];
+                          });
             }
         },
         options);
 
-    // Everything but the v_safe moments follows from the merged
-    // histogram and the outcome table.
+    // Everything follows from the merged histogram and the outcome
+    // table, in O(masks).
     std::vector<std::uint64_t> counts(masks, 0);
     for (std::size_t slot = 0; slot < slots; ++slot)
         for (std::size_t mask = 0; mask < masks; ++mask)
@@ -912,6 +909,7 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
     Tallies tallies(*this);
     std::vector<double> v_safe(masks, 0.0);
     std::vector<std::uint64_t> survivors(masks, 0);
+    bool rejected = false;
     bool nan = false;
     const std::size_t compute_ceilings =
         _spec.platform ? _spec.platform->computeCeilings().size() : 0;
@@ -920,6 +918,7 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
         const Outcome &outcome = _outcomes[mask];
         if (hits == 0)
             continue;
+        rejected = rejected || outcome.throws;
         for (std::size_t j = 0; j < fault_count; ++j)
             tallies.activations[j] += ((mask >> j) & 1) * hits;
         if (outcome.aborts) {
@@ -939,26 +938,65 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
             tallies.stages[s * 3 + kind] += hits;
         }
     }
+
+    // The two rare paths replay draws in block order to fail where
+    // the scalar path does. A drawn mask the scalar path rejects:
+    // replaying its first block through scalarSamples() throws that
+    // path's error at the same mission.
+    std::vector<double> &u = uniforms[0];
+    if (rejected) {
+        for (std::size_t b = 0; b < draws.blockRngs.size(); ++b) {
+            const std::size_t lo = b * sampleBlock;
+            const std::size_t hi = std::min(count, lo + sampleBlock);
+            Rng rng = draws.blockRngs[b];
+            bool hit = false;
+            drawMasks(draws.probability, lo, hi, rng, u.data(),
+                      [&](std::uint32_t mask) {
+                          hit = hit || _outcomes[mask].throws;
+                      });
+            if (!hit)
+                continue;
+            std::vector<double> scratch_v_safe(hi - lo);
+            std::vector<unsigned char> aborted(hi - lo);
+            Tallies scratch(*this);
+            Rng replay = draws.blockRngs[b];
+            scalarSamples(draws.probability, lo, hi, replay,
+                          scratch_v_safe.data(), aborted.data(),
+                          scratch);
+            break;
+        }
+        throw std::logic_error(
+            "fault campaign outcome table rejects a mission the "
+            "scalar path accepts");
+    }
+
     CampaignResult result = tallyResult(tallies, count);
     if (tallies.aborts == count)
         return result;
     if (nan) {
-        // fromSamples() names the first NaN survivor by its index.
+        // A NaN survivor: the survivors up to the first NaN, in
+        // sample order, make fromSamples() name it by its index.
         std::vector<double> samples;
-        for (const std::uint16_t key : keys)
-            if (survivors[key] != 0)
-                samples.push_back(v_safe[key]);
+        bool named = false;
+        for (std::size_t b = 0; !named && b < draws.blockRngs.size();
+             ++b) {
+            const std::size_t lo = b * sampleBlock;
+            Rng rng = draws.blockRngs[b];
+            drawMasks(draws.probability, lo,
+                      std::min(count, lo + sampleBlock), rng, u.data(),
+                      [&](std::uint32_t mask) {
+                          if (named || survivors[mask] == 0)
+                              return;
+                          samples.push_back(v_safe[mask]);
+                          named = v_safe[mask] != v_safe[mask];
+                      });
+        }
         result.safeVelocity =
             sim::Distribution::fromSamples(samples, parallel);
         return result;
     }
-    result.safeVelocity = sim::Distribution::fromHistogram(
-        v_safe, survivors, [&](const std::vector<double> &terms) {
-            double sum = 0.0;
-            for (const std::uint16_t key : keys)
-                sum += terms[key];
-            return sum;
-        });
+    result.safeVelocity =
+        sim::Distribution::fromHistogram(v_safe, survivors);
     return result;
 }
 

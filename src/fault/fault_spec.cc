@@ -54,11 +54,11 @@ validateFaultSpec(const FaultSpec &spec)
       case FaultKind::OperatingPointLoss:
         break;
       case FaultKind::ThermalThrottle:
-        if (!(spec.dvfs.minFrequencyFraction > 0.0) ||
-            spec.dvfs.minFrequencyFraction > 1.0) {
-            throw ModelError(
-                "dvfs.minFrequencyFraction of " + where +
-                " must be in (0, 1]");
+        // The DVFS law's own ranges, which name each field.
+        try {
+            (void)workload::DvfsModel(spec.dvfs);
+        } catch (const ModelError &error) {
+            throw ModelError("dvfs of " + where + ": " + error.what());
         }
         break;
       case FaultKind::StageLatencyInflation:

@@ -103,7 +103,7 @@ struct FaultSpec
     double derate = 1.0;
 
     /** [ThermalThrottle] DVFS law giving the throttle floor and the
-     * power curve to it. */
+     * power curve to it, within workload::DvfsModel's ranges. */
     workload::DvfsModel::Params dvfs{};
 
     /** [StageLatencyInflation, StageFailure, StageCeilingDerate,

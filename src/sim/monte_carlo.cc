@@ -22,12 +22,14 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 
 #include "core/f1_batch.hh"
 #include "platform/evaluation_plan.hh"
 #include "simd/pack.hh"
 #include "support/errors.hh"
+#include "support/exact_sum.hh"
 #include "support/rng.hh"
 #include "support/validate.hh"
 #include "workload/batch_eval.hh"
@@ -352,6 +354,21 @@ sampleStddev(double squared_deviations, std::size_t n)
                  : 0.0;
 }
 
+/** Samples per ExactSum span in the variance pass: the squared
+ * deviations stay in L1 between being formed and being summed. */
+constexpr std::size_t kSumRun = 1024;
+
+/**
+ * Per-slot state of the first fromSamples() pass. Sums are exact and
+ * extremes are min/max, so slots merge to the same result whichever
+ * thread saw which chunk.
+ */
+struct alignas(64) FirstPass
+{
+    ExactSum sum;
+    ExactSum::Range range;
+};
+
 } // namespace
 
 Distribution
@@ -361,54 +378,84 @@ Distribution::fromSamples(const std::vector<double> &samples,
     if (samples.empty())
         throw ModelError("distribution requires samples");
 
-    // One sequential pass: the sample-order sum the mean has always
-    // used, with the extremes and a NaN check folded in.
+    // First pass: the exact sum and the extremes, per fixed chunk on
+    // the pool.
     Distribution out;
     const std::size_t n = samples.size();
-    double sum = 0.0;
-    double lo = samples[0];
-    double hi = samples[0];
-    bool nan = false;
-    for (double s : samples) {
-        sum += s;
-        lo = s < lo ? s : lo;
-        hi = hi < s ? s : hi;
-        nan |= s != s;
+    exec::ParallelOptions options = parallel;
+    options.grain = kSelectChunk;
+    const std::size_t slots = exec::maxSlots(options);
+    std::vector<FirstPass> first(slots);
+    exec::parallelForSlots(
+        n,
+        [&](std::size_t slot, std::size_t begin, std::size_t end) {
+            FirstPass &pass = first[slot];
+            pass.range.merge(pass.sum.add(
+                std::span<const double>(samples).subspan(begin,
+                                                         end - begin)));
+        },
+        options);
+    FirstPass &all = first[0];
+    for (std::size_t slot = 1; slot < slots; ++slot) {
+        all.sum.add(first[slot].sum);
+        all.range.merge(first[slot].range);
     }
-    if (nan) {
+    const double sum = all.sum.round();
+    // A NaN sample makes the sum NaN (so does +inf beside -inf, which
+    // is no error).
+    if (sum != sum) {
         const auto at = std::find_if(samples.begin(), samples.end(),
                                      [](double s) { return s != s; });
-        throw ModelError(
-            "distribution sample " +
-            std::to_string(at - samples.begin()) +
-            " is NaN; percentiles need ordered values");
+        if (at != samples.end()) {
+            throw ModelError(
+                "distribution sample " +
+                std::to_string(at - samples.begin()) +
+                " is NaN; percentiles need ordered values");
+        }
     }
     out.mean = sum / static_cast<double>(n);
-    double var = 0.0;
-    for (double s : samples)
-        var += (s - out.mean) * (s - out.mean);
-    out.stddev = sampleStddev(var, n);
+
+    // Second pass: the exact sum of the squared deviations.
+    std::vector<ExactSum> squares(slots);
+    exec::parallelForSlots(
+        n,
+        [&](std::size_t slot, std::size_t begin, std::size_t end) {
+            double terms[kSumRun];
+            for (std::size_t i = begin; i < end; i += kSumRun) {
+                const std::size_t run = std::min(end - i, kSumRun);
+                for (std::size_t k = 0; k < run; ++k) {
+                    const double d = samples[i + k] - out.mean;
+                    terms[k] = d * d;
+                }
+                squares[slot].add(std::span<const double>(terms, run));
+            }
+        },
+        options);
+    for (std::size_t slot = 1; slot < slots; ++slot)
+        squares[0].add(squares[slot]);
+    out.stddev = sampleStddev(squares[0].round(), n);
 
     // A zero extreme widens to both signed zeros: `<` cannot tell
     // them apart, but their keys differ.
     const PercentileRanks ranks(n);
-    ranks.interpolate(selectKeys(samples, ranks.ranks,
-                                 orderKey(lo == 0.0 ? -0.0 : lo),
-                                 orderKey(hi == 0.0 ? 0.0 : hi),
-                                 parallel),
-                      out);
+    ranks.interpolate(
+        selectKeys(samples, ranks.ranks,
+                   orderKey(all.range.lo == 0.0 ? -0.0 : all.range.lo),
+                   orderKey(all.range.hi == 0.0 ? 0.0 : all.range.hi),
+                   parallel),
+        out);
     return out;
 }
 
 Distribution
 Distribution::fromHistogram(const std::vector<double> &values,
-                            const std::vector<std::uint64_t> &counts,
-                            const SampleOrderSum &sampleOrderSum)
+                            const std::vector<std::uint64_t> &counts)
 {
     // The counted values in key order: selection by a cumulative
     // walk, in the same IEEE total order fromSamples() selects in.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted;
     std::size_t n = 0;
+    ExactSum sum;
     for (std::size_t k = 0; k < values.size(); ++k) {
         if (counts[k] == 0)
             continue;
@@ -419,22 +466,22 @@ Distribution::fromHistogram(const std::vector<double> &values,
         }
         sorted.emplace_back(orderKey(values[k]), counts[k]);
         n += counts[k];
+        sum.add(counts[k], values[k]);
     }
     if (n == 0)
         throw ModelError("distribution requires samples");
     std::sort(sorted.begin(), sorted.end());
 
+    // The moments sum the same terms fromSamples() sums, one exact
+    // product per distinct value.
     Distribution out;
-    std::vector<double> terms(values.size(), 0.0);
-    for (std::size_t k = 0; k < values.size(); ++k)
-        terms[k] = counts[k] != 0 ? values[k] : 0.0;
-    out.mean = sampleOrderSum(terms) / static_cast<double>(n);
+    out.mean = sum.round() / static_cast<double>(n);
+    ExactSum squares;
     for (std::size_t k = 0; k < values.size(); ++k) {
-        terms[k] = counts[k] != 0
-                       ? (values[k] - out.mean) * (values[k] - out.mean)
-                       : 0.0;
+        const double d = values[k] - out.mean;
+        squares.add(counts[k], d * d);
     }
-    out.stddev = sampleStddev(sampleOrderSum(terms), n);
+    out.stddev = sampleStddev(squares.round(), n);
 
     const PercentileRanks ranks(n);
     std::array<std::uint64_t, kMaxRanges> keys{};
@@ -745,9 +792,9 @@ buildResult(
             totals[static_cast<std::size_t>(BoundType::PhysicsBound)]) /
         n;
 
-    // The three summaries run concurrently: each one's sequential
-    // sum pass overlaps the others', and their parallel selection
-    // passes fan out to whichever workers are idle.
+    // The three summaries run concurrently, and every pass of each
+    // (the exact sums and the selection) fans out to whichever
+    // workers are idle.
     const std::array<const std::vector<double> *, 3> outputs = {
         &v_safe, &knee, &roof};
     const std::array<Distribution *, 3> summaries = {

@@ -9,13 +9,17 @@
  * propagates input distributions through the model and reports
  * output distributions plus bound-classification probabilities —
  * error bars for the paper's single-line rooflines.
+ *
+ * Every summary (Distribution) is exact: the moments are exactly
+ * rounded sums and the percentiles interpolate exact order
+ * statistics, so neither depends on the order of the samples, and
+ * every pass over the samples runs on the parallel sweep engine.
  */
 
 #ifndef UAVF1_SIM_MONTE_CARLO_HH
 #define UAVF1_SIM_MONTE_CARLO_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -91,9 +95,12 @@ struct Distribution
 
     /**
      * Compute the summary from raw samples. The mean and stddev are
-     * sample-order sums; the percentiles interpolate between exact
-     * order statistics, found by a bucket selection that runs on
-     * `parallel`'s pool (and honours its cancel token) with scratch
+     * exactly rounded sums (support/exact_sum.hh) of the samples and
+     * of their squared deviations (x - mean) * (x - mean), so they do
+     * not depend on the order of the samples; the percentiles
+     * interpolate between exact order statistics. Both the sums and
+     * the bucket selection that finds the order statistics run on
+     * `parallel`'s pool (and honour its cancel token) with scratch
      * bounded independently of the sample count. The result is
      * bit-identical at any thread count.
      *
@@ -104,29 +111,19 @@ struct Distribution
                 const exec::ParallelOptions &parallel = {});
 
     /**
-     * Sums terms[k_i] over the samples i in sample order, where k_i
-     * indexes sample i's value in a histogram (see fromHistogram).
-     */
-    using SampleOrderSum =
-        std::function<double(const std::vector<double> &terms)>;
-
-    /**
      * The same summary for samples that take few distinct values:
      * `values[k]` occurs `counts[k]` times. The percentiles are read
-     * off the histogram; the mean and stddev are the two sums
-     * `sampleOrderSum` walks in sample order. Every term of a value
-     * with a zero count is +0.0, so such a key may appear in the
-     * walk (adding +0.0 to a sum that starts at +0.0 changes no
-     * bit). The result is bit-identical to fromSamples() on the
-     * expanded samples.
+     * off the histogram, and the moments sum each distinct term as
+     * one exact (count x term) product, so the result is
+     * bit-identical to fromSamples() on the expanded samples, in
+     * O(values).
      *
      * @throws ModelError when every count is zero or a counted
      *         value is NaN
      */
     static Distribution
     fromHistogram(const std::vector<double> &values,
-                  const std::vector<std::uint64_t> &counts,
-                  const SampleOrderSum &sampleOrderSum);
+                  const std::vector<std::uint64_t> &counts);
 };
 
 /** Monte-Carlo outputs. */

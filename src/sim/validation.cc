@@ -10,8 +10,18 @@
 #include <limits>
 
 #include "support/errors.hh"
+#include "support/strings.hh"
 
 namespace uavf1::sim {
+
+namespace {
+
+/** Most simulated flights (set-points x trials) one case may ask
+ * for: far above any protocol sweep (Table I's is ~200), far below
+ * what would exhaust memory or an int. */
+constexpr std::size_t kMaxTrialsPerCase = std::size_t{1} << 20;
+
+} // namespace
 
 double
 ValidationHarness::predictedSafeVelocity(const ValidationCase &vcase)
@@ -65,8 +75,10 @@ ValidationHarness::validateAll(const std::vector<ValidationCase> &cases,
         // the paper sweeps 1.5 .. 2.5 m/s around UAV-A's 2.13 m/s
         // seed.
         const double resolution = vcase.sweepResolution;
-        if (resolution <= 0.0)
-            throw ModelError("sweepResolution must be positive");
+        if (!(resolution > 0.0) || !std::isfinite(resolution)) {
+            throw ModelError("sweepResolution of case '" + vcase.name +
+                             "' must be positive and finite");
+        }
         const double v_lo =
             std::max(resolution, 0.4 * result.predicted);
         const double v_hi = 1.3 * result.predicted;
@@ -74,10 +86,22 @@ ValidationHarness::validateAll(const std::vector<ValidationCase> &cases,
         // Index by integer step: accumulating `v += resolution`
         // drifts by one ulp per iteration, which can silently skip
         // or duplicate the final set-point depending on the
-        // resolution.
-        const int setpoints =
-            1 + static_cast<int>(
-                    std::floor((v_hi - v_lo) / resolution + 1e-9));
+        // resolution. The step count is bounded, still in double,
+        // before it is cast or any trial is allocated.
+        const double steps =
+            std::floor((v_hi - v_lo) / resolution + 1e-9);
+        const double flights =
+            (steps + 1.0) *
+            static_cast<double>(std::max(vcase.trialsPerSetpoint, 1));
+        if (!(flights <= static_cast<double>(kMaxTrialsPerCase))) {
+            throw ModelError(strFormat(
+                "sweepResolution %g of case '%s' asks for %.6g "
+                "set-points of %d trials (trialsPerSetpoint); at most "
+                "%zu flights per case are allowed",
+                resolution, vcase.name.c_str(), steps + 1.0,
+                vcase.trialsPerSetpoint, kMaxTrialsPerCase));
+        }
+        const int setpoints = 1 + static_cast<int>(steps);
         if (setpoints > 0 && vcase.trialsPerSetpoint > 0) {
             StopScenario first = vcase.scenario;
             first.commandedVelocity = units::MetersPerSecond(v_lo);

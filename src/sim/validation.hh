@@ -85,6 +85,10 @@ class ValidationHarness
      * exec::parallelFor. Each trial's RNG is forked from its case's
      * master in set-point-major order before the loop, so results
      * are bit-identical at any thread count.
+     *
+     * @throws ModelError naming sweepResolution when a case's
+     *         resolution is not positive and finite, or asks for more
+     *         than 2^20 flights (set-points x trialsPerSetpoint)
      */
     static std::vector<ValidationResult>
     validateAll(const std::vector<ValidationCase> &cases,

@@ -41,11 +41,11 @@ requireNonNegative(double value, std::string_view name)
     return value;
 }
 
-/** Require lo <= value <= hi, else throw ModelError. */
+/** Require lo <= value <= hi (so not NaN), else throw ModelError. */
 inline double
 requireInRange(double value, double lo, double hi, std::string_view name)
 {
-    if (value < lo || value > hi) {
+    if (!(value >= lo && value <= hi)) {
         throw ModelError(std::string(name) + " must be in [" +
                          std::to_string(lo) + ", " + std::to_string(hi) +
                          "], got " + std::to_string(value));

@@ -31,6 +31,7 @@
 #include "skyline/session.hh"
 #include "studies/presets.hh"
 #include "support/errors.hh"
+#include "support/exact_sum.hh"
 #include "support/rng.hh"
 #include "workload/throughput.hh"
 
@@ -232,22 +233,22 @@ bits(double x)
     return std::bit_cast<std::uint64_t>(x);
 }
 
-/** The summary by definition: sample-order sums, then order
- * statistics read off a fully sorted copy. */
+/** The summary by definition: exactly rounded sums, one term at a
+ * time, then order statistics read off a fully sorted copy. */
 sim::Distribution
 fullSortReference(std::vector<double> samples)
 {
     const std::size_t n = samples.size();
     sim::Distribution out;
-    double sum = 0.0;
+    ExactSum sum;
     for (double s : samples)
-        sum += s;
-    out.mean = sum / static_cast<double>(n);
-    double var = 0.0;
+        sum.add(s);
+    out.mean = sum.round() / static_cast<double>(n);
+    ExactSum var;
     for (double s : samples)
-        var += (s - out.mean) * (s - out.mean);
-    out.stddev =
-        n > 1 ? std::sqrt(var / static_cast<double>(n - 1)) : 0.0;
+        var.add((s - out.mean) * (s - out.mean));
+    out.stddev = n > 1 ? std::sqrt(var.round() / static_cast<double>(n - 1))
+                       : 0.0;
     std::sort(samples.begin(), samples.end());
     const auto percentile = [&](double p) {
         const double rank = p / 100.0 * static_cast<double>(n - 1);
@@ -363,37 +364,27 @@ TEST(Distribution, HistogramMatchesFromSamplesOnTheExpandedSamples)
 {
     // A histogram summary must be the same bits as fromSamples() on
     // the samples it counts: ties, both signed zeros (-0 ranks below
-    // +0), a value with a zero count (its key may still appear in
-    // the walk), and sizes at the edges of the rank arithmetic.
+    // +0), a value with a zero count, and sizes at the edges of the
+    // rank arithmetic.
     const std::vector<double> values = {2.5, -0.0, 0.0, 9.75, -3.0,
                                         2.5, 1e-310, 6.0};
     for (const std::size_t n : {1u, 2u, 65u}) {
         for (std::uint64_t seed = 1; seed <= 40; ++seed) {
             Rng rng(seed * 1000 + n);
-            // Value 7 never counts: it stands for an aborted mission,
-            // whose key the sample-order walk still meets.
-            std::vector<std::size_t> keys;
+            // Value 7 never counts: it stands for an aborted mission.
             std::vector<std::uint64_t> counts(values.size(), 0);
             std::vector<double> samples;
             while (samples.size() < n) {
-                if (rng.uniform() < 0.3)
-                    keys.push_back(7);
                 const auto k =
                     static_cast<std::size_t>(rng.uniform() * 7.0);
-                keys.push_back(k);
                 ++counts[k];
                 samples.push_back(values[k]);
             }
             ASSERT_EQ(samples.size(), n);
             const sim::Distribution want =
                 sim::Distribution::fromSamples(samples);
-            const sim::Distribution got = sim::Distribution::fromHistogram(
-                values, counts, [&](const std::vector<double> &terms) {
-                    double sum = 0.0;
-                    for (const std::size_t key : keys)
-                        sum += terms[key];
-                    return sum;
-                });
+            const sim::Distribution got =
+                sim::Distribution::fromHistogram(values, counts);
             const std::string where = "n=" + std::to_string(n) +
                                       " seed=" + std::to_string(seed);
             EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
@@ -405,11 +396,7 @@ TEST(Distribution, HistogramMatchesFromSamplesOnTheExpandedSamples)
     }
 
     // All-zero counts are no samples at all.
-    EXPECT_THROW(sim::Distribution::fromHistogram(
-                     {1.0}, {0}, [](const std::vector<double> &) {
-                         return 0.0;
-                     }),
-                 ModelError);
+    EXPECT_THROW(sim::Distribution::fromHistogram({1.0}, {0}), ModelError);
 }
 
 TEST(OracleCsvFile, RoundTripViaDisk)

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -35,6 +36,7 @@
 #include "studies/presets.hh"
 #include "support/atomic_file.hh"
 #include "support/errors.hh"
+#include "support/exact_sum.hh"
 #include "support/rng.hh"
 #include "workload/spa_pipeline.hh"
 #include "workload/stage_eval.hh"
@@ -396,9 +398,10 @@ TEST(FaultCampaign, SurvivorsAreSummarizedInSampleOrder)
     // dropout lowers v_safe. Replaying the campaign's documented
     // draws (one forked Rng per sampleBlock block, one uniform per
     // fault per sample) predicts every survivor's v_safe, so the
-    // survivor summary has an independent oracle: sample-order sums
-    // and a full sort. This pins the block-offset compaction and the
-    // order statistics, not just run() == runReference().
+    // survivor summary has an independent oracle: exactly rounded
+    // sums, one survivor at a time, and a full sort. This pins the
+    // block-offset compaction and the order statistics, not just
+    // run() == runReference().
     CampaignSpec spec = tx2Campaign("none");
     FaultSpec dropout;
     dropout.name = "dropout";
@@ -436,15 +439,16 @@ TEST(FaultCampaign, SurvivorsAreSummarizedInSampleOrder)
                 survivors.push_back(halves ? v_half : v_full);
         }
     }
-    double sum = 0.0;
+    ExactSum sum;
     for (const double v : survivors)
-        sum += v;
-    const double mean = sum / static_cast<double>(survivors.size());
-    double var = 0.0;
+        sum.add(v);
+    const double mean =
+        sum.round() / static_cast<double>(survivors.size());
+    ExactSum var;
     for (const double v : survivors)
-        var += (v - mean) * (v - mean);
-    const double stddev =
-        std::sqrt(var / static_cast<double>(survivors.size() - 1));
+        var.add((v - mean) * (v - mean));
+    const double stddev = std::sqrt(
+        var.round() / static_cast<double>(survivors.size() - 1));
     std::sort(survivors.begin(), survivors.end());
     const auto percentile = [&](double p) {
         const double rank =
@@ -1001,6 +1005,132 @@ TEST(StageScopedFaults, StandardSuitesRunBitIdenticalAcrossThreads)
         EXPECT_LT(serial.safeVelocity.mean,
                   campaign.baseline().safeVelocity.value());
     }
+}
+
+/** A standard suite on one platform with the MAVBench pipeline under
+ * dual redundancy, so every fault kind has its layer configured. */
+CampaignSpec
+suiteCampaign(const char *platform_name, const FaultSuite &suite)
+{
+    const auto &catalog = components::Catalog::standard();
+    const platform::RooflinePlatform &machine =
+        catalog.rooflines().byName(platform_name);
+    const auto algorithms = workload::annotatedAlgorithms();
+    const auto &dronet = algorithms.byName("DroNet");
+
+    CampaignSpec spec;
+    spec.nominal = studies::pelicanInputs(units::Hertz(20.0));
+    spec.platform = machine;
+    spec.profile = workload::workloadProfile(dronet, machine);
+    spec.workPerFrameGop = dronet.workPerFrameGop();
+    spec.pipeline = workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+    spec.redundancy = pipeline::RedundancyScheme::Dual;
+    spec.faults = suite.faults;
+    return spec;
+}
+
+TEST(FaultSpecMutation, EveryMutantRunsFiniteOrIsRejectedByName)
+{
+    // Each fault of each standard suite gets one numeric field set to
+    // a hostile value. The campaign must then either construct, run
+    // and sweep with finite summaries, or throw a ModelError naming
+    // that field; never crash, hang or report a NaN. ceilingIndex is
+    // an index, so the values land on it as a saturating conversion:
+    // NaN, the infinities, -1 and 1e308 become SIZE_MAX, the
+    // subnormal 0.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                             inf,
+                             -inf,
+                             -1.0,
+                             0.0,
+                             1e308,
+                             std::numeric_limits<double>::denorm_min()};
+    using Setter = void (*)(FaultSpec &, double);
+    const std::pair<const char *, Setter> fields[] = {
+        {"probability", [](FaultSpec &f, double v) { f.probability = v; }},
+        {"derate", [](FaultSpec &f, double v) { f.derate = v; }},
+        {"latencyFactor",
+         [](FaultSpec &f, double v) { f.latencyFactor = v; }},
+        {"trafficFactor",
+         [](FaultSpec &f, double v) { f.trafficFactor = v; }},
+        {"sensorDerate",
+         [](FaultSpec &f, double v) { f.sensorDerate = v; }},
+        {"ceilingIndex",
+         [](FaultSpec &f, double v) {
+             f.ceilingIndex = v >= 0.0 && v < 0x1p64
+                                  ? static_cast<std::size_t>(v)
+                                  : SIZE_MAX;
+         }},
+        {"exponent", [](FaultSpec &f, double v) { f.dvfs.exponent = v; }},
+        {"leakageFraction",
+         [](FaultSpec &f, double v) { f.dvfs.leakageFraction = v; }},
+        {"minFrequencyFraction",
+         [](FaultSpec &f, double v) { f.dvfs.minFrequencyFraction = v; }},
+    };
+    const auto finite = [](double mean, double p5, double p95) {
+        return std::isfinite(mean) && std::isfinite(p5) &&
+               std::isfinite(p95);
+    };
+    // One mutant: it runs and sweeps with finite summaries (the
+    // curve's top level is the full-severity run), or is refused by
+    // name. Returns whether it was refused.
+    const auto refused = [&](const CampaignSpec &spec, const char *field,
+                             const std::string &where) {
+        try {
+            const FaultCampaign campaign(spec);
+            const sim::Distribution run = campaign.run(1000).safeVelocity;
+            EXPECT_TRUE(finite(run.mean, run.p5, run.p95)) << where;
+            for (const DegradationPoint &point :
+                 campaign.sweepSeverity(3, 1000).curve) {
+                EXPECT_TRUE(finite(point.meanSafeVelocity,
+                                   point.p5SafeVelocity,
+                                   point.p95SafeVelocity))
+                    << where;
+            }
+            return false;
+        } catch (const ModelError &error) {
+            EXPECT_NE(std::string(error.what()).find(field),
+                      std::string::npos)
+                << where << ": " << error.what();
+            return true;
+        }
+    };
+
+    std::size_t mutants = 0;
+    std::size_t rejected = 0;
+    for (const FaultSuite &suite : standardFaultSuites()) {
+        std::size_t platforms = 0;
+        for (const char *platform_name :
+             {"Nvidia TX2", "TX2-CPU + Navion"}) {
+            const CampaignSpec base = suiteCampaign(platform_name, suite);
+            try {
+                (void)FaultCampaign(base).run(100);
+            } catch (const ModelError &) {
+                continue; // The suite targets the other platform.
+            }
+            ++platforms;
+            for (std::size_t j = 0; j < base.faults.size(); ++j) {
+                for (const auto &[field, set] : fields) {
+                    for (const double value : values) {
+                        CampaignSpec spec = base;
+                        set(spec.faults[j], value);
+                        ++mutants;
+                        rejected += refused(
+                            spec, field,
+                            suite.name + " on " + platform_name +
+                                ", fault " + std::to_string(j) + ", " +
+                                field + " = " + std::to_string(value));
+                    }
+                }
+            }
+        }
+        EXPECT_GT(platforms, 0u) << suite.name << " never constructs";
+    }
+    // Most mutants hit a field their fault's kind ignores, but every
+    // kind's own fields are probed, so some must be refused.
+    EXPECT_GT(mutants, 1000u);
+    EXPECT_GT(rejected, 200u);
 }
 
 } // namespace

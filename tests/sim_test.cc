@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -399,6 +400,37 @@ TEST(Validation, ValidateAllRejectsABadCaseBeforeFlying)
     auto unresolved = cases;
     unresolved[1].sweepResolution = 0.0;
     EXPECT_THROW(ValidationHarness::validateAll(unresolved), ModelError);
+}
+
+TEST(Validation, UnusableSweepResolutionIsRejectedByName)
+{
+    // Unchecked, a NaN resolution reaches an int cast (on x86, an
+    // empty sweep and a NaN errorPercent), and a tiny one overflows
+    // the set-point count or asks for billions of trials. Each must
+    // be a named ModelError before any trial is allocated.
+    auto cases = coarseTable1Cases();
+    cases.resize(1);
+    for (const double resolution :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), -0.05, 1e-12,
+          std::numeric_limits<double>::denorm_min()}) {
+        auto bad = cases;
+        bad[0].sweepResolution = resolution;
+        try {
+            (void)ValidationHarness::validateAll(bad);
+            FAIL() << "resolution " << resolution << " accepted";
+        } catch (const ModelError &e) {
+            EXPECT_NE(std::string(e.what()).find("sweepResolution"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The bound counts trials too: a fine but legal sweep with very
+    // many trials per set-point is refused the same way.
+    auto heavy = cases;
+    heavy[0].sweepResolution = 1e-3;
+    heavy[0].trialsPerSetpoint = 1 << 20;
+    EXPECT_THROW((void)ValidationHarness::validateAll(heavy), ModelError);
 }
 
 TEST(Validation, Table1CasesAreWellFormed)

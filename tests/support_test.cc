@@ -44,6 +44,7 @@ TEST(Validate, NonNegativeAndRange)
     EXPECT_DOUBLE_EQ(requireInRange(0.5, 0.0, 1.0, "x"), 0.5);
     EXPECT_THROW(requireInRange(1.5, 0.0, 1.0, "x"), ModelError);
     EXPECT_THROW(requireInRange(-0.5, 0.0, 1.0, "x"), ModelError);
+    EXPECT_THROW(requireInRange(std::nan(""), 0.0, 1.0, "x"), ModelError);
 }
 
 TEST(Validate, FiniteRejectsNanAndInf)
