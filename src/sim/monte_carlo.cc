@@ -3,16 +3,18 @@
  * MonteCarloAnalyzer implementation.
  *
  * run() is the batched hot path: per RNG block, samples are
- * processed in kernelBlock-sized sub-batches — a sequential draw
- * phase (libm exp stays scalar; its vector forms are not bit-exact),
- * a batched bound-evaluation phase over compiled plans, and the
- * core::analyzeBlock kernel. Every per-sample expression matches the
- * scalar loop operand for operand, so the result is bit-identical to
- * runReference() — the original sample-at-a-time loop, kept as the
- * oracle. When any sample in a sub-batch fails a kernel's validation
- * flag, the sub-batch is re-run through the scalar path from a saved
- * RNG state, so the thrown error (and every committed value before
- * it) matches the scalar loop exactly.
+ * processed in kernelBlock-sized sub-batches — a vectorized draw
+ * phase (LognormalDraw::drawBlock: uniforms, Box-Muller and exp over
+ * simd::Pack, no libm), a batched bound-evaluation phase over
+ * compiled plans, and the core::analyzeBlock kernel. Every
+ * per-sample expression matches the scalar loop operand for operand,
+ * and the scalar loop draws through the same kernels at W = 1, so
+ * the result is bit-identical to runReference() — the original
+ * sample-at-a-time loop, kept as the oracle. When any sample in a
+ * sub-batch fails a kernel's validation flag, the sub-batch is
+ * re-run through the scalar path from a saved RNG state, so the
+ * thrown error (and every committed value before it) matches the
+ * scalar loop exactly.
  */
 
 #include "sim/monte_carlo.hh"
@@ -496,22 +498,64 @@ Distribution::fromHistogram(const std::vector<double> &values,
     return out;
 }
 
+namespace {
+
+/** The LognormalDraw factor slots, in draw order. */
+enum FactorSlot : std::size_t
+{
+    kAMax,
+    kRange,
+    kAi,
+    kCompute,
+    kSensor,
+};
+
+/** The spec's factor draw, each spread checked by name. Only the
+ * platform paths draw the AI factor. */
+LognormalDraw
+factorDraw(const UncertaintySpec &spec)
+{
+    requireSpread(spec.aMaxRelStd, "aMaxRelStd");
+    requireSpread(spec.rangeRelStd, "rangeRelStd");
+    requireSpread(spec.computeRelStd, "computeRelStd");
+    requireSpread(spec.sensorRelStd, "sensorRelStd");
+    double ai = 0.0;
+    if (spec.platform) {
+        requireSpread(spec.aiRelStd, "aiRelStd");
+        ai = spec.aiRelStd;
+    }
+    const double spreads[] = {spec.aMaxRelStd, spec.rangeRelStd, ai,
+                              spec.computeRelStd, spec.sensorRelStd};
+    return LognormalDraw(spreads);
+}
+
+/** Samples per run: at least 10, and at most 2^53 (the StudyParams
+ * bound), checked before any block arithmetic or allocation. */
+void
+requireSampleCount(std::size_t count)
+{
+    if (count < 10)
+        throw ModelError("Monte-Carlo run needs >= 10 samples");
+    constexpr std::size_t kMaxCount = std::size_t{1} << 53;
+    if (count > kMaxCount) {
+        throw ModelError("Monte-Carlo count must be at most 2^53, got " +
+                         std::to_string(count));
+    }
+}
+
+} // namespace
+
 MonteCarloAnalyzer::MonteCarloAnalyzer(const UncertaintySpec &spec)
-    : _spec(spec)
+    : _spec(spec), _draw(factorDraw(spec))
 {
     // Validate the nominal by constructing the model once.
     (void)core::F1Model(spec.nominal);
-    requireNonNegative(spec.aMaxRelStd, "aMaxRelStd");
-    requireNonNegative(spec.rangeRelStd, "rangeRelStd");
-    requireNonNegative(spec.computeRelStd, "computeRelStd");
-    requireNonNegative(spec.sensorRelStd, "sensorRelStd");
     if (spec.pipeline && !spec.platform) {
         throw ModelError(
             "UncertaintySpec::pipeline requires a platform — the "
             "per-stage path evaluates modeled roofline bounds");
     }
     if (spec.platform) {
-        requireNonNegative(spec.aiRelStd, "aiRelStd");
         if (spec.pipeline) {
             // Validate stage profiles and the operating point once
             // up front so per-sample evaluations cannot throw.
@@ -533,57 +577,6 @@ MonteCarloAnalyzer::MonteCarloAnalyzer(const UncertaintySpec &spec)
 
 namespace {
 
-/**
- * Multiplicative lognormal perturbation with E[factor] = 1 and the
- * requested relative standard deviation (so nominal values stay
- * unbiased).
- */
-double
-perturb(double nominal, double rel_std, Rng &rng)
-{
-    if (rel_std <= 0.0)
-        return nominal;
-    const double sigma2 = std::log(1.0 + rel_std * rel_std);
-    const double mu = -sigma2 / 2.0;
-    return nominal * std::exp(mu + std::sqrt(sigma2) * rng.normal());
-}
-
-/**
- * perturb() split at its sample-invariant seam: mu and sqrt(sigma2)
- * depend only on rel_std, so the batch draw phase precomputes them
- * once and draws only the factor. The scalar path recomputes them
- * per call from the same rel_std — identical bits — and factor
- * application (`nominal * factor`) is the same multiply perturb()
- * performs, with factor = 1.0 (an exact identity) when inactive.
- */
-struct PerturbParams
-{
-    bool active = false;
-    double mu = 0.0;
-    double sqrtSigma = 0.0;
-};
-
-PerturbParams
-perturbParams(double rel_std)
-{
-    PerturbParams p;
-    if (rel_std <= 0.0)
-        return p;
-    const double sigma2 = std::log(1.0 + rel_std * rel_std);
-    p.active = true;
-    p.mu = -sigma2 / 2.0;
-    p.sqrtSigma = std::sqrt(sigma2);
-    return p;
-}
-
-double
-drawFactor(const PerturbParams &p, Rng &rng)
-{
-    if (!p.active)
-        return 1.0;
-    return std::exp(p.mu + p.sqrtSigma * rng.normal());
-}
-
 /** Per-slot scratch for the batched run: one sub-batch of SoA
  * lanes plus the plan scratch, reused across blocks. Aligned to
  * the widest vector the build could select so the kernels' stride
@@ -594,9 +587,10 @@ struct alignas(64) Arena
         MonteCarloAnalyzer::kernelBlock;
     static_assert(cap % simd::nativeWidth == 0,
                   "native width must divide the kernel block");
+    // The drawn factor columns; aMax, range and ai are then scaled
+    // to values in place.
     double aMax[cap];
     double range[cap];
-    double aiScale[cap];
     double ai[cap];
     double computeFactor[cap];
     double sensorFactor[cap];
@@ -613,12 +607,15 @@ struct alignas(64) Arena
 
 /**
  * The original sample-at-a-time loop over samples [lo, hi) of one
- * RNG block: the reference semantics, byte for byte. run() falls
- * back to it when a kernel validation flag trips (reproducing the
- * scalar error), and runReference() routes everything through it.
+ * RNG block: the reference semantics, byte for byte. It draws each
+ * sample's factors through LognormalDraw::drawSample() from `rng`,
+ * which must sit on a Box-Muller pair boundary (a block or
+ * sub-batch start). run() falls back to it when a kernel validation
+ * flag trips (reproducing the scalar error), and runReference()
+ * routes everything through it.
  */
 void
-scalarSamples(const UncertaintySpec &spec,
+scalarSamples(const UncertaintySpec &spec, const LognormalDraw &draw,
               const workload::StagePipelineEvaluator *evaluator,
               std::size_t stage_count,
               const platform::RooflinePlatform *machine,
@@ -633,22 +630,24 @@ scalarSamples(const UncertaintySpec &spec,
     workload::StageEvalOptions eval_options;
     eval_options.opIndex = spec.opIndex;
     eval_options.measuredFirst = false;
+    LognormalDraw::Carry carry;
+    double factor[LognormalDraw::maxFactors];
     for (std::size_t i = lo; i < hi; ++i) {
+        draw.drawSample(rng, carry, factor);
         core::F1Inputs inputs = spec.nominal;
         inputs.aMax = units::MetersPerSecondSquared(
-            perturb(inputs.aMax.value(), spec.aMaxRelStd, rng));
-        inputs.sensingRange = units::Meters(perturb(
-            inputs.sensingRange.value(), spec.rangeRelStd, rng));
+            inputs.aMax.value() * factor[kAMax]);
+        inputs.sensingRange = units::Meters(
+            inputs.sensingRange.value() * factor[kRange]);
         if (evaluator) {
             // Per-stage path: one shared AI draw scales every
             // annotated stage's intensity, the pipeline's modeled
             // bounds set f_compute, and both the bottleneck's and
             // each stage's binding are tallied.
-            eval_options.aiScale = perturb(1.0, spec.aiRelStd, rng);
+            eval_options.aiScale = factor[kAi];
             evaluator->evaluateInto(eval_options, pipeline_bound);
             inputs.computeRate = units::Hertz(
-                perturb(pipeline_bound.throughputHz,
-                        spec.computeRelStd, rng));
+                pipeline_bound.throughputHz * factor[kCompute]);
             const platform::CeilingRef binding =
                 pipeline_bound.bottleneckBinding();
             inputs.computeBinding = binding;
@@ -674,19 +673,15 @@ scalarSamples(const UncertaintySpec &spec,
         } else if (machine) {
             // Ceiling-family path: the bound at a perturbed
             // arithmetic intensity drives f_compute, so which
-            // ceiling binds varies sample to sample. perturb()
-            // draws nothing for zero spreads, so the legacy draw
-            // sequence (and its results) is untouched when no
-            // platform is configured.
+            // ceiling binds varies sample to sample.
             platform::WorkloadProfile profile = spec.profile;
-            profile.ai = units::OpsPerByte(
-                perturb(profile.ai.value(), spec.aiRelStd, rng));
+            profile.ai =
+                units::OpsPerByte(profile.ai.value() * factor[kAi]);
             const platform::AttainableBound bound =
                 machine->attainable(profile, spec.opIndex);
             inputs.computeRate = units::Hertz(
-                perturb(bound.attainable.value() /
-                            spec.workPerFrameGop,
-                        spec.computeRelStd, rng));
+                bound.attainable.value() / spec.workPerFrameGop *
+                factor[kCompute]);
             inputs.computeBinding = bound.binding;
             const std::size_t slot =
                 bound.binding.kind == platform::CeilingKind::Compute
@@ -694,12 +689,11 @@ scalarSamples(const UncertaintySpec &spec,
                     : compute_ceilings + bound.binding.index;
             ++ceiling_counts[slot];
         } else {
-            inputs.computeRate = units::Hertz(perturb(
-                inputs.computeRate.value(), spec.computeRelStd, rng));
+            inputs.computeRate = units::Hertz(
+                inputs.computeRate.value() * factor[kCompute]);
         }
-        inputs.sensorRate = units::Hertz(
-            perturb(inputs.sensorRate.value(), spec.sensorRelStd,
-                    rng));
+        inputs.sensorRate = units::Hertz(inputs.sensorRate.value() *
+                                         factor[kSensor]);
 
         core::F1Model::analyzeInto(inputs, analysis);
         v_safe[i] = analysis.safeVelocity.value();
@@ -819,8 +813,7 @@ UncertaintyResult
 MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
                         const exec::ParallelOptions &parallel) const
 {
-    if (count < 10)
-        throw ModelError("Monte-Carlo run needs >= 10 samples");
+    requireSampleCount(count);
 
     // Deterministic decomposition: samples come in fixed-size
     // blocks, each drawing from its own forked substream. Block
@@ -872,13 +865,7 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
         plan ? blocks : 0,
         std::vector<std::uint64_t>(stage_count * 3, 0));
 
-    // Sample-invariant draw parameters and nominals, hoisted.
-    const PerturbParams p_amax = perturbParams(_spec.aMaxRelStd);
-    const PerturbParams p_range = perturbParams(_spec.rangeRelStd);
-    const PerturbParams p_ai = perturbParams(_spec.aiRelStd);
-    const PerturbParams p_compute =
-        perturbParams(_spec.computeRelStd);
-    const PerturbParams p_sensor = perturbParams(_spec.sensorRelStd);
+    // Sample-invariant nominals, hoisted.
     const double nominal_amax = _spec.nominal.aMax.value();
     const double nominal_range = _spec.nominal.sensingRange.value();
     const double nominal_ai = _spec.profile.ai.value();
@@ -913,31 +900,29 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
                      sub += kernelBlock) {
                     const std::size_t m =
                         std::min(hi - sub, kernelBlock);
-                    // Saved state for the scalar fallback: phase A
-                    // consumes exactly the scalar draw sequence, so
-                    // re-running from here reproduces it.
+                    // Saved state for the scalar fallback. A full
+                    // sub-batch draws an even number of normals, so
+                    // every sub-batch starts on a Box-Muller pair
+                    // boundary and the scalar draws from here
+                    // reproduce phase A.
                     Rng rescan_rng = rng;
                     bool ok = true;
 
-                    // Phase A: sequential draws, per-sample order
-                    // identical to the scalar loop (exp stays a
-                    // scalar libm call).
+                    // Phase A: the block draw, then the nominals
+                    // scaled by their factors. The pipeline path's AI
+                    // scale is the bare factor.
+                    double *const columns[] = {
+                        arena.aMax, arena.range, arena.ai,
+                        arena.computeFactor, arena.sensorFactor};
+                    _draw.drawBlock(rng, m, columns);
                     for (std::size_t i = 0; i < m; ++i) {
-                        arena.aMax[i] =
-                            nominal_amax * drawFactor(p_amax, rng);
+                        arena.aMax[i] = nominal_amax * arena.aMax[i];
                         arena.range[i] =
-                            nominal_range * drawFactor(p_range, rng);
-                        if (plan) {
-                            arena.aiScale[i] =
-                                1.0 * drawFactor(p_ai, rng);
-                        } else if (machine_plan) {
-                            arena.ai[i] =
-                                nominal_ai * drawFactor(p_ai, rng);
-                        }
-                        arena.computeFactor[i] =
-                            drawFactor(p_compute, rng);
-                        arena.sensorFactor[i] =
-                            drawFactor(p_sensor, rng);
+                            nominal_range * arena.range[i];
+                    }
+                    if (machine_plan) {
+                        for (std::size_t i = 0; i < m; ++i)
+                            arena.ai[i] = nominal_ai * arena.ai[i];
                     }
 
                     // Phase B: batched f_compute evaluation.
@@ -946,7 +931,7 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
                              k < stage_count * 3; ++k)
                             arena.stageKind[k] = 0;
                         ok = plan->tryEvaluateBlock(
-                                 op, false, arena.aiScale, m,
+                                 op, false, arena.ai, m,
                                  arena.throughput,
                                  arena.bottleneckSlot,
                                  arena.stageKind,
@@ -992,8 +977,8 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
                         // own error (and, if none does, every
                         // output and tally is the scalar one).
                         scalarSamples(
-                            _spec, evaluator, stage_count, machine,
-                            compute_ceilings, sub, sub + m,
+                            _spec, _draw, evaluator, stage_count,
+                            machine, compute_ceilings, sub, sub + m,
                             rescan_rng, v_safe.data(), knee.data(),
                             roof.data(), counts,
                             machine ? ceiling_counts[b].data()
@@ -1042,8 +1027,7 @@ MonteCarloAnalyzer::runReference(
     std::size_t count, std::uint64_t seed,
     const exec::ParallelOptions &parallel) const
 {
-    if (count < 10)
-        throw ModelError("Monte-Carlo run needs >= 10 samples");
+    requireSampleCount(count);
 
     const std::size_t blocks =
         (count + sampleBlock - 1) / sampleBlock;
@@ -1095,7 +1079,7 @@ MonteCarloAnalyzer::runReference(
                 const std::size_t hi =
                     std::min(count, lo + sampleBlock);
                 scalarSamples(
-                    _spec, evaluator ? &*evaluator : nullptr,
+                    _spec, _draw, evaluator ? &*evaluator : nullptr,
                     stage_count, machine, compute_ceilings, lo, hi,
                     rng, v_safe.data(), knee.data(), roof.data(),
                     counts,

@@ -26,6 +26,7 @@
 #include "core/f1_model.hh"
 #include "exec/parallel.hh"
 #include "platform/roofline_platform.hh"
+#include "sim/lognormal.hh"
 #include "workload/spa_pipeline.hh"
 
 namespace uavf1::sim {
@@ -164,12 +165,16 @@ struct UncertaintyResult
 class MonteCarloAnalyzer
 {
   public:
-    /** Construct for a spec; validates the nominal inputs. */
+    /**
+     * Construct for a spec; validates the nominal inputs and every
+     * spread the spec's path draws (requireSpread(), by name).
+     */
     explicit MonteCarloAnalyzer(const UncertaintySpec &spec);
 
     /**
      * Draw `count` samples (lognormal multiplicative perturbations,
-     * deterministic for a seed) and summarize the outputs.
+     * sim/lognormal.hh, deterministic for a seed) and summarize the
+     * outputs.
      *
      * Runs on the parallel sweep engine. Samples are drawn in
      * fixed-size blocks, each from its own Rng::fork() substream
@@ -180,9 +185,11 @@ class MonteCarloAnalyzer
      * every block boundary, so a run under a ScenarioRunner
      * deadline stops with TimeoutError instead of completing late.
      *
-     * @param count number of samples (>= 10)
+     * @param count number of samples, in [10, 2^53]
      * @param seed RNG seed
      * @param parallel executor options (pool, thread cap, cancel)
+     * @throws ModelError for a count outside [10, 2^53], before any
+     *         allocation
      */
     UncertaintyResult
     run(std::size_t count, std::uint64_t seed = 1,
@@ -207,6 +214,9 @@ class MonteCarloAnalyzer
 
   private:
     UncertaintySpec _spec;
+    /** The factors of aMax, range, AI, compute and sensor, in draw
+     * order; AI is a constant 1 unless the spec has a platform. */
+    LognormalDraw _draw;
 };
 
 } // namespace uavf1::sim

@@ -12,6 +12,9 @@
  * W = 1 scalar fallback: no op here reassociates, fuses
  * (multiply-add stays two roundings), reduces across lanes
  * numerically, or calls a non-correctly-rounded routine.
+ * Two exponent-bit ops, scaleByPow2() and splitExponent(), are
+ * exact too; they are what the libm-free math kernels in
+ * simd/math.hh build exp and log from.
  *
  * Backends:
  *  - a generic array-of-lanes template valid at any W (this is the
@@ -40,6 +43,7 @@
 #ifndef UAVF1_SIMD_PACK_HH
 #define UAVF1_SIMD_PACK_HH
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -81,6 +85,16 @@ backendName()
     return "scalar";
 #endif
 }
+
+/**
+ * 2^52 + 1023. For an integral double k in [-1023, 1024],
+ * k + kExponentBias holds k + 1023 in its low fraction bits; for an
+ * exponent field e, the double with the bits of 2^52 | e, less
+ * kExponentBias, is e - 1023. The backends of scaleByPow2() and
+ * splitExponent() move exponents between double lanes and exponent
+ * fields this way, without a float-to-int conversion.
+ */
+inline constexpr double kExponentBias = 0x1p52 + 1023.0;
 
 /**
  * Generic array-of-lanes pack: the reference semantics of every op
@@ -292,6 +306,51 @@ max(Pack<T, W> a, Pack<T, W> b)
     return select(a < b, b, a);
 }
 
+/**
+ * x * 2^k for integral k in [-1022, 1023], the range where 2^k is a
+ * normal double: one multiply by the exact power, so the result is
+ * exact unless it leaves the normal range, where it rounds once
+ * like any IEEE multiply. This generic form builds the power's bits
+ * from k as an integer; the backends build the same bits from
+ * k + kExponentBias shifted left by 52.
+ */
+template <std::size_t W>
+inline Pack<double, W>
+scaleByPow2(Pack<double, W> x, Pack<double, W> k)
+{
+    Pack<double, W> r;
+    for (std::size_t i = 0; i < W; ++i) {
+        const auto biased = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(k.lane[i]) + 1023);
+        r.lane[i] = x.lane[i] * std::bit_cast<double>(biased << 52);
+    }
+    return r;
+}
+
+/**
+ * Split x into its fraction and exponent fields: returns m in
+ * [1, 2), x's fraction bits under the exponent of 1.0, and stores in
+ * `exponent` x's biased exponent field less 1023 (an integral
+ * double). For positive normal x, x = m * 2^exponent exactly; zero
+ * and subnormals give exponent -1023, inf and NaN 1024, and the sign
+ * is dropped, so callers select those lanes away.
+ */
+template <std::size_t W>
+inline Pack<double, W>
+splitExponent(Pack<double, W> x, Pack<double, W> &exponent)
+{
+    Pack<double, W> m;
+    for (std::size_t i = 0; i < W; ++i) {
+        const auto bits = std::bit_cast<std::uint64_t>(x.lane[i]);
+        exponent.lane[i] =
+            static_cast<double>(static_cast<int>((bits >> 52) & 0x7ff) -
+                                1023);
+        m.lane[i] = std::bit_cast<double>(
+            (bits & 0x000fffffffffffffull) | 0x3ff0000000000000ull);
+    }
+    return m;
+}
+
 #if defined(UAVF1_SIMD_SSE2) || defined(UAVF1_SIMD_AVX2)
 
 /** Two double lanes over SSE2 (baseline x86-64). */
@@ -407,6 +466,31 @@ max(Pack<double, 2> a, Pack<double, 2> b)
     // MAXPD(x, y) = x > y ? x : y, with y on ties/NaN — so
     // MAXPD(b, a) is exactly select(a < b, b, a).
     return {_mm_max_pd(b.v, a.v)};
+}
+
+inline Pack<double, 2>
+scaleByPow2(Pack<double, 2> x, Pack<double, 2> k)
+{
+    const __m128d biased = _mm_add_pd(k.v, _mm_set1_pd(kExponentBias));
+    const __m128d pow2 = _mm_castsi128_pd(
+        _mm_slli_epi64(_mm_castpd_si128(biased), 52));
+    return {_mm_mul_pd(x.v, pow2)};
+}
+
+inline Pack<double, 2>
+splitExponent(Pack<double, 2> x, Pack<double, 2> &exponent)
+{
+    const __m128i bits = _mm_castpd_si128(x.v);
+    const __m128i field = _mm_and_si128(_mm_srli_epi64(bits, 52),
+                                        _mm_set1_epi64x(0x7ff));
+    exponent.v = _mm_sub_pd(
+        _mm_castsi128_pd(
+            _mm_or_si128(field, _mm_set1_epi64x(0x4330000000000000))),
+        _mm_set1_pd(kExponentBias));
+    const __m128i fraction =
+        _mm_and_si128(bits, _mm_set1_epi64x(0x000fffffffffffff));
+    return {_mm_castsi128_pd(
+        _mm_or_si128(fraction, _mm_set1_epi64x(0x3ff0000000000000)))};
 }
 
 #endif // SSE2 || AVX2
@@ -529,6 +613,32 @@ max(Pack<double, 4> a, Pack<double, 4> b)
     return {_mm256_max_pd(b.v, a.v)};
 }
 
+inline Pack<double, 4>
+scaleByPow2(Pack<double, 4> x, Pack<double, 4> k)
+{
+    const __m256d biased =
+        _mm256_add_pd(k.v, _mm256_set1_pd(kExponentBias));
+    const __m256d pow2 = _mm256_castsi256_pd(
+        _mm256_slli_epi64(_mm256_castpd_si256(biased), 52));
+    return {_mm256_mul_pd(x.v, pow2)};
+}
+
+inline Pack<double, 4>
+splitExponent(Pack<double, 4> x, Pack<double, 4> &exponent)
+{
+    const __m256i bits = _mm256_castpd_si256(x.v);
+    const __m256i field = _mm256_and_si256(
+        _mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(0x7ff));
+    exponent.v = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(
+            field, _mm256_set1_epi64x(0x4330000000000000))),
+        _mm256_set1_pd(kExponentBias));
+    const __m256i fraction = _mm256_and_si256(
+        bits, _mm256_set1_epi64x(0x000fffffffffffff));
+    return {_mm256_castsi256_pd(_mm256_or_si256(
+        fraction, _mm256_set1_epi64x(0x3ff0000000000000)))};
+}
+
 #endif // AVX2
 
 #if defined(UAVF1_SIMD_NEON)
@@ -641,6 +751,31 @@ inline Pack<double, 2>
 max(Pack<double, 2> a, Pack<double, 2> b)
 {
     return select(a < b, b, a);
+}
+
+inline Pack<double, 2>
+scaleByPow2(Pack<double, 2> x, Pack<double, 2> k)
+{
+    const uint64x2_t biased = vreinterpretq_u64_f64(
+        vaddq_f64(k.v, vdupq_n_f64(kExponentBias)));
+    return {vmulq_f64(x.v,
+                      vreinterpretq_f64_u64(vshlq_n_u64(biased, 52)))};
+}
+
+inline Pack<double, 2>
+splitExponent(Pack<double, 2> x, Pack<double, 2> &exponent)
+{
+    const uint64x2_t bits = vreinterpretq_u64_f64(x.v);
+    const uint64x2_t field =
+        vandq_u64(vshrq_n_u64(bits, 52), vdupq_n_u64(0x7ff));
+    exponent.v = vsubq_f64(
+        vreinterpretq_f64_u64(
+            vorrq_u64(field, vdupq_n_u64(0x4330000000000000))),
+        vdupq_n_f64(kExponentBias));
+    const uint64x2_t fraction =
+        vandq_u64(bits, vdupq_n_u64(0x000fffffffffffff));
+    return {vreinterpretq_f64_u64(
+        vorrq_u64(fraction, vdupq_n_u64(0x3ff0000000000000)))};
 }
 
 #endif // NEON

@@ -1,11 +1,18 @@
 /**
  * @file
- * Deterministic random number generation for the flight simulator.
+ * Deterministic random number generation for the flight simulator
+ * and the samplers.
  *
  * std::mt19937 plus the standard distributions are not guaranteed to
  * produce identical streams across standard libraries, which would
- * make the validation experiments irreproducible. SplitMix64 plus
- * hand-rolled uniform/normal transforms are bit-exact everywhere.
+ * make the validation experiments irreproducible. SplitMix64 with
+ * hand-rolled transforms avoids that. nextU64(), uniform(),
+ * uniformBlock() and fork() are integer arithmetic plus one exact
+ * conversion, so they are bit-exact everywhere. normal() calls libm
+ * (log, sin, cos), so its bits are only as portable as the
+ * platform's libm; the flight simulator uses it. The Monte-Carlo
+ * analyzer draws its normals libm-free instead, from uniformBlock()
+ * through sim::LognormalDraw (sim/lognormal.hh).
  */
 
 #ifndef UAVF1_SUPPORT_RNG_HH

@@ -30,7 +30,9 @@
 #include "fault/campaign.hh"
 #include "fault/fault_spec.hh"
 #include "platform/evaluation_plan.hh"
+#include "sim/lognormal.hh"
 #include "sim/monte_carlo.hh"
+#include "simd/simd.hh"
 #include "skyline/dse.hh"
 #include "studies/presets.hh"
 #include "support/rng.hh"
@@ -472,27 +474,52 @@ monteCarloSpecs()
     staged.computeRelStd = 0.05;
     specs.push_back(staged);
 
+    // Five factors per sample (an odd count, as the legacy path's
+    // three): Box-Muller pairs straddle samples.
+    sim::UncertaintySpec five = staged;
+    five.sensorRelStd = 0.02;
+    specs.push_back(five);
+    sim::UncertaintySpec flat_five = flat;
+    flat_five.sensorRelStd = 0.02;
+    specs.push_back(flat_five);
+
     return specs;
 }
 
 TEST(MonteCarloBatch, RunMatchesReferenceAtEveryThreadCount)
 {
     exec::ThreadPool pool(8);
-    // An odd count exercises partial kernel blocks and a partial
-    // trailing RNG block.
-    const std::size_t count = 5003;
-    for (const sim::UncertaintySpec &spec : monteCarloSpecs()) {
-        const sim::MonteCarloAnalyzer analyzer(spec);
-        const sim::UncertaintyResult reference =
-            analyzer.runReference(count, 9);
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            exec::ParallelOptions options;
-            options.pool = &pool;
-            options.maxThreads = threads;
-            expectIdentical(reference,
-                            analyzer.run(count, 9, options));
+    // Odd counts exercise partial kernel blocks and a partial
+    // trailing RNG block. The tail sub-batch of 5003 holds 11
+    // samples and that of 2113 one sample, so with three or five
+    // factors per sample it draws an odd number of normals.
+    for (const std::size_t count : {5003u, 2113u}) {
+        for (const sim::UncertaintySpec &spec : monteCarloSpecs()) {
+            const sim::MonteCarloAnalyzer analyzer(spec);
+            const sim::UncertaintyResult reference =
+                analyzer.runReference(count, 9);
+            for (const std::size_t threads : {1u, 2u, 8u}) {
+                exec::ParallelOptions options;
+                options.pool = &pool;
+                options.maxThreads = threads;
+                expectIdentical(reference,
+                                analyzer.run(count, 9, options));
+            }
         }
     }
+}
+
+TEST(MonteCarloBatch, NativeAndForcedScalarRunsAreIdentical)
+{
+    const simd::Mode saved = simd::activeMode();
+    for (const sim::UncertaintySpec &spec : monteCarloSpecs()) {
+        const sim::MonteCarloAnalyzer analyzer(spec);
+        simd::setMode(simd::Mode::Scalar);
+        const sim::UncertaintyResult scalar = analyzer.run(5003, 13);
+        simd::setMode(simd::Mode::Native);
+        expectIdentical(scalar, analyzer.run(5003, 13));
+    }
+    simd::setMode(saved);
 }
 
 /** Exact equality over every field the campaign reports. */
@@ -803,10 +830,19 @@ TEST(Kernels, BlockEvaluationIsAllocationFree)
         compute[i] = 20.0 + static_cast<double>(i);
     }
 
+    const double spreads[] = {0.1, 0.05, 0.2, 0.1, 0.02};
+    const sim::LognormalDraw draw(spreads);
+    double factors[sim::LognormalDraw::maxFactors][n];
+    double *const columns[] = {factors[0], factors[1], factors[2],
+                               factors[3], factors[4]};
+    Rng rng(5);
+    sim::LognormalDraw::Carry carry;
+
     // Warm-up (first call may fault in lazily-initialized state).
     plan.evaluateBlock(0, ai, n, attainable, slot);
     stage_plan.evaluateBlock(0, false, ai_scale, n, throughput,
                              bottleneck, kinds, scratch);
+    draw.drawBlock(rng, n, columns);
 
     const std::size_t before =
         g_heap_allocations.load(std::memory_order_relaxed);
@@ -818,6 +854,8 @@ TEST(Kernels, BlockEvaluationIsAllocationFree)
                            0.98, n, v_safe, knee, roof, bound);
         core::analyzeVSafeBlock(6.0, 4.5, sensor, compute, 200.0, n,
                                 v_safe);
+        draw.drawBlock(rng, n, columns);
+        draw.drawSample(rng, carry, factors[0]);
     }
     const std::size_t after =
         g_heap_allocations.load(std::memory_order_relaxed);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "components/catalog.hh"
 #include "core/safety_model.hh"
@@ -461,6 +463,76 @@ TEST(MonteCarlo, Validation)
     spec.aMaxRelStd = -0.1;
     EXPECT_THROW(sim::MonteCarloAnalyzer{spec}, ModelError);
     EXPECT_THROW(sim::Distribution::fromSamples({}), ModelError);
+
+    // Every spread the spec's path draws is rejected by name when
+    // log(1 + s^2) would not be finite: NaN, +-inf, and s^2 past
+    // DBL_MAX. aiRelStd is drawn only with a platform.
+    sim::UncertaintySpec platform_spec = spec;
+    platform_spec.aMaxRelStd = 0.1;
+    platform_spec.platform =
+        components::Catalog::standard().rooflines().byName(
+            "Nvidia TX2");
+    platform_spec.profile.ai = units::OpsPerByte(22.3);
+    platform_spec.workPerFrameGop = 0.04;
+    const struct
+    {
+        const char *name;
+        double sim::UncertaintySpec::*field;
+    } spreads[] = {
+        {"aMaxRelStd", &sim::UncertaintySpec::aMaxRelStd},
+        {"rangeRelStd", &sim::UncertaintySpec::rangeRelStd},
+        {"computeRelStd", &sim::UncertaintySpec::computeRelStd},
+        {"sensorRelStd", &sim::UncertaintySpec::sensorRelStd},
+        {"aiRelStd", &sim::UncertaintySpec::aiRelStd},
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto &spread : spreads) {
+        for (const double bad :
+             {std::numeric_limits<double>::quiet_NaN(), inf, -inf,
+              1e200, 1.35e154}) {
+            sim::UncertaintySpec bad_spec = platform_spec;
+            bad_spec.*spread.field = bad;
+            try {
+                sim::MonteCarloAnalyzer analyzer(bad_spec);
+                ADD_FAILURE() << spread.name << " = " << bad
+                              << " was accepted";
+            } catch (const ModelError &e) {
+                EXPECT_NE(std::string(e.what()).find(spread.name),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // The largest spread with a finite log(1 + s^2) is accepted.
+    platform_spec.rangeRelStd = 1.3e154;
+    EXPECT_NO_THROW(sim::MonteCarloAnalyzer{platform_spec});
+    // Without a platform the AI spread is never drawn.
+    sim::UncertaintySpec legacy = spec;
+    legacy.aMaxRelStd = 0.1;
+    legacy.aiRelStd = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NO_THROW(sim::MonteCarloAnalyzer{legacy});
+
+    // A count past 2^53 throws a ModelError naming it before any
+    // block arithmetic or allocation, on both run flavours.
+    const sim::MonteCarloAnalyzer analyzer(legacy);
+    for (const std::size_t count :
+         {std::numeric_limits<std::size_t>::max(),
+          std::numeric_limits<std::size_t>::max() - 100,
+          (std::size_t{1} << 53) + 1}) {
+        for (const bool reference : {false, true}) {
+            try {
+                if (reference)
+                    (void)analyzer.runReference(count, 1);
+                else
+                    (void)analyzer.run(count, 1);
+                ADD_FAILURE() << "count " << count << " was accepted";
+            } catch (const ModelError &e) {
+                EXPECT_NE(std::string(e.what()).find("count"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 } // namespace

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the flight simulator: vehicle integration, the
- * dash-and-stop protocol, the validation harness, and the
- * Monte-Carlo per-ceiling binding tallies.
+ * dash-and-stop protocol, the validation harness, the Monte-Carlo
+ * per-ceiling binding tallies, and the statistics of the analyzer's
+ * lognormal factor draw.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "components/catalog.hh"
 #include "exec/thread_pool.hh"
 #include "sim/flight_sim.hh"
+#include "sim/lognormal.hh"
 #include "sim/monte_carlo.hh"
 #include "sim/table1.hh"
 #include "sim/validation.hh"
@@ -561,6 +565,59 @@ TEST(MonteCarloCeilings, ValidatesThePlatformPathUpFront)
     spec = ceilingSpec();
     spec.aiRelStd = -0.1;
     EXPECT_THROW(MonteCarloAnalyzer{spec}, ModelError);
+}
+
+TEST(LognormalDraw, FactorsHaveTheRequestedMomentsAndQuantiles)
+{
+    // 2M draws per factor slot: each slot's mean is 1 and its
+    // relative std the requested spread, and p5/p50/p95 sit at the
+    // lognormal quantiles exp(mu + sigma z_p), each within five
+    // standard errors of its estimate.
+    const std::vector<double> spreads = {0.10, 0.05, 0.40, 0.10, 0.25};
+    const LognormalDraw draw(spreads);
+    constexpr std::size_t n = std::size_t{1} << 21;
+    std::vector<std::vector<double>> columns(spreads.size(),
+                                             std::vector<double>(n));
+    std::vector<double *> pointers;
+    for (auto &column : columns)
+        pointers.push_back(column.data());
+    Rng rng(2024);
+    draw.drawBlock(rng, n, pointers.data());
+
+    const double count = static_cast<double>(n);
+    const double z95 = 1.6448536269514722;
+    for (std::size_t f = 0; f < spreads.size(); ++f) {
+        const double s = spreads[f];
+        const double sigma2 = std::log(1.0 + s * s);
+        const double sigma = std::sqrt(sigma2);
+        const double mu = -sigma2 / 2.0;
+        const Distribution d = Distribution::fromSamples(columns[f]);
+
+        EXPECT_LE(std::fabs(d.mean - 1.0), 5.0 * s / std::sqrt(count))
+            << "factor " << f;
+        // The sample std's standard error from the lognormal's
+        // kurtosis.
+        const double kurtosis = std::exp(4 * sigma2) +
+                                2 * std::exp(3 * sigma2) +
+                                3 * std::exp(2 * sigma2) - 3;
+        EXPECT_LE(std::fabs(d.stddev - s),
+                  5.0 * s * std::sqrt((kurtosis - 1) / (4 * count)))
+            << "factor " << f;
+
+        // A sample p-quantile's standard error is
+        // sqrt(p (1 - p) / n) / density(q_p).
+        const auto expect_quantile = [&](double got, double p, double z) {
+            const double q = std::exp(mu + sigma * z);
+            const double density = std::exp(-z * z / 2) /
+                                   std::sqrt(2 * std::numbers::pi) / (q * sigma);
+            EXPECT_LE(std::fabs(got - q),
+                      5.0 * std::sqrt(p * (1 - p) / count) / density)
+                << "factor " << f << " p" << p;
+        };
+        expect_quantile(d.p5, 0.05, -z95);
+        expect_quantile(d.p50, 0.50, 0.0);
+        expect_quantile(d.p95, 0.95, z95);
+    }
 }
 
 } // namespace

@@ -7,11 +7,14 @@
  * under UAVF1_SIMD-forced scalar and native dispatch at awkward
  * sample counts — 1, W-1 and W+1 (mod the 64-sample kernel block)
  * for the compiled native width — so the stride/tail split can
- * never leak into results.
+ * never leak into results. The math kernels (simd/math.hh) are also
+ * held to their accuracy against long double references, and the
+ * Monte-Carlo lognormal block draw to its sample-at-a-time twin.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -25,6 +28,8 @@
 #include "core/f1_batch.hh"
 #include "core/f1_model.hh"
 #include "platform/evaluation_plan.hh"
+#include "sim/lognormal.hh"
+#include "simd/math.hh"
 #include "simd/simd.hh"
 #include "support/rng.hh"
 #include "workload/algorithm.hh"
@@ -398,6 +403,367 @@ TEST(SimdKernels, StagePipelinePlanScalarAndNativeBitIdentical)
                 EXPECT_EQ(s_counts, n_counts)
                     << platform_name << " n=" << n;
             }
+        }
+    }
+}
+
+/** scaleByPow2 and splitExponent against ldexp/frexp over their
+ * domains, and splitExponent's field semantics outside it. */
+template <std::size_t W>
+void
+checkExponentOps()
+{
+    using P = simd::Pack<double, W>;
+    Rng rng(29);
+    double x[W], k[W], out[W], exponent[W];
+    for (int trial = 0; trial < 4000; ++trial) {
+        for (std::size_t l = 0; l < W; ++l) {
+            x[l] = rng.uniform(-4.0, 4.0);
+            k[l] = std::floor(rng.uniform(-1022.0, 1024.0));
+        }
+        if (trial == 0) {
+            x[0] = 1.0;
+            k[0] = -1022.0; // DBL_MIN.
+        } else if (trial == 1) {
+            x[0] = 1.5;
+            k[0] = 1023.0;
+        }
+        simd::scaleByPow2(P::load(x), P::load(k)).store(out);
+        for (std::size_t l = 0; l < W; ++l) {
+            EXPECT_TRUE(bitEq(out[l],
+                              std::ldexp(x[l], static_cast<int>(k[l]))))
+                << x[l] << " * 2^" << k[l];
+        }
+
+        for (std::size_t l = 0; l < W; ++l) {
+            x[l] = std::ldexp(
+                rng.uniform(1.0, 2.0),
+                static_cast<int>(std::floor(rng.uniform(-1022.0, 1024.0))));
+        }
+        P e;
+        simd::splitExponent(P::load(x), e).store(out);
+        e.store(exponent);
+        for (std::size_t l = 0; l < W; ++l) {
+            int ref_exponent = 0;
+            const double fraction = std::frexp(x[l], &ref_exponent);
+            EXPECT_TRUE(bitEq(out[l], 2.0 * fraction)) << x[l];
+            EXPECT_EQ(exponent[l], ref_exponent - 1) << x[l];
+        }
+    }
+
+    // Outside positive normals: the raw fields, sign dropped.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double in[][3] = {
+        // x, m, exponent
+        {-3.0, 1.5, 1.0},
+        {0.0, 1.0, -1023.0},
+        {-0.0, 1.0, -1023.0},
+        {std::numeric_limits<double>::denorm_min(), 1.0 + 0x1p-52,
+         -1023.0},
+        {inf, 1.0, 1024.0},
+        {-inf, 1.0, 1024.0},
+    };
+    for (const auto &row : in) {
+        P e;
+        const P m = simd::splitExponent(P::broadcast(row[0]), e);
+        m.store(out);
+        e.store(exponent);
+        for (std::size_t l = 0; l < W; ++l) {
+            EXPECT_TRUE(bitEq(out[l], row[1])) << row[0];
+            EXPECT_EQ(exponent[l], row[2]) << row[0];
+        }
+    }
+    P e;
+    simd::splitExponent(
+        P::broadcast(std::numeric_limits<double>::quiet_NaN()), e)
+        .store(out);
+    e.store(exponent);
+    for (std::size_t l = 0; l < W; ++l)
+        EXPECT_EQ(exponent[l], 1024.0);
+}
+
+TEST(SimdPack, ExponentOpsMatchTheirDefinitions)
+{
+    checkExponentOps<1>();
+    if constexpr (simd::nativeWidth > 1)
+        checkExponentOps<simd::nativeWidth>();
+    checkExponentOps<3>();
+}
+
+/** kernel over x[begin, end) in width-W strides. */
+template <std::size_t W, typename Kernel>
+void
+mapAt(Kernel kernel, const double *x, std::size_t begin,
+      std::size_t end, double *out)
+{
+    using P = simd::Pack<double, W>;
+    for (std::size_t i = begin; i < end; i += W)
+        kernel(P::load(x + i)).store(out + i);
+}
+
+/** A Pack-generic unary kernel over x as the block kernels dispatch:
+ * native strides with a W = 1 tail, or W = 1 throughout. */
+template <typename Kernel>
+std::vector<double>
+mapKernel(Kernel kernel, const std::vector<double> &x, bool native)
+{
+    std::vector<double> out(x.size());
+    std::size_t main = 0;
+    if (native) {
+        main = x.size() - x.size() % simd::nativeWidth;
+        mapAt<simd::nativeWidth>(kernel, x.data(), 0, main, out.data());
+    }
+    mapAt<1>(kernel, x.data(), main, x.size(), out.data());
+    return out;
+}
+
+const auto expKernel = [](auto p) { return simd::exp(p); };
+const auto logKernel = [](auto p) { return simd::log(p); };
+const auto sinKernel = [](auto p) {
+    decltype(p) sine, cosine;
+    simd::sinCos2Pi(p, sine, cosine);
+    return sine;
+};
+const auto cosKernel = [](auto p) {
+    decltype(p) sine, cosine;
+    simd::sinCos2Pi(p, sine, cosine);
+    return cosine;
+};
+
+/** One ulp at the double nearest `ref`: its binade's spacing, or the
+ * subnormal spacing below DBL_MIN. */
+double
+ulpAt(long double ref)
+{
+    const double d = std::fabs(static_cast<double>(ref));
+    if (d < DBL_MIN)
+        return std::numeric_limits<double>::denorm_min();
+    return std::ldexp(1.0, std::ilogb(d) - 52);
+}
+
+/** Largest error of `got` against `reference`, in ulps. */
+double
+worstUlps(const std::vector<double> &x, const std::vector<double> &got,
+          long double (*reference)(long double))
+{
+    double worst = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        const long double ref = reference(x[i]);
+        const double error =
+            static_cast<double>(std::fabs(got[i] - ref)) / ulpAt(ref);
+        EXPECT_LE(error, 4.0) << "x = " << x[i];
+        worst = std::max(worst, error);
+    }
+    return worst;
+}
+
+TEST(SimdMath, ExpAndLogWithinFourUlpOfLongDouble)
+{
+    constexpr std::size_t n = std::size_t{1} << 21;
+    Rng rng(31);
+    // exp: jittered sweeps over every argument with a finite,
+    // non-zero result, and finer over [-1, 1].
+    std::vector<double> x;
+    for (std::size_t i = 0; i < n; ++i) {
+        x.push_back(-745.0 + 1454.78 *
+                                 (static_cast<double>(i) + rng.uniform()) /
+                                 static_cast<double>(n));
+    }
+    for (std::size_t i = 0; i < n / 2; ++i) {
+        x.push_back(-1.0 + 2.0 *
+                               (static_cast<double>(i) + rng.uniform()) /
+                               static_cast<double>(n / 2));
+    }
+    EXPECT_LE(worstUlps(x, mapKernel(expKernel, x, true),
+                        [](long double v) { return std::exp(v); }),
+              4.0);
+
+    // log: 512 draws in every binade from the subnormals up, and a
+    // jittered sweep over [0.5, 2], where log crosses zero.
+    x.clear();
+    for (int e = -1074; e <= 1023; ++e) {
+        for (int j = 0; j < 512; ++j)
+            x.push_back(std::ldexp(rng.uniform(1.0, 2.0), e));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        x.push_back(0.5 + 1.5 * (static_cast<double>(i) + rng.uniform()) /
+                              static_cast<double>(n));
+    }
+    EXPECT_LE(worstUlps(x, mapKernel(logKernel, x, true),
+                        [](long double v) { return std::log(v); }),
+              4.0);
+}
+
+TEST(SimdMath, SinCos2PiWithinTwoToTheMinus52OnTheUnitInterval)
+{
+    constexpr std::size_t n = std::size_t{1} << 21;
+    constexpr long double two_pi = 6.283185307179586476925286766559L;
+    Rng rng(37);
+    std::vector<double> u;
+    for (std::size_t i = 0; i < n; ++i)
+        u.push_back((static_cast<double>(i) + rng.uniform()) /
+                    static_cast<double>(n));
+    // The quadrant points and their neighbours, where the reduction
+    // switches quadrant.
+    for (int k = 0; k < 4; ++k) {
+        const double at = k / 4.0;
+        u.push_back(at);
+        u.push_back(std::nextafter(at, 1.0));
+        if (k > 0)
+            u.push_back(std::nextafter(at, 0.0));
+    }
+    u.push_back(std::nextafter(1.0, 0.0));
+    const std::vector<double> sine = mapKernel(sinKernel, u, true);
+    const std::vector<double> cosine = mapKernel(cosKernel, u, true);
+    for (std::size_t i = 0; i < u.size(); ++i) {
+        const long double angle = two_pi * u[i];
+        EXPECT_LE(std::fabs(sine[i] - std::sin(angle)), 0x1p-52L)
+            << "u = " << u[i];
+        EXPECT_LE(std::fabs(cosine[i] - std::cos(angle)), 0x1p-52L)
+            << "u = " << u[i];
+    }
+
+    // The quadrant points are exact.
+    const std::vector<double> quadrants = {0.0, 0.25, 0.5, 0.75};
+    const std::vector<double> s = mapKernel(sinKernel, quadrants, true);
+    const std::vector<double> c = mapKernel(cosKernel, quadrants, true);
+    EXPECT_EQ(s, (std::vector<double>{0.0, 1.0, 0.0, -1.0}));
+    EXPECT_EQ(c, (std::vector<double>{1.0, 0.0, -1.0, 0.0}));
+}
+
+TEST(SimdMath, ExpAndLogGiveIeeeResultsAtTheEdges)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const auto exp1 = [](double x) {
+        return mapKernel(expKernel, {x}, false)[0];
+    };
+    const auto log1 = [](double x) {
+        return mapKernel(logKernel, {x}, false)[0];
+    };
+
+    // Overflow: the largest argument with a finite result stays
+    // finite, the next one up and beyond is +inf.
+    const double overflow = 0x1.62e42fefa39efp+9; // ~709.78
+    EXPECT_LT(exp1(overflow), inf);
+    EXPECT_NEAR(exp1(overflow), DBL_MAX, 1e-12 * DBL_MAX);
+    EXPECT_EQ(exp1(std::nextafter(overflow, inf)), inf);
+    EXPECT_EQ(exp1(1000.0), inf);
+    EXPECT_EQ(exp1(inf), inf);
+
+    // Gradual underflow: subnormal results within an ulp of the
+    // long double value, then +0.
+    for (const double x : {-708.5, -720.0, -740.0, -744.4, -745.0}) {
+        const double got = exp1(x);
+        EXPECT_LT(got, DBL_MIN) << x;
+        EXPECT_GT(got, 0.0) << x;
+        EXPECT_LE(std::fabs(got - std::exp(static_cast<long double>(x))),
+                  tiny)
+            << x;
+    }
+    for (const double x : {-745.2, -1000.0, -inf}) {
+        EXPECT_EQ(exp1(x), 0.0) << x;
+        EXPECT_FALSE(std::signbit(exp1(x))) << x;
+    }
+    EXPECT_EQ(exp1(0.0), 1.0);
+    EXPECT_EQ(exp1(-0.0), 1.0);
+    EXPECT_TRUE(std::isnan(exp1(nan)));
+
+    EXPECT_TRUE(bitEq(log1(1.0), 0.0));
+    EXPECT_EQ(log1(0.0), -inf);
+    EXPECT_EQ(log1(-0.0), -inf);
+    EXPECT_EQ(log1(inf), inf);
+    EXPECT_TRUE(std::isnan(log1(-1.0)));
+    EXPECT_TRUE(std::isnan(log1(-inf)));
+    EXPECT_TRUE(std::isnan(log1(nan)));
+    for (const double x : {tiny, DBL_MIN, DBL_MAX}) {
+        const long double ref = std::log(static_cast<long double>(x));
+        EXPECT_LE(std::fabs(log1(x) - ref), 4 * ulpAt(ref)) << x;
+    }
+}
+
+/** A math kernel gives the same bits natively and forced scalar. */
+template <typename Kernel>
+void
+expectWidthInvariant(Kernel kernel, const std::vector<double> &x,
+                     const char *name)
+{
+    const std::vector<double> scalar = mapKernel(kernel, x, false);
+    const std::vector<double> native = mapKernel(kernel, x, true);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_TRUE(bitEq(scalar[i], native[i]))
+            << name << " n=" << x.size() << " x=" << x[i];
+    }
+}
+
+TEST(SimdMath, NativeAndScalarBitIdentical)
+{
+    std::vector<double> pool = operandPool();
+    Rng rng(41);
+    while (pool.size() < 130) {
+        pool.push_back(rng.uniform(-800.0, 800.0));
+        pool.push_back(rng.uniform());
+    }
+    for (std::size_t n : tailCounts(pool.size())) {
+        const std::vector<double> x(pool.begin(),
+                                    pool.begin() +
+                                        static_cast<std::ptrdiff_t>(n));
+        expectWidthInvariant(expKernel, x, "exp");
+        expectWidthInvariant(logKernel, x, "log");
+        expectWidthInvariant(sinKernel, x, "sin");
+        expectWidthInvariant(cosKernel, x, "cos");
+    }
+}
+
+TEST(LognormalDraw, BlockDrawMatchesSampleDrawsInEveryMode)
+{
+    ModeGuard guard;
+    constexpr std::size_t maxN = 130;
+    // Five, four, three (odd) and no active factors, and a single
+    // factor, so pairs straddle samples in every phase.
+    const std::vector<std::vector<double>> spread_sets = {
+        {0.10, 0.05, 0.40, 0.10, 0.25},
+        {0.10, 0.05, 0.40, 0.10, 0.0},
+        {0.10, 0.05, 0.0, 0.10, 0.0},
+        {0.0, 0.0, 0.0, 0.0, 0.0},
+        {0.30},
+    };
+    for (const std::vector<double> &spreads : spread_sets) {
+        const sim::LognormalDraw draw(spreads);
+        const std::size_t f_count = draw.factorCount();
+        for (std::size_t n : tailCounts(maxN)) {
+            std::vector<std::vector<double>> scalar(
+                f_count, std::vector<double>(n));
+            std::vector<std::vector<double>> native = scalar;
+            std::vector<double *> s_cols, n_cols;
+            for (std::size_t f = 0; f < f_count; ++f) {
+                s_cols.push_back(scalar[f].data());
+                n_cols.push_back(native[f].data());
+            }
+            Rng s_rng(43), n_rng(43), one_rng(43);
+            simd::setMode(simd::Mode::Scalar);
+            draw.drawBlock(s_rng, n, s_cols.data());
+            simd::setMode(simd::Mode::Native);
+            draw.drawBlock(n_rng, n, n_cols.data());
+
+            sim::LognormalDraw::Carry carry;
+            double factors[sim::LognormalDraw::maxFactors];
+            for (std::size_t i = 0; i < n; ++i) {
+                draw.drawSample(one_rng, carry, factors);
+                for (std::size_t f = 0; f < f_count; ++f) {
+                    EXPECT_TRUE(bitEq(scalar[f][i], factors[f]))
+                        << "n=" << n << " sample " << i << " factor "
+                        << f;
+                    EXPECT_TRUE(bitEq(native[f][i], factors[f]))
+                        << "n=" << n << " sample " << i << " factor "
+                        << f;
+                }
+            }
+            // All three consumed the same uniforms.
+            const std::uint64_t next = one_rng.nextU64();
+            EXPECT_EQ(s_rng.nextU64(), next) << "n=" << n;
+            EXPECT_EQ(n_rng.nextU64(), next) << "n=" << n;
         }
     }
 }
