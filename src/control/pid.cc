@@ -20,26 +20,7 @@ double
 Pid::step(double error, double dt)
 {
     requirePositive(dt, "dt");
-
-    const double derivative =
-        _hasPrevious ? (error - _previousError) / dt : 0.0;
-    _previousError = error;
-    _hasPrevious = true;
-
-    const double tentative_integral = _integral + error * dt;
-    double output = _gains.kp * error +
-                    _gains.ki * tentative_integral +
-                    _gains.kd * derivative;
-
-    if (output > _gains.outputMax) {
-        output = _gains.outputMax;
-    } else if (output < _gains.outputMin) {
-        output = _gains.outputMin;
-    } else {
-        // Anti-windup: only integrate while unsaturated.
-        _integral = tentative_integral;
-    }
-    return output;
+    return stepUnchecked(error, dt);
 }
 
 void

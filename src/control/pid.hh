@@ -41,6 +41,31 @@ class Pid
      */
     double step(double error, double dt);
 
+    /** step() for a dt the caller checked positive (the flight
+     * simulator checks it once per trial). */
+    double stepUnchecked(double error, double dt)
+    {
+        const double derivative =
+            _hasPrevious ? (error - _previousError) / dt : 0.0;
+        _previousError = error;
+        _hasPrevious = true;
+
+        const double tentative_integral = _integral + error * dt;
+        double output = _gains.kp * error +
+                        _gains.ki * tentative_integral +
+                        _gains.kd * derivative;
+
+        if (output > _gains.outputMax) {
+            output = _gains.outputMax;
+        } else if (output < _gains.outputMin) {
+            output = _gains.outputMin;
+        } else {
+            // Anti-windup: only integrate while unsaturated.
+            _integral = tentative_integral;
+        }
+        return output;
+    }
+
     /** Clear the integral and derivative history. */
     void reset();
 

@@ -22,6 +22,8 @@
 #ifndef UAVF1_SIM_FLIGHT_SIM_HH
 #define UAVF1_SIM_FLIGHT_SIM_HH
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sim/vehicle.hh"
@@ -100,33 +102,83 @@ struct TrialResult
     std::vector<TrajectorySample> trajectory;
 };
 
+class FlightSimulator;
+
+/** One trial of FlightSimulator::flyLanes(): what run() takes. */
+struct LaneTrial
+{
+    const FlightSimulator *simulator = nullptr; ///< Vehicle to fly.
+    StopScenario scenario;                      ///< Geometry, rates.
+    const NoiseParams *noise = nullptr;         ///< Trial noise.
+    Rng rng;                                    ///< Noise stream.
+};
+
 /**
  * Runs dash-and-stop trials.
+ *
+ * A trial's mutable state (its Rng copy, its block normal stream,
+ * the vehicle and the PID) lives on the stack of the thread that
+ * flies it, never in memory shared with other trials. The noise is
+ * drawn from the Rng's uniforms through the libm-free Box-Muller
+ * pairs of sim/normals.hh (the decision phase first, then the
+ * normals, each step's sensor draw before its thrust draw), so a
+ * trial's bits do not depend on the platform's libm or the SIMD
+ * width.
  */
 class FlightSimulator
 {
   public:
+    /** Trials flyLanes() interleaves. */
+    static constexpr std::size_t lanes = 4;
+
     /** Construct for a vehicle (copied). */
     explicit FlightSimulator(const VehicleModel &vehicle);
 
     /**
-     * Run one trial.
+     * Run one trial. The noise normals are read ahead in blocks, so
+     * the state `rng` is left in is unspecified, beyond having
+     * advanced past every uniform the trial used.
      *
      * @param scenario geometry, rates and commanded velocity
      * @param noise stochastic effects
      * @param rng deterministic random stream for the noise
      * @param record_trajectory keep the decimated trajectory
+     * @throws ModelError when validateScenario() or validateNoise()
+     *         rejects the inputs
      */
     TrialResult run(const StopScenario &scenario,
                     const NoiseParams &noise, Rng &rng,
                     bool record_trajectory = false) const;
 
     /**
+     * Fly up to `lanes` trials round-robin, one step of each per
+     * turn, so the core overlaps their independent step chains.
+     * results[i] is bit for bit what trials[i].simulator->run() gives
+     * for its scenario, noise and a copy of its rng, without a
+     * trajectory. Every trial is validated before any flies.
+     *
+     * @throws ModelError for more than `lanes` trials, a results span
+     *         of another size, or inputs run() would reject
+     */
+    static void flyLanes(std::span<const LaneTrial> trials,
+                         std::span<TrialResult> results);
+
+    /**
      * The checks run() applies to a scenario before flying it:
-     * commanded velocity, action rate, sensor rate and timestep must
-     * be positive. Throws ModelError naming the first that is not.
+     * commanded velocity, action rate and sensor rate must be
+     * positive; timestep and maxDuration positive and finite, with
+     * at most 2^31 steps in maxDuration; obstacleDistance,
+     * sensingRange and runUp finite and non-negative. Throws
+     * ModelError naming the first that is not.
      */
     static void validateScenario(const StopScenario &scenario);
+
+    /**
+     * The checks run() applies to the noise: thrustFraction and
+     * sensorRangeStd must be finite and non-negative. Throws
+     * ModelError naming the first that is not.
+     */
+    static void validateNoise(const NoiseParams &noise);
 
   private:
     VehicleModel _vehicle;

@@ -2,12 +2,12 @@
  * @file
  * LognormalDraw implementation.
  *
- * drawBlock() runs three passes per 64-sample chunk: one
- * Rng::uniformBlock for every uniform of the chunk, Box-Muller over
- * its pairs, and one exp pass per factor column. The last two are
- * Pack kernels dispatched like the batch kernels (native-width
- * strides, W = 1 tail); drawSample() runs the same kernels at
- * W = 1, one pair at a time, so the two agree bit for bit.
+ * drawBlock() runs two passes per 64-sample chunk: the chunk's
+ * Box-Muller pairs (drawNormalPairs, sim/normals.hh), then one exp
+ * pass per factor column. Both are Pack kernels dispatched like the
+ * batch kernels (native-width strides, W = 1 tail); drawSample()
+ * runs the same kernels at W = 1, one pair at a time, so the two
+ * agree bit for bit.
  */
 
 #include "sim/lognormal.hh"
@@ -17,10 +17,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <type_traits>
 
-#include "simd/math.hh"
-#include "simd/simd.hh"
+#include "sim/normals.hh"
 #include "support/errors.hh"
 
 namespace uavf1::sim {
@@ -31,43 +29,6 @@ namespace {
  * number of normals at any factor count and never splits a pair. */
 constexpr std::size_t kChunk = 64;
 constexpr std::size_t kMaxPairs = kChunk * LognormalDraw::maxFactors / 2;
-
-/** Run kernel(W, begin, end) over [0, n): native-width strides and
- * a W = 1 tail, or all of it at W = 1 under UAVF1_SIMD=scalar. */
-template <typename Kernel>
-void
-dispatch(std::size_t n, Kernel &&kernel)
-{
-    std::size_t main = 0;
-    if (simd::useNative()) {
-        main = n - n % simd::nativeWidth;
-        kernel(std::integral_constant<std::size_t, simd::nativeWidth>{},
-               0, main);
-    }
-    kernel(std::integral_constant<std::size_t, 1>{}, main, n);
-}
-
-/**
- * Box-Muller over pairs [begin, end): the radius from u1 (a zero
- * uniform becomes 2^-53, Rng::normal()'s guard), the angle from u2;
- * `cosines` gets the first normal of each pair, `sines` the second.
- */
-template <std::size_t W>
-void
-boxMuller(const double *u1, const double *u2, std::size_t begin,
-          std::size_t end, double *cosines, double *sines)
-{
-    using P = simd::Pack<double, W>;
-    for (std::size_t p = begin; p < end; p += W) {
-        const P radius =
-            sqrt(P::broadcast(-2.0) *
-                 simd::log(max(P::load(u1 + p), P::broadcast(0x1p-53))));
-        P sine, cosine;
-        simd::sinCos2Pi(P::load(u2 + p), sine, cosine);
-        (radius * cosine).store(cosines + p);
-        (radius * sine).store(sines + p);
-    }
-}
 
 /** column[i] = exp(mu + sigma column[i]) over [begin, end). */
 template <std::size_t W>
@@ -122,22 +83,11 @@ void
 LognormalDraw::drawBlock(Rng &rng, std::size_t count,
                          double *const *columns) const
 {
-    double uniforms[2 * kMaxPairs];
-    double u1[kMaxPairs];
-    double u2[kMaxPairs];
     double normals[2][kMaxPairs]; // Each pair's cosine, then sine.
     for (std::size_t base = 0; base < count; base += kChunk) {
         const std::size_t m = std::min(count - base, kChunk);
         const std::size_t pairs = (m * _active + 1) / 2;
-        rng.uniformBlock(uniforms, 2 * pairs);
-        for (std::size_t p = 0; p < pairs; ++p) {
-            u1[p] = uniforms[2 * p];
-            u2[p] = uniforms[2 * p + 1];
-        }
-        dispatch(pairs, [&](auto w, std::size_t begin, std::size_t end) {
-            boxMuller<decltype(w)::value>(u1, u2, begin, end, normals[0],
-                                          normals[1]);
-        });
+        drawNormalPairs(rng, pairs, normals[0], normals[1]);
 
         // Normal j = i * _active + (active factors before f) is
         // factor f of sample i.
@@ -154,7 +104,8 @@ LognormalDraw::drawBlock(Rng &rng, std::size_t count,
                 column[i] = normals[j & 1][j >> 1];
             }
             ++slot;
-            dispatch(m, [&](auto w, std::size_t begin, std::size_t end) {
+            dispatchWidth(m, [&](auto w, std::size_t begin,
+                                 std::size_t end) {
                 shape<decltype(w)::value>(factor.mu, factor.sigma, column,
                                           begin, end);
             });

@@ -8,13 +8,10 @@
  * unbiased) and its relative standard deviation is s. A zero spread
  * is the constant factor 1 and draws nothing.
  *
- * The normals come in Box-Muller pairs, sample-major in factor
- * order: pair p takes uniforms 2p and 2p + 1 of the Rng stream,
- * its radius from the first and its angle from the second, and
- * gives normal 2p the cosine and normal 2p + 1 the sine — the
- * pairing Rng::normal() gives with its spare. The transforms are
- * the libm-free kernels of simd/math.hh, so a draw is bit-identical
- * at every SIMD width and on every platform.
+ * The normals come in the libm-free Box-Muller pairs of
+ * sim/normals.hh, sample-major in factor order, and exp is
+ * simd/math.hh's, so a draw is bit-identical at every SIMD width and
+ * on every platform.
  */
 
 #ifndef UAVF1_SIM_LOGNORMAL_HH

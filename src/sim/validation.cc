@@ -106,6 +106,7 @@ ValidationHarness::validateAll(const std::vector<ValidationCase> &cases,
             StopScenario first = vcase.scenario;
             first.commandedVelocity = units::MetersPerSecond(v_lo);
             FlightSimulator::validateScenario(first);
+            FlightSimulator::validateNoise(vcase.noise);
         }
 
         // Trial streams fork from the case's master in set-point
@@ -123,26 +124,39 @@ ValidationHarness::validateAll(const std::vector<ValidationCase> &cases,
         }
     }
 
-    // Every trial writes only its own slot (char, not vector<bool>,
-    // whose packed words would race).
+    // Each chunk flies K = FlightSimulator::lanes consecutive trials
+    // interleaved, and its trials' mutable state (Rng copies
+    // included) lives on the flying thread's stack; `trials` is only
+    // read. Every trial writes only its own slot (char, not
+    // vector<bool>, whose packed words would race).
+    constexpr std::size_t K = FlightSimulator::lanes;
     std::vector<char> infraction(trials.size(), 0);
-    exec::ParallelOptions per_trial = options;
-    per_trial.grain = 1; // Trials are independent; one per chunk.
+    exec::ParallelOptions per_chunk = options;
+    per_chunk.grain = 1; // Chunks are independent; one per task.
     exec::parallelFor(
-        trials.size(),
+        (trials.size() + K - 1) / K,
         [&](std::size_t begin, std::size_t end) {
-            for (std::size_t k = begin; k < end; ++k) {
-                Trial &trial = trials[k];
-                const ValidationCase &vcase = cases[trial.vcase];
-                StopScenario scenario = vcase.scenario;
-                scenario.commandedVelocity = units::MetersPerSecond(
-                    results[trial.vcase].sweep[trial.setpoint].velocity);
-                infraction[k] = simulators[trial.vcase]
-                                    .run(scenario, vcase.noise, trial.rng)
-                                    .infraction;
+            for (std::size_t chunk = begin; chunk < end; ++chunk) {
+                const std::size_t first = chunk * K;
+                const std::size_t n = std::min(K, trials.size() - first);
+                LaneTrial lanes[K];
+                TrialResult flown[K];
+                for (std::size_t i = 0; i < n; ++i) {
+                    const Trial &trial = trials[first + i];
+                    const ValidationCase &vcase = cases[trial.vcase];
+                    lanes[i] = {&simulators[trial.vcase], vcase.scenario,
+                                &vcase.noise, trial.rng};
+                    lanes[i].scenario.commandedVelocity =
+                        units::MetersPerSecond(results[trial.vcase]
+                                                   .sweep[trial.setpoint]
+                                                   .velocity);
+                }
+                FlightSimulator::flyLanes({lanes, n}, {flown, n});
+                for (std::size_t i = 0; i < n; ++i)
+                    infraction[first + i] = flown[i].infraction;
             }
         },
-        per_trial);
+        per_chunk);
 
     for (std::size_t k = 0; k < trials.size(); ++k) {
         results[trials[k].vcase].sweep[trials[k].setpoint].infractions +=

@@ -82,13 +82,18 @@ class ValidationHarness
      * Validate a whole batch (Fig. 7b). Cases are set up serially in
      * order (so a bad case throws as soon as it is reached), then
      * every (case, set-point, trial) flight runs on one
-     * exec::parallelFor. Each trial's RNG is forked from its case's
-     * master in set-point-major order before the loop, so results
-     * are bit-identical at any thread count.
+     * exec::parallelFor, in chunks of FlightSimulator::lanes
+     * consecutive trials flown by FlightSimulator::flyLanes(). Each
+     * trial's RNG is forked from its case's master in set-point-major
+     * order before the loop, and a trial's result does not depend on
+     * its chunk-mates, so results are bit-identical at any thread
+     * count.
      *
      * @throws ModelError naming sweepResolution when a case's
      *         resolution is not positive and finite, or asks for more
-     *         than 2^20 flights (set-points x trialsPerSetpoint)
+     *         than 2^20 flights (set-points x trialsPerSetpoint), and
+     *         naming the field when FlightSimulator::validateScenario
+     *         or validateNoise rejects a case that flies trials
      */
     static std::vector<ValidationResult>
     validateAll(const std::vector<ValidationCase> &cases,

@@ -23,6 +23,9 @@
 #ifndef UAVF1_SIM_VEHICLE_HH
 #define UAVF1_SIM_VEHICLE_HH
 
+#include <algorithm>
+#include <cmath>
+
 #include "physics/drag.hh"
 #include "units/units.hh"
 
@@ -90,6 +93,50 @@ class VehicleModel
      */
     void step(units::Seconds dt, double commanded_accel,
               double thrust_noise = 0.0);
+
+    /** The actuation lag's per-step blend dt / (tau + dt). */
+    double lagBlend(double dt) const
+    {
+        return dt / (_params.actuationLag.value() + dt);
+    }
+
+    /**
+     * step() for a dt the caller checked positive, with
+     * lagBlend(dt) passed in: the flight simulator hoists both out
+     * of its step loop. The same bits as step().
+     */
+    void stepUnchecked(double dt, double blend, double commanded_accel,
+                       double thrust_noise)
+    {
+        const double a_avail = _availableAccel.value();
+        const double clipped =
+            std::clamp(commanded_accel, -a_avail, a_avail);
+
+        // First-order actuation response toward the commanded value.
+        if (_params.actuationLag.value() > 0.0)
+            _lagged += blend * (clipped - _lagged);
+        else
+            _lagged = clipped;
+
+        double accel = _lagged * (1.0 + thrust_noise);
+
+        // Drag always opposes motion. Same operand order as
+        // DragModel::deceleration (k * v * v / m), so results match
+        // it bit for bit; the mass was validated at construction.
+        const double speed = std::fabs(_state.velocity);
+        const double drag_decel =
+            _dragFactor * speed * speed / _params.mass.value();
+        if (_state.velocity > 0.0) {
+            accel -= drag_decel;
+        } else if (_state.velocity < 0.0) {
+            accel += drag_decel;
+        }
+
+        // Semi-implicit Euler keeps the integration stable at 1 kHz.
+        _state.acceleration = accel;
+        _state.velocity += accel * dt;
+        _state.position += _state.velocity * dt;
+    }
 
   private:
     VehicleParams _params;

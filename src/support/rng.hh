@@ -10,9 +10,11 @@
  * uniformBlock() and fork() are integer arithmetic plus one exact
  * conversion, so they are bit-exact everywhere. normal() calls libm
  * (log, sin, cos), so its bits are only as portable as the
- * platform's libm; the flight simulator uses it. The Monte-Carlo
- * analyzer draws its normals libm-free instead, from uniformBlock()
- * through sim::LognormalDraw (sim/lognormal.hh).
+ * platform's libm; workload::LatencyTrace and the perfbench probes
+ * use it. The Monte-Carlo analyzer and the flight simulator draw
+ * their normals libm-free instead, from uniformBlock() through the
+ * Box-Muller pairs of sim/normals.hh, which keep normal()'s pairing
+ * (cosine first, sine as the spare).
  */
 
 #ifndef UAVF1_SUPPORT_RNG_HH

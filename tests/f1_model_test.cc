@@ -12,32 +12,9 @@
 #include <new>
 #include <vector>
 
+#include "alloc_guard.hh"
 #include "core/f1_model.hh"
 #include "support/errors.hh"
-
-/** Global allocation counter backing the zero-allocation tests. */
-std::atomic<std::size_t> g_heap_allocations{0};
-
-void *
-operator new(std::size_t size)
-{
-    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 

@@ -1,9 +1,11 @@
 /**
  * @file
  * Unit tests for the flight simulator: vehicle integration, the
- * dash-and-stop protocol, the validation harness, the Monte-Carlo
- * per-ceiling binding tallies, and the statistics of the analyzer's
- * lognormal factor draw.
+ * dash-and-stop protocol and its input checks, interleaved trial
+ * lanes against single runs, the validation harness and the pinned
+ * fig07 sweeps, the Monte-Carlo per-ceiling binding tallies, the
+ * statistics of the analyzer's lognormal factor draw, and the
+ * pairing of the block normal stream.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +25,12 @@
 #include "sim/flight_sim.hh"
 #include "sim/lognormal.hh"
 #include "sim/monte_carlo.hh"
+#include "sim/normals.hh"
 #include "sim/table1.hh"
 #include "sim/validation.hh"
 #include "sim/vehicle.hh"
+#include "simd/math.hh"
+#include "simd/simd.hh"
 #include "studies/presets.hh"
 #include "support/errors.hh"
 
@@ -242,6 +247,234 @@ TEST(FlightSim, InfractionMonotoneInCommandedVelocity)
         seen_infraction = seen_infraction || trial.infraction;
     }
     EXPECT_TRUE(seen_infraction);
+}
+
+/** Bit pattern of a double, so NaN and -0 compare exactly. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Exact equality across every field of two trial results. */
+void
+expectSameTrial(const TrialResult &a, const TrialResult &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.infraction, b.infraction) << what;
+    EXPECT_EQ(bits(a.stopMargin), bits(b.stopMargin)) << what;
+    EXPECT_EQ(bits(a.peakVelocity), bits(b.peakVelocity)) << what;
+    EXPECT_EQ(bits(a.peakAcceleration), bits(b.peakAcceleration))
+        << what;
+    EXPECT_EQ(bits(a.brakeTime), bits(b.brakeTime)) << what;
+    ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << what;
+    for (std::size_t i = 0; i < a.trajectory.size(); ++i) {
+        const TrajectorySample &x = a.trajectory[i];
+        const TrajectorySample &y = b.trajectory[i];
+        EXPECT_EQ(bits(x.time), bits(y.time)) << what << " sample " << i;
+        EXPECT_EQ(bits(x.position), bits(y.position)) << what;
+        EXPECT_EQ(bits(x.velocity), bits(y.velocity)) << what;
+        EXPECT_EQ(bits(x.acceleration), bits(y.acceleration)) << what;
+    }
+}
+
+/** Restore the SIMD dispatch mode on scope exit. */
+struct SimdModeGuard
+{
+    simd::Mode saved = simd::activeMode();
+    ~SimdModeGuard() { simd::setMode(saved); }
+};
+
+/** A lane-test trial: its simulator, scenario, noise and seed. */
+struct LaneCase
+{
+    std::string what;
+    FlightSimulator simulator;
+    StopScenario scenario;
+    NoiseParams noise;
+    std::uint64_t seed;
+};
+
+/**
+ * Trials that end on different steps and in different ways: the
+ * four Table-I builds at safe and colliding set-points, a vehicle
+ * without actuation lag, a noise-free trial, a trial capped by
+ * maxDuration before it detects, and one that never sees the
+ * obstacle and sails past it.
+ */
+std::vector<LaneCase>
+laneCases()
+{
+    const auto table1 = table1ValidationCases();
+    std::vector<LaneCase> lanes;
+    const auto add = [&](std::string what, const VehicleParams &vehicle,
+                         StopScenario scenario, double velocity,
+                         NoiseParams noise, std::uint64_t seed) {
+        scenario.commandedVelocity = MetersPerSecond(velocity);
+        lanes.push_back({std::move(what),
+                         FlightSimulator(VehicleModel(vehicle)),
+                         scenario, noise, seed});
+    };
+    const double velocities[] = {2.0, 1.3, 2.6, 1.0};
+    for (std::size_t c = 0; c < table1.size(); ++c) {
+        add(table1[c].name, table1[c].vehicle, table1[c].scenario,
+            velocities[c], table1[c].noise, table1[c].seed + c);
+    }
+    const ValidationCase &a = table1[0];
+    add("UAV-A at 4 m/s", a.vehicle, a.scenario, 4.0, a.noise, 3);
+    add("no lag", idealVehicle(), a.scenario, 3.0, a.noise, 5);
+    add("no noise", a.vehicle, a.scenario, 2.2, NoiseParams::none(), 9);
+    StopScenario capped = a.scenario;
+    capped.maxDuration = Seconds(1.5);
+    add("capped", a.vehicle, capped, 2.0, a.noise, 11);
+    StopScenario blind = a.scenario;
+    blind.sensorRate = Hertz(0.01);
+    add("sails past", a.vehicle, blind, 2.0, a.noise, 13);
+    return lanes;
+}
+
+TEST(FlightSim, LanesAreSingleTrialRunsBitForBit)
+{
+    const std::vector<LaneCase> cases = laneCases();
+    std::vector<TrialResult> single;
+    for (const LaneCase &lane : cases) {
+        Rng rng(lane.seed);
+        single.push_back(lane.simulator.run(lane.scenario, lane.noise, rng));
+    }
+    // The set covers each way a trial ends.
+    const TrialResult &capped = single[cases.size() - 2];
+    EXPECT_LT(capped.brakeTime, 0.0);
+    EXPECT_LT(capped.stopMargin, -5.0);
+    EXPECT_GT(single.back().stopMargin, 5.0);
+    EXPECT_TRUE(single[4].infraction);
+    EXPECT_FALSE(single[0].infraction);
+
+    // Every window of 1 .. lanes consecutive trials (so partial
+    // chunks too), at every offset.
+    for (std::size_t n = 1; n <= FlightSimulator::lanes; ++n) {
+        for (std::size_t first = 0; first + n <= cases.size(); ++first) {
+            std::vector<LaneTrial> trials;
+            for (std::size_t i = first; i < first + n; ++i) {
+                trials.push_back({&cases[i].simulator, cases[i].scenario,
+                                  &cases[i].noise, Rng(cases[i].seed)});
+            }
+            std::vector<TrialResult> flown(n);
+            FlightSimulator::flyLanes(trials, flown);
+            for (std::size_t i = 0; i < n; ++i) {
+                expectSameTrial(flown[i], single[first + i],
+                                cases[first + i].what + " in a batch of " +
+                                    std::to_string(n));
+            }
+        }
+    }
+
+    std::vector<LaneTrial> too_many(FlightSimulator::lanes + 1,
+                                    {&cases[0].simulator, cases[0].scenario,
+                                     &cases[0].noise, Rng(1)});
+    std::vector<TrialResult> out(too_many.size());
+    EXPECT_THROW(FlightSimulator::flyLanes(too_many, out), ModelError);
+    EXPECT_THROW(FlightSimulator::flyLanes({too_many.data(), 2},
+                                           {out.data(), 1}),
+                 ModelError);
+}
+
+TEST(FlightSim, TrialsAreTheSameNativeAndForcedScalar)
+{
+    // The noise normals come from the width-invariant kernels, so a
+    // trial, trajectory included, has the same bits at W = 1.
+    const SimdModeGuard guard;
+    for (const LaneCase &lane : laneCases()) {
+        simd::setMode(simd::Mode::Native);
+        Rng native_rng(lane.seed);
+        const TrialResult native = lane.simulator.run(
+            lane.scenario, lane.noise, native_rng, true);
+        simd::setMode(simd::Mode::Scalar);
+        Rng scalar_rng(lane.seed);
+        const TrialResult scalar = lane.simulator.run(
+            lane.scenario, lane.noise, scalar_rng, true);
+        expectSameTrial(native, scalar, lane.what);
+    }
+}
+
+TEST(FlightSim, MalformedInputsAreRejectedByName)
+{
+    // UAV-A commanded at 4 m/s collides. Each input below used to fly
+    // without an error and report a verdict the inputs do not
+    // support: zero steps and "safe", a NaN margin read as safe, a
+    // vehicle that never brakes, thrust noise silently off.
+    const ValidationCase vcase = table1ValidationCases()[0];
+    const FlightSimulator simulator{VehicleModel(vcase.vehicle)};
+    StopScenario base = vcase.scenario;
+    base.commandedVelocity = 4.0_mps;
+    Rng rng(1);
+    ASSERT_TRUE(simulator.run(base, vcase.noise, rng).infraction);
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Malformed
+    {
+        std::string field;
+        StopScenario scenario;
+        NoiseParams noise;
+    };
+    std::vector<Malformed> inputs;
+    const auto scenario = [&](std::string field, auto mutate) {
+        Malformed m{std::move(field), base, vcase.noise};
+        mutate(m.scenario);
+        inputs.push_back(m);
+    };
+    const auto noise = [&](std::string field, auto mutate) {
+        Malformed m{std::move(field), base, vcase.noise};
+        mutate(m.noise);
+        inputs.push_back(m);
+    };
+    scenario("maxDuration",
+             [&](StopScenario &s) { s.maxDuration = Seconds(nan); });
+    scenario("maxDuration",
+             [](StopScenario &s) { s.maxDuration = Seconds(-1.0); });
+    // 10^10 steps: past the 2^31 bound on the integer step loop.
+    scenario("maxDuration",
+             [](StopScenario &s) { s.maxDuration = Seconds(1e7); });
+    scenario("timestep",
+             [&](StopScenario &s) { s.timestep = Seconds(inf); });
+    scenario("obstacleDistance",
+             [&](StopScenario &s) { s.obstacleDistance = Meters(nan); });
+    scenario("obstacleDistance",
+             [](StopScenario &s) { s.obstacleDistance = Meters(-1.0); });
+    scenario("sensingRange",
+             [](StopScenario &s) { s.sensingRange = Meters(-1.0); });
+    scenario("runUp", [](StopScenario &s) { s.runUp = Meters(-1.0); });
+    noise("sensorRangeStd", [&](NoiseParams &n) { n.sensorRangeStd = nan; });
+    noise("thrustFraction", [&](NoiseParams &n) { n.thrustFraction = nan; });
+    noise("thrustFraction", [](NoiseParams &n) { n.thrustFraction = -0.02; });
+
+    for (const Malformed &input : inputs) {
+        try {
+            Rng trial_rng(1);
+            (void)simulator.run(input.scenario, input.noise, trial_rng);
+            ADD_FAILURE() << input.field << " accepted by run()";
+        } catch (const ModelError &e) {
+            EXPECT_NE(std::string(e.what()).find(input.field),
+                      std::string::npos)
+                << e.what();
+        }
+        // The harness refuses the same case before flying it.
+        // (A negative sensing range already failed its F-1
+        // prediction there, as the safety model's sensing_range.)
+        ValidationCase bad = vcase;
+        bad.scenario = input.scenario;
+        bad.noise = input.noise;
+        const std::string harness_field =
+            input.field == "sensingRange" ? "sensing_range" : input.field;
+        try {
+            (void)ValidationHarness::validateAll({bad});
+            ADD_FAILURE() << input.field << " accepted by validateAll()";
+        } catch (const ModelError &e) {
+            EXPECT_NE(std::string(e.what()).find(harness_field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Validation, PredictionMatchesSafetyModel)
@@ -486,6 +719,53 @@ TEST(Validation, RecordTrajectoryUsesCommandedVelocity)
     EXPECT_NEAR(trial.peakVelocity, 1.5, 0.1);
 }
 
+TEST(Validation, Table1SweepsArePinned)
+{
+    // Every set-point's infraction count (one digit per set-point,
+    // slowest first) and the observed v_safe of each Table-I build,
+    // as the glibc Box-Muller flight noise gave them. The libm-free
+    // noise moves trial floats by ulps and must move none of these.
+    const struct
+    {
+        const char *name;
+        const char *infractions;
+        double observed;
+    } pinned[] = {
+        {"UAV-A", "0000000000000000000000000000003245555555555555555555",
+         2.5963211663695898},
+        {"UAV-B", "000000000000055555555", 1.0451354793971073},
+        {"UAV-C", "0000000000000000000000000002355555555555555555",
+         2.3158851817907191},
+        {"UAV-D", "0000000000000000000000004555555555555555",
+         2.0225388646362981},
+    };
+    const auto results =
+        ValidationHarness::validateAll(table1ValidationCases());
+    ASSERT_EQ(results.size(), std::size(pinned));
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        const ValidationResult &result = results[c];
+        EXPECT_EQ(result.name, pinned[c].name);
+        std::string infractions;
+        for (const SetpointOutcome &outcome : result.sweep)
+            infractions += std::to_string(outcome.infractions);
+        EXPECT_EQ(infractions, pinned[c].infractions) << result.name;
+        EXPECT_EQ(result.observed, pinned[c].observed) << result.name;
+    }
+}
+
+TEST(Validation, ValidateAllIsTheSameNativeAndForcedScalar)
+{
+    const SimdModeGuard guard;
+    const auto cases = coarseTable1Cases();
+    simd::setMode(simd::Mode::Native);
+    const auto native = ValidationHarness::validateAll(cases);
+    simd::setMode(simd::Mode::Scalar);
+    const auto scalar = ValidationHarness::validateAll(cases);
+    ASSERT_EQ(native.size(), scalar.size());
+    for (std::size_t c = 0; c < native.size(); ++c)
+        expectSameValidation(native[c], scalar[c]);
+}
+
 /** A TX2-family spec whose AI uncertainty straddles the machine
  * knee (1330 / 59.7 ~ 22.3 op/B), so both compute and memory
  * ceilings bind with nonzero probability. */
@@ -618,6 +898,63 @@ TEST(LognormalDraw, FactorsHaveTheRequestedMomentsAndQuantiles)
         expect_quantile(d.p50, 0.50, 0.0);
         expect_quantile(d.p95, 0.95, z95);
     }
+}
+
+TEST(NormalStream, KeepsTheBoxMullerPairingOfLognormalDrawAndRngNormal)
+{
+    // 200 normals cross three block refills.
+    constexpr std::size_t n = 200;
+    NormalStream stream(Rng(77));
+    std::vector<double> z(n);
+    for (double &value : z)
+        value = stream.next();
+
+    // LognormalDraw on the same Rng shapes the same normals, in the
+    // same order, into exp(mu + sigma z).
+    const double spread = 0.3;
+    const LognormalDraw draw(std::vector<double>{spread});
+    std::vector<double> column(n);
+    double *columns[] = {column.data()};
+    Rng draw_rng(77);
+    draw.drawBlock(draw_rng, n, columns);
+    using P1 = simd::Pack<double, 1>;
+    const double sigma2 =
+        simd::log(P1::broadcast(1.0 + spread * spread)).lane[0];
+    const double mu = -sigma2 / 2.0;
+    const double sigma = std::sqrt(sigma2);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double shaped =
+            simd::exp(P1::broadcast(mu) + P1::broadcast(sigma) *
+                                              P1::broadcast(z[i]))
+                .lane[0];
+        EXPECT_EQ(bits(column[i]), bits(shaped)) << "normal " << i;
+    }
+
+    // Rng::normal() pairs the same way (cosine first, sine as its
+    // spare), up to libm's rounding.
+    Rng reference(77);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_NEAR(z[i], reference.normal(), 1e-13) << "normal " << i;
+
+    // The stream has read whole blocks ahead: four of 32 pairs.
+    Rng consumed(77);
+    for (int i = 0; i < 4 * 2 * 32; ++i)
+        (void)consumed.uniform();
+    EXPECT_EQ(Rng(stream.rng()).nextU64(), consumed.nextU64());
+}
+
+TEST(NormalStream, GuardsAZeroRadiusUniformLikeRngNormal)
+{
+    // SplitMix64 maps state 0 to output 0, so this seed's first
+    // uniform is exactly 0; both draws replace it with 2^-53.
+    const std::uint64_t seed = 0 - 0x9e3779b97f4a7c15ull;
+    ASSERT_EQ(Rng(seed).uniform(), 0.0);
+    NormalStream stream{Rng(seed)};
+    Rng reference(seed);
+    const double first = stream.next();
+    EXPECT_TRUE(std::isfinite(first));
+    EXPECT_NEAR(first, reference.normal(), 1e-13);
+    EXPECT_NEAR(stream.next(), reference.normal(), 1e-13);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <new>
 #include <string>
 
+#include "alloc_guard.hh"
 #include "components/catalog.hh"
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
@@ -28,30 +29,6 @@
 #include "workload/spa_pipeline.hh"
 #include "workload/stage_eval.hh"
 #include "workload/throughput.hh"
-
-/** Global allocation counter backing the zero-allocation test. */
-std::atomic<std::size_t> g_heap_allocations{0};
-
-void *
-operator new(std::size_t size)
-{
-    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
