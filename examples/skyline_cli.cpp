@@ -163,9 +163,13 @@ parseDriverOptions(int argc, char **argv, int first)
         if (arg == "--set") {
             options.sets.push_back(value("--set"));
         } else if (arg == "--threads") {
+            constexpr std::size_t max = exec::ThreadPool::maxThreads;
+            const std::string expects =
+                "an integer in [1, " + std::to_string(max) + "]";
             options.threads = static_cast<std::size_t>(
                 parseIntegerFlag("--threads", value("--threads"), 1,
-                                 4096, "a positive integer"));
+                                 static_cast<long>(max),
+                                 expects.c_str()));
         } else if (arg == "--deadline-ms") {
             options.deadlineMs =
                 static_cast<std::size_t>(parseIntegerFlag(

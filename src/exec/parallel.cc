@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -44,8 +43,8 @@ struct LoopState
      * read at every chunk boundary by every participant. */
     alignas(cacheLine) std::atomic<bool> failed{false};
     std::exception_ptr error;
+    /** Taken after the pool's lock, never before it. */
     std::mutex mutex;
-    std::condition_variable done;
     /** Set by the caller once it has drained; helpers that start
      * after this return without touching the loop. */
     bool closed = false;
@@ -55,7 +54,8 @@ struct LoopState
     /** Helper-task body: register, drain, deregister. A helper that
      * starts late (its loop already closed, its body possibly gone)
      * does nothing, so the caller never waits on a queued task —
-     * only on threads already running its chunks. */
+     * only on threads already running its chunks. The pool wakes
+     * the waiting caller when this task returns. */
     void help(std::size_t slot)
     {
         {
@@ -66,8 +66,7 @@ struct LoopState
         }
         drain(slot);
         std::lock_guard<std::mutex> lock(mutex);
-        if (--activeHelpers == 0)
-            done.notify_all();
+        --activeHelpers;
     }
 
     /** Pull and run chunks until the cursor runs out. */
@@ -148,16 +147,27 @@ runLoop(std::size_t count,
 
     state->drain(0);
 
-    // Close the loop so late helpers stand down, then wait only for
-    // the helpers still running chunks.
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->closed = true;
-    state->done.wait(lock,
-                     [&] { return state->activeHelpers == 0; });
+    // Close the loop so late helpers stand down. Until the helpers
+    // still running chunks have left, run queued pool tasks (other
+    // loops' helpers, such as those of a loop nested in one of
+    // this loop's chunks) instead of sleeping.
+    {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        state->closed = true;
+    }
+    pool.helpUntil([&] {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        return state->activeHelpers == 0;
+    });
     // Take the error out of the shared state: a worker may drop the
     // last reference to the state later, and the exception must not
     // be released there while the caller's handler still reads it.
-    if (std::exception_ptr error = std::exchange(state->error, {}))
+    std::exception_ptr error;
+    {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        error = std::exchange(state->error, {});
+    }
+    if (error)
         std::rethrow_exception(error);
 }
 

@@ -20,10 +20,18 @@
  *    pool) fan out to whichever workers are idle. The calling
  *    thread always drains chunks itself, and it waits only for
  *    helpers that joined before it finished draining; a helper that
- *    starts later finds the loop closed and returns. A waiter
- *    therefore only ever waits on threads that are running its
+ *    starts later finds the loop closed and returns. While it
+ *    waits, the caller runs queued pool tasks (ThreadPool::
+ *    helpUntil), so a thread whose chunks are done joins a loop
+ *    nested in a chunk still running elsewhere. Every queued task
+ *    is a helper that drains a finite cursor or returns at once, and
+ *    a waiter only ever waits on threads that are running its
  *    chunks, so nesting cannot deadlock at any depth, and chunk
  *    geometry (hence every result) is the same as unnested.
+ *  - Never start a loop while holding a lock, or from inside a
+ *    static initializer: the waiting caller may run any queued
+ *    task, and one that needs that lock or that static would wait
+ *    on its own thread.
  */
 
 #ifndef UAVF1_EXEC_PARALLEL_HH

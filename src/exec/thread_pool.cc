@@ -17,8 +17,11 @@ namespace uavf1::exec {
 
 ThreadPool::ThreadPool(std::size_t threads)
 {
-    if (threads < 1)
-        throw ModelError("thread pool requires at least one thread");
+    if (threads < 1 || threads > maxThreads) {
+        throw ModelError("thread pool size must be in [1, " +
+                         std::to_string(maxThreads) + "], got " +
+                         std::to_string(threads));
+    }
     _workers.reserve(threads - 1);
     for (std::size_t i = 0; i + 1 < threads; ++i)
         _workers.emplace_back([this] { workerLoop(); });
@@ -38,37 +41,65 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
+    bool helpers_asleep = false;
     {
         std::lock_guard<std::mutex> lock(_mutex);
         _tasks.push(std::move(task));
+        helpers_asleep = _sleepingHelpers > 0;
     }
     _wake.notify_one();
+    if (helpers_asleep)
+        _helperWake.notify_all();
+}
+
+void
+ThreadPool::helpUntil(const std::function<bool()> &done)
+{
+    std::unique_lock<std::mutex> lock(_mutex);
+    while (!done()) {
+        if (_tasks.empty()) {
+            ++_sleepingHelpers;
+            _helperWake.wait(lock,
+                             [&] { return !_tasks.empty() || done(); });
+            --_sleepingHelpers;
+            continue;
+        }
+        std::function<void()> task = std::move(_tasks.front());
+        _tasks.pop();
+        runTask(task, lock);
+    }
+}
+
+void
+ThreadPool::runTask(std::function<void()> &task,
+                    std::unique_lock<std::mutex> &lock)
+{
+    lock.unlock();
+    task();
+    task = nullptr;
+    lock.lock();
+    if (_sleepingHelpers > 0)
+        _helperWake.notify_all();
 }
 
 void
 ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(_mutex);
     for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(_mutex);
-            _wake.wait(lock,
-                       [this] { return _stop || !_tasks.empty(); });
-            if (_tasks.empty())
-                return; // _stop and drained.
-            task = std::move(_tasks.front());
-            _tasks.pop();
-        }
-        task();
+        _wake.wait(lock, [this] { return _stop || !_tasks.empty(); });
+        if (_tasks.empty())
+            return; // _stop and drained.
+        std::function<void()> task = std::move(_tasks.front());
+        _tasks.pop();
+        runTask(task, lock);
     }
 }
 
 std::size_t
 ThreadPool::defaultThreadCount()
 {
-    // More threads than this is never a sweep-engine win on any
-    // machine we model for; treat larger requests as typos and clamp.
-    constexpr long max_threads = 1024;
+    constexpr long max_threads = static_cast<long>(maxThreads);
 
     if (const char *env = std::getenv("UAVF1_THREADS")) {
         char *end = nullptr;

@@ -126,7 +126,7 @@ LognormalDraw::drawSample(Rng &rng, Carry &carry, double *factors) const
         if (!carry.pending) {
             double u[2];
             rng.uniformBlock(u, 2);
-            boxMuller<1>(u, u + 1, 0, 1, &z, &carry.normal);
+            simd::boxMuller<1>(u, u + 1, 0, 1, &z, &carry.normal);
         }
         carry.pending = !carry.pending;
         shape<1>(factor.mu, factor.sigma, &z, 0, 1);

@@ -8,9 +8,15 @@
  * from the first (a zero uniform becomes 2^-53, Rng::normal()'s
  * guard) and its angle from the second, and gives normal 2p the
  * cosine and normal 2p + 1 the sine: the order Rng::normal() returns
- * them in, cosine first and sine as its spare. The transforms are
- * the kernels of simd/math.hh, so the normals are bit-identical at
- * every SIMD width and on every platform.
+ * them in, cosine first and sine as its spare. The kernel is
+ * simd::boxMuller (simd/math.hh), so the normals are bit-identical
+ * at every SIMD width and on every platform.
+ *
+ * drawNormalPairs picks the width at run time. On an x86-64 build
+ * narrower than AVX2 (the default SSE2 one), a CPU with AVX2 runs
+ * the pairs through simd::boxMuller<4> from sim/normals_avx2.cc, the
+ * one translation unit compiled with -mavx2; the uniforms stay in
+ * the baseline code. UAVF1_SIMD=scalar still forces W = 1.
  */
 
 #ifndef UAVF1_SIM_NORMALS_HH
@@ -41,34 +47,17 @@ dispatchWidth(std::size_t n, Kernel &&kernel)
 }
 
 /**
- * Box-Muller over pairs [begin, end): the radius from u1, the angle
- * from u2; `cosines` gets the first normal of each pair, `sines` the
- * second.
- */
-template <std::size_t W>
-void
-boxMuller(const double *u1, const double *u2, std::size_t begin,
-          std::size_t end, double *cosines, double *sines)
-{
-    using P = simd::Pack<double, W>;
-    for (std::size_t p = begin; p < end; p += W) {
-        const P radius =
-            sqrt(P::broadcast(-2.0) *
-                 simd::log(max(P::load(u1 + p), P::broadcast(0x1p-53))));
-        P sine, cosine;
-        simd::sinCos2Pi(P::load(u2 + p), sine, cosine);
-        (radius * cosine).store(cosines + p);
-        (radius * sine).store(sines + p);
-    }
-}
-
-/**
  * Draw `pairs` Box-Muller pairs from the next 2 * pairs uniforms of
- * `rng` (Rng::uniformBlock), at native SIMD width: cosines[p] and
+ * `rng` (Rng::uniformBlock), at normalPairWidth(): cosines[p] and
  * sines[p] are pair p's normals. Allocation-free.
  */
 void drawNormalPairs(Rng &rng, std::size_t pairs, double *cosines,
                      double *sines);
+
+/** The SIMD width drawNormalPairs() runs at now: 1 under
+ * UAVF1_SIMD=scalar, else 4 where it dispatches to the AVX2 kernel
+ * (the CPU check runs once), else simd::nativeWidth. */
+std::size_t normalPairWidth();
 
 /**
  * Standard normals one at a time, drawn a block of pairs at a time

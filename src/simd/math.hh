@@ -1,6 +1,7 @@
 /**
  * @file
- * Width-invariant exp, log and sin/cos of 2*pi*u over simd::Pack.
+ * Width-invariant exp, log and sin/cos of 2*pi*u over simd::Pack,
+ * and the Box-Muller normal pairs built from them.
  *
  * The kernels use the pack op set only: correctly rounded
  * + - * / and sqrt, compares, selects, and the two exact
@@ -31,7 +32,7 @@
 
 #include "simd/pack.hh"
 
-namespace uavf1::simd {
+namespace uavf1::simd::inline UAVF1_SIMD_ISA {
 
 namespace detail {
 
@@ -136,7 +137,11 @@ inline Pack<double, W>
 log(Pack<double, W> x)
 {
     using P = Pack<double, W>;
+    // Constants, not calls: an unoptimized build would emit the
+    // std::numeric_limits members into every TU, sim/normals_avx2.cc
+    // included, under names the baseline shares.
     constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
     const P zero = P::broadcast(0.0);
     const P one = P::broadcast(1.0);
     const P half = P::broadcast(0.5);
@@ -167,9 +172,7 @@ log(Pack<double, W> x)
 
     result = select(x == P::broadcast(inf), x, result);
     result = select(x == zero, P::broadcast(-inf), result);
-    result = select(
-        x < zero, P::broadcast(std::numeric_limits<double>::quiet_NaN()),
-        result);
+    result = select(x < zero, P::broadcast(nan), result);
     return select(x == x, result, x);
 }
 
@@ -210,6 +213,29 @@ sinCos2Pi(Pack<double, W> u, Pack<double, W> &sine,
              select(odd, sin_r, cos_r);
 }
 
-} // namespace uavf1::simd
+/**
+ * Box-Muller over pairs [begin, end) (a multiple of W long): the
+ * radius sqrt(-2 ln u1) from u1, with a zero u1 taken as 2^-53
+ * (Rng::normal()'s guard), and the angle 2 pi u2 from u2; `cosines`
+ * gets the first normal of each pair, `sines` the second.
+ */
+template <std::size_t W>
+inline void
+boxMuller(const double *u1, const double *u2, std::size_t begin,
+          std::size_t end, double *cosines, double *sines)
+{
+    using P = Pack<double, W>;
+    for (std::size_t p = begin; p < end; p += W) {
+        const P radius =
+            sqrt(P::broadcast(-2.0) *
+                 log(max(P::load(u1 + p), P::broadcast(0x1p-53))));
+        P sine, cosine;
+        sinCos2Pi(P::load(u2 + p), sine, cosine);
+        (radius * cosine).store(cosines + p);
+        (radius * sine).store(sines + p);
+    }
+}
+
+} // namespace uavf1::simd::inline UAVF1_SIMD_ISA
 
 #endif // UAVF1_SIMD_MATH_HH

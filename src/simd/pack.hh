@@ -30,6 +30,15 @@
  * (simd.hh) — so a suspect result can always be re-run on the
  * scalar lanes without rebuilding.
  *
+ * Everything here lives in an inline namespace named after the ISA
+ * the translation unit is compiled for (UAVF1_SIMD_ISA: avx2, sse2,
+ * neon or generic), as simdjson's and Highway's per-target
+ * namespaces do. Code still spells simd::Pack, but a TU built with
+ * wider flags than the rest (sim/normals_avx2.cc, at -mavx2) gets
+ * its own mangled names for every inline and template function it
+ * emits, so the linker can never hand its AVX-encoded copy of, say,
+ * Pack<double, 2>::load to an SSE2 caller.
+ *
  * Masks are opaque per-backend types produced by the comparison
  * operators; consume them with select()/count()/allTrue(). A NaN
  * operand makes every ordered comparison false, exactly as the
@@ -59,7 +68,17 @@
 #include <arm_neon.h>
 #endif
 
-namespace uavf1::simd {
+#if defined(UAVF1_SIMD_AVX2)
+#define UAVF1_SIMD_ISA avx2
+#elif defined(UAVF1_SIMD_SSE2)
+#define UAVF1_SIMD_ISA sse2
+#elif defined(UAVF1_SIMD_NEON)
+#define UAVF1_SIMD_ISA neon
+#else
+#define UAVF1_SIMD_ISA generic
+#endif
+
+namespace uavf1::simd::inline UAVF1_SIMD_ISA {
 
 /** Widest double-lane width the compile flags enable. */
 inline constexpr std::size_t nativeWidth =
@@ -780,6 +799,6 @@ splitExponent(Pack<double, 2> x, Pack<double, 2> &exponent)
 
 #endif // NEON
 
-} // namespace uavf1::simd
+} // namespace uavf1::simd::inline UAVF1_SIMD_ISA
 
 #endif // UAVF1_SIMD_PACK_HH

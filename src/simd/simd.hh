@@ -35,13 +35,18 @@ Mode activeMode();
 /** Override the mode in-process (tests/benches). Thread-safe. */
 void setMode(Mode mode);
 
-/** True when kernels should dispatch to the native-width path. */
+} // namespace uavf1::simd
+
+namespace uavf1::simd::inline UAVF1_SIMD_ISA {
+
+/** True when kernels should dispatch to the native-width path.
+ * It reads this TU's nativeWidth, so it is ISA-tagged like Pack. */
 inline bool
 useNative()
 {
     return nativeWidth > 1 && activeMode() == Mode::Native;
 }
 
-} // namespace uavf1::simd
+} // namespace uavf1::simd::inline UAVF1_SIMD_ISA
 
 #endif // UAVF1_SIMD_SIMD_HH

@@ -35,6 +35,12 @@ TEST(ThreadPool, RequiresAtLeastOneThread)
     EXPECT_THROW(exec::ThreadPool(0), ModelError);
 }
 
+TEST(ThreadPool, RejectsMoreThanMaxThreadsBeforeStartingAny)
+{
+    EXPECT_THROW(exec::ThreadPool(exec::ThreadPool::maxThreads + 1),
+                 ModelError);
+}
+
 TEST(ThreadPool, ThreadCountIncludesTheCaller)
 {
     exec::ThreadPool solo(1);
@@ -105,7 +111,8 @@ TEST(ThreadPool, DefaultThreadCountRejectsZeroAndNegative)
 TEST(ThreadPool, DefaultThreadCountClampsAbsurdValues)
 {
     ThreadsEnvGuard guard("999999999");
-    EXPECT_EQ(exec::ThreadPool::defaultThreadCount(), 1024u);
+    EXPECT_EQ(exec::ThreadPool::defaultThreadCount(),
+              exec::ThreadPool::maxThreads);
 }
 
 TEST(ThreadPool, DefaultThreadCountWithoutEnvIsPositive)
@@ -338,6 +345,46 @@ TEST(ParallelFor, SaturatedNestingNeitherDeadlocksNorLosesWork)
         EXPECT_EQ(total.load(), reps * 16L * (16 + 4 * 8))
             << threads << " threads";
     }
+}
+
+TEST(ParallelFor, WaitingCallerRunsQueuedWork)
+{
+    // Two threads: the caller and one worker. The caller's outer
+    // chunk returns as soon as the worker has taken the other one,
+    // which nests a loop whose first chunk holds the worker until
+    // the caller has run a nested chunk. A caller that sleeps
+    // through its join instead never does, and the hold times out.
+    exec::ThreadPool pool(2);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> worker_started{false};
+    std::atomic<bool> caller_ran_nested{false};
+    const auto waitFor = [](const std::atomic<bool> &flag) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(3);
+        while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    exec::parallelFor(
+        2,
+        [&](std::size_t, std::size_t) {
+            if (std::this_thread::get_id() == caller) {
+                waitFor(worker_started);
+                return;
+            }
+            worker_started = true;
+            exec::parallelFor(
+                64,
+                [&](std::size_t begin, std::size_t) {
+                    if (std::this_thread::get_id() == caller)
+                        caller_ran_nested = true;
+                    else if (begin == 0)
+                        waitFor(caller_ran_nested);
+                },
+                {.pool = &pool});
+        },
+        {.pool = &pool, .grain = 1});
+    EXPECT_TRUE(worker_started.load());
+    EXPECT_TRUE(caller_ran_nested.load());
 }
 
 /** Exact equality across every field of an UncertaintyResult. */

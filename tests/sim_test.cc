@@ -900,6 +900,42 @@ TEST(LognormalDraw, FactorsHaveTheRequestedMomentsAndQuantiles)
     }
 }
 
+TEST(NormalPairs, ScalarModeRoutesTheDispatcherToWidthOne)
+{
+    SimdModeGuard guard;
+    simd::setMode(simd::Mode::Scalar);
+    EXPECT_EQ(normalPairWidth(), 1u);
+    simd::setMode(simd::Mode::Native);
+    const std::size_t width = normalPairWidth();
+    EXPECT_TRUE(width == simd::nativeWidth || width == 4u) << width;
+}
+
+TEST(NormalPairs, DispatchedAvx2KernelMatchesWidthOne)
+{
+    SimdModeGuard guard;
+    simd::setMode(simd::Mode::Native);
+    if (normalPairWidth() < 4) {
+        GTEST_SKIP() << "no AVX2 dispatch (the CPU lacks AVX2, or the "
+                        "build is not x86-64): drawNormalPairs runs at W = "
+                     << normalPairWidth();
+    }
+    // Tails of every length around the 4-pair stride, and 100 pairs
+    // across the 64-pair pass.
+    for (std::size_t n : {1u, 3u, 4u, 5u, 31u, 32u, 33u, 64u, 100u}) {
+        std::vector<double> c4(n), s4(n), c1(n), s1(n);
+        Rng wide(91 + n), scalar(91 + n);
+        simd::setMode(simd::Mode::Native);
+        drawNormalPairs(wide, n, c4.data(), s4.data());
+        simd::setMode(simd::Mode::Scalar);
+        drawNormalPairs(scalar, n, c1.data(), s1.data());
+        for (std::size_t p = 0; p < n; ++p) {
+            EXPECT_EQ(bits(c4[p]), bits(c1[p])) << "n=" << n << " pair " << p;
+            EXPECT_EQ(bits(s4[p]), bits(s1[p])) << "n=" << n << " pair " << p;
+        }
+        EXPECT_EQ(wide.nextU64(), scalar.nextU64()) << "n=" << n;
+    }
+}
+
 TEST(NormalStream, KeepsTheBoxMullerPairingOfLognormalDrawAndRngNormal)
 {
     // 200 normals cross three block refills.

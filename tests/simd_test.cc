@@ -716,6 +716,56 @@ TEST(SimdMath, NativeAndScalarBitIdentical)
     }
 }
 
+/** simd::boxMuller at width W over pairs [0, n): W-wide strides,
+ * then a W = 1 tail. */
+template <std::size_t W>
+void
+boxMullerAt(const std::vector<double> &u1, const std::vector<double> &u2,
+            std::size_t n, std::vector<double> &cosines,
+            std::vector<double> &sines)
+{
+    const std::size_t main = n - n % W;
+    simd::boxMuller<W>(u1.data(), u2.data(), 0, main, cosines.data(),
+                       sines.data());
+    simd::boxMuller<1>(u1.data(), u2.data(), main, n, cosines.data(),
+                       sines.data());
+}
+
+TEST(SimdMath, BoxMullerBitIdenticalAtWidthsOneTwoFour)
+{
+    // W = 2 is called directly: on an AVX2 CPU drawNormalPairs runs
+    // it only on a pass's last two or three pairs. W = 4 is the AVX2
+    // backend in an x86-64-v3 build and the generic pack otherwise.
+    constexpr std::size_t maxPairs = 64;
+    std::vector<double> u1(maxPairs), u2(maxPairs);
+    Rng rng(23);
+    for (std::size_t p = 0; p < maxPairs; ++p) {
+        u1[p] = rng.uniform();
+        u2[p] = rng.uniform();
+    }
+    // The zero-radius guard, and angles on the quadrant boundaries.
+    u1[0] = 0.0;
+    u1[1] = 0x1p-53;
+    u1[2] = 1.0 - 0x1p-53;
+    for (std::size_t p = 0; p < 5; ++p)
+        u2[p] = 0.25 * static_cast<double>(p);
+
+    for (std::size_t n : {1u, 3u, 4u, 5u, 31u, 32u, 33u, 64u}) {
+        std::vector<double> c1(n), s1(n), c2(n), s2(n), c4(n), s4(n);
+        boxMullerAt<1>(u1, u2, n, c1, s1);
+        boxMullerAt<2>(u1, u2, n, c2, s2);
+        boxMullerAt<4>(u1, u2, n, c4, s4);
+        for (std::size_t p = 0; p < n; ++p) {
+            EXPECT_TRUE(std::isfinite(c1[p]) && std::isfinite(s1[p]))
+                << "n=" << n << " pair " << p;
+            EXPECT_TRUE(bitEq(c2[p], c1[p]) && bitEq(s2[p], s1[p]))
+                << "W=2 n=" << n << " pair " << p;
+            EXPECT_TRUE(bitEq(c4[p], c1[p]) && bitEq(s4[p], s1[p]))
+                << "W=4 n=" << n << " pair " << p;
+        }
+    }
+}
+
 TEST(LognormalDraw, BlockDrawMatchesSampleDrawsInEveryMode)
 {
     ModeGuard guard;
