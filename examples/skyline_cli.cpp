@@ -216,6 +216,14 @@ runScenarios(const DriverOptions &options, bool run_all)
                               trim(assignment.substr(eq + 1)));
     };
 
+    // A label names one scenario's artifacts, so it needs exactly one
+    // study; with more it would be dropped without a word.
+    if (!options.label.empty() &&
+        (run_all || options.studies.size() != 1)) {
+        throw ModelError("--label names the artifacts of exactly one "
+                         "study; run one study to use it");
+    }
+
     std::vector<scenario::ScenarioSpec> specs;
     if (run_all) {
         specs = runner.allSpecs();
@@ -253,10 +261,7 @@ runScenarios(const DriverOptions &options, bool run_all)
                 const auto [key, value] = splitSet(assignment);
                 spec.overrides.set(key, value);
             }
-            if (options.studies.size() == 1 &&
-                !options.label.empty()) {
-                spec.label = options.label;
-            }
+            spec.label = options.label;
             specs.push_back(std::move(spec));
         }
     }

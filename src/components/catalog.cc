@@ -189,7 +189,7 @@ addAirframes(Registry<Airframe> &reg)
     // Total pull calibrated to 793.7 g-f (4 x 198.4) so that the
     // Fig. 11 case study reproduces the paper's +75% safe-velocity
     // gain when the AGX TDP drops from 30 W to 15 W (hover-
-    // constrained law; see studies/fig11_compute.cc).
+    // constrained law; see scenario/studies/fig11.cc).
     reg.add(Airframe({
         .name = "DJI Spark",
         .baseMass = 300.0_g,

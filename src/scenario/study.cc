@@ -133,6 +133,16 @@ StudyResult::addMetric(const std::string &name, double value,
     return *this;
 }
 
+double
+StudyResult::metric(const std::string &name) const
+{
+    for (const auto &entry : metrics) {
+        if (entry.name == name)
+            return entry.value;
+    }
+    throw ModelError("no metric '" + name + "'");
+}
+
 void
 StudyRegistry::add(StudyInfo info)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * The study registry: every paper figure/table study self-registers
+ * The study registry: every paper figure/table study is registered
  * under a stable name with metadata, so one runner (and one CLI)
  * can enumerate and execute all of them.
  *
@@ -129,6 +129,13 @@ struct StudyResult
     StudyResult &addMetric(const std::string &name, double value,
                            const std::string &unit = "",
                            std::optional<PaperReference> paper = {});
+
+    /**
+     * The value of the metric called `name`.
+     *
+     * @throws ModelError naming the metric when there is none
+     */
+    double metric(const std::string &name) const;
 };
 
 /** What a study hands to its run function. */
@@ -193,7 +200,8 @@ class StudyRegistry
 
 namespace detail {
 
-/** Registers the built-in studies (builtin_studies.cc). */
+/** Registers the built-in studies (builtin_studies.cc lists them;
+ * each lives in its own file under scenario/studies/). */
 void registerBuiltinStudies(StudyRegistry &registry);
 
 } // namespace detail

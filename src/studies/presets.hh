@@ -23,7 +23,7 @@
  *
  * Case studies that the paper specifies mechanically rather than by
  * knee (Fig. 11 compute choice, Fig. 14 redundancy) use the
- * component path instead; see fig11_compute.cc / fig14_redundancy.cc.
+ * component path instead; see scenario/studies/fig11.cc and fig14.cc.
  */
 
 #ifndef UAVF1_STUDIES_PRESETS_HH

@@ -1,26 +1,37 @@
 /**
  * @file
- * Direct tests for the studies library: the calibrated presets and
- * the per-figure helper entry points (the integration test asserts
- * the headline numbers; these cover the plumbing).
+ * The calibrated presets and the studies' parameter plumbing, with
+ * every study run through the registry as run-all runs it (the
+ * integration test asserts the headline numbers).
  */
 
 #include <gtest/gtest.h>
 
-#include "studies/fig05_safety.hh"
-#include "studies/fig09_payload.hh"
-#include "studies/fig11_compute.hh"
-#include "studies/fig13_algorithms.hh"
-#include "studies/fig14_redundancy.hh"
-#include "studies/fig15_full_system.hh"
-#include "studies/fig16_accelerators.hh"
+#include "components/catalog.hh"
+#include "scenario/runner.hh"
 #include "studies/presets.hh"
 #include "support/errors.hh"
+#include "workload/spa_pipeline.hh"
+#include "workload/throughput.hh"
 
 namespace {
 
 using namespace uavf1;
-using namespace uavf1::studies;
+using namespace uavf1::scenario;
+using studies::nanoInputs;
+using studies::pelicanInputs;
+using studies::sparkInputs;
+
+/** Run one study with an optional `key=value` override. */
+ScenarioOutcome
+runStudy(const std::string &name, const std::string &assignment = "")
+{
+    ScenarioSpec spec;
+    spec.study = name;
+    if (!assignment.empty())
+        spec.set(assignment);
+    return ScenarioRunner().run(spec);
+}
 
 TEST(Presets, CalibratedKnees)
 {
@@ -47,120 +58,124 @@ TEST(Presets, SensorAndControlRates)
     EXPECT_DOUBLE_EQ(inputs.computeRate.value(), 55.0);
 }
 
-TEST(Fig05Helpers, SweepSampleCountRespected)
+TEST(Fig05Study, SweepSampleCountRespected)
 {
-    const Fig05Result result = runFig05(32);
-    EXPECT_EQ(result.sweep.size(), 32u);
-    EXPECT_GT(result.sweep.front().fAction,
-              result.sweep.back().fAction);
+    const auto outcome = runStudy("fig05", "sweep_samples=32");
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto &sweep = outcome.result.series[0].points();
+    EXPECT_EQ(sweep.size(), 32u);
+    EXPECT_GT(sweep.front().x, sweep.back().x);
 }
 
-TEST(Fig09Helpers, CustomSampleCount)
+TEST(Fig09Study, CustomSampleCount)
 {
-    const Fig09Result result = runFig09(21);
-    EXPECT_EQ(result.sweep.size(), 21u);
-    EXPECT_DOUBLE_EQ(result.sweep.front().payloadGrams, 100.0);
-    EXPECT_DOUBLE_EQ(result.sweep.back().payloadGrams, 800.0);
+    const auto outcome = runStudy("fig09", "sweep_samples=21");
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto &sweep = outcome.result.series[0].points();
+    EXPECT_EQ(sweep.size(), 21u);
+    EXPECT_DOUBLE_EQ(sweep.front().x, 100.0);
+    EXPECT_DOUBLE_EQ(sweep.back().x, 800.0);
 }
 
-TEST(Fig09Helpers, RejectsDegenerateSampleCounts)
+TEST(Fig09Study, RejectsDegenerateSampleCountsByName)
 {
     // sweep_samples == 1 used to divide by zero in the payload
-    // interpolation; 0 and 1 must both raise a ModelError instead.
-    EXPECT_THROW(runFig09(0), ModelError);
-    EXPECT_THROW(runFig09(1), ModelError);
-}
-
-TEST(Fig11Helpers, ModelForEachOption)
-{
-    for (const char *name :
-         {"Intel NCS", "Nvidia AGX", "Nvidia AGX-15W"}) {
-        const core::F1Model model = fig11Model(name);
-        EXPECT_GT(model.analyze().roofVelocity.value(), 0.0)
-            << name;
+    // interpolation; 0 and 1 must both fail naming the parameter.
+    for (const char *assignment : {"sweep_samples=0", "sweep_samples=1"}) {
+        const auto outcome = runStudy("fig09", assignment);
+        EXPECT_EQ(outcome.status, ScenarioStatus::Error) << assignment;
+        EXPECT_NE(outcome.error.find("sweep_samples"), std::string::npos)
+            << outcome.error;
     }
-    EXPECT_THROW(fig11Model("Cray-1"), ModelError);
 }
 
-TEST(Fig11Helpers, Agx15WShedsHalfTheHeatsink)
+TEST(Fig11Study, EveryOptionHasARoof)
 {
-    const Fig11Result result = runFig11();
-    EXPECT_NEAR(result.agx30.takeoffGrams -
-                    result.agx15.takeoffGrams,
+    const StudyResult result = runStudy("fig11").result;
+    for (const char *roof : {"ncs_roof", "agx30_roof", "agx15_roof"})
+        EXPECT_GT(result.metric(roof), 0.0) << roof;
+}
+
+TEST(Fig11Study, Agx15WShedsHalfTheHeatsink)
+{
+    const StudyResult result = runStudy("fig11").result;
+    EXPECT_NEAR(result.metric("agx30_heatsink") -
+                    result.metric("agx15_heatsink"),
                 81.0, 1.0);
     // Throughput identical by construction of the what-if.
-    EXPECT_DOUBLE_EQ(result.agx15.throughputHz,
-                     result.agx30.throughputHz);
+    const auto &options = result.series[0].points(); // NCS, 30, 15 W.
+    EXPECT_DOUBLE_EQ(options[2].x, options[1].x);
 }
 
-TEST(Fig13Helpers, ModelPerAlgorithm)
+TEST(Fig13Study, ActionRatesOnThePelicanPreset)
 {
-    EXPECT_NEAR(fig13Model("DroNet")
-                    .analyze()
-                    .actionThroughput.value(),
-                60.0, 1e-9); // Sensor-capped.
-    EXPECT_NEAR(fig13Model("SPA package delivery")
-                    .analyze()
-                    .actionThroughput.value(),
+    const auto oracle = workload::ThroughputOracle::standard();
+    const auto analyze = [&](const char *algorithm) {
+        return core::F1Model(
+                   pelicanInputs(oracle.measured(algorithm, "Nvidia TX2")))
+            .analyze();
+    };
+    EXPECT_NEAR(analyze("DroNet").actionThroughput.value(), 60.0,
+                1e-9); // Sensor-capped.
+    EXPECT_NEAR(analyze("SPA package delivery").actionThroughput.value(),
                 1.1, 1e-9);
-    EXPECT_THROW(fig13Model("AlphaPilot"), ModelError);
+    EXPECT_THROW(oracle.measured("AlphaPilot", "Nvidia TX2"), ModelError);
+    EXPECT_EQ(runStudy("fig13").result.metric("SPA package delivery_v_safe"),
+              analyze("SPA package delivery").safeVelocity.value());
 }
 
-TEST(Fig14Helpers, ModelPerScheme)
+TEST(Fig14Study, RedundancyLowersVelocity)
 {
-    const auto single =
-        fig14Model(pipeline::RedundancyScheme::None).analyze();
-    const auto dual =
-        fig14Model(pipeline::RedundancyScheme::Dual).analyze();
-    EXPECT_GT(single.roofVelocity.value(),
-              dual.roofVelocity.value());
+    const StudyResult result = runStudy("fig14").result;
+    EXPECT_GT(result.metric("single_v_safe"), result.metric("dual_v_safe"));
 }
 
-TEST(Fig15Helpers, EntriesCarryProvenance)
+TEST(Fig15Study, ThroughputsCarryProvenance)
 {
-    const Fig15Result result = runFig15();
     // DroNet on TX2 is measured; CAD2RL on TX2 is a roofline bound.
-    EXPECT_EQ(result.find("DJI Spark", "DroNet", "Nvidia TX2")
-                  .source,
-              workload::ThroughputSource::Measured);
-    EXPECT_EQ(result.find("DJI Spark", "CAD2RL", "Nvidia TX2")
-                  .source,
-              workload::ThroughputSource::RooflineBound);
+    const auto catalog = components::Catalog::standard();
+    const auto algorithms = workload::standardAlgorithms();
+    const auto source = [&](const char *algorithm) {
+        return workload::ThroughputOracle::standard()
+            .throughput(algorithms.byName(algorithm),
+                        catalog.computes().byName("Nvidia TX2"))
+            .source;
+    };
+    EXPECT_EQ(source("DroNet"), workload::ThroughputSource::Measured);
+    EXPECT_EQ(source("CAD2RL"), workload::ThroughputSource::RooflineBound);
 }
 
-TEST(Fig15Helpers, SparkAndPelicanDifferInKnee)
+TEST(Fig15Study, SparkAndPelicanDifferInKnee)
 {
-    const Fig15Result result = runFig15();
-    EXPECT_GT(result.pelicanKnee, result.sparkKnee);
+    const StudyResult result = runStudy("fig15").result;
+    EXPECT_GT(result.metric("pelican_knee"), result.metric("spark_knee"));
     // Same algorithm/compute pair classifies independently per UAV.
-    const auto &pelican =
-        result.find("AscTec Pelican", "VGG16", "Nvidia TX2");
-    const auto &spark =
-        result.find("DJI Spark", "VGG16", "Nvidia TX2");
-    EXPECT_NE(pelican.analysis.kneeThroughput.value(),
-              spark.analysis.kneeThroughput.value());
+    const units::Hertz vgg16 =
+        workload::ThroughputOracle::standard().measured("VGG16",
+                                                        "Nvidia TX2");
+    EXPECT_NE(core::F1Model(pelicanInputs(vgg16))
+                  .analyze()
+                  .kneeThroughput.value(),
+              core::F1Model(sparkInputs(vgg16))
+                  .analyze()
+                  .kneeThroughput.value());
 }
 
-TEST(Fig16Helpers, DefaultConstructorBuildsBothPipelines)
+TEST(Fig16Study, NavionChangesOnlyTheSlamStage)
 {
-    const Fig16Result result; // Before runFig16() fills analyses.
-    EXPECT_EQ(result.hostPipeline.stages().size(), 4u);
-    EXPECT_EQ(result.navionPipeline.stages().size(), 4u);
-    EXPECT_LT(result.navionPipeline.totalLatency().value(),
-              result.hostPipeline.totalLatency().value());
-}
-
-TEST(Fig16Helpers, NavionDoesNotChangeOtherStages)
-{
-    const Fig16Result result = runFig16();
-    for (std::size_t i = 1;
-         i < result.hostPipeline.stages().size(); ++i) {
-        EXPECT_DOUBLE_EQ(
-            result.hostPipeline.stages()[i].latency.value(),
-            result.navionPipeline.stages()[i].latency.value());
+    const auto host = workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+    const auto navion = host.withStageLatency(
+        "SLAM", workload::SpaPipeline::navionSlamLatency(), " + Navion");
+    ASSERT_EQ(host.stages().size(), 4u);
+    ASSERT_EQ(navion.stages().size(), 4u);
+    EXPECT_LT(navion.stages()[0].latency.value(),
+              host.stages()[0].latency.value());
+    for (std::size_t i = 1; i < host.stages().size(); ++i) {
+        EXPECT_DOUBLE_EQ(host.stages()[i].latency.value(),
+                         navion.stages()[i].latency.value());
     }
-    EXPECT_LT(result.navionPipeline.stages()[0].latency.value(),
-              result.hostPipeline.stages()[0].latency.value());
+    EXPECT_EQ(runStudy("fig16").result.metric("navion_latency"),
+              navion.totalLatency().value() * 1000.0);
 }
 
 } // namespace
