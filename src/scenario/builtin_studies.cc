@@ -23,6 +23,14 @@ sessionFromParams(const StudyParams &params)
     return session;
 }
 
+std::vector<std::string>
+withSessionKnobs(std::vector<std::string> params)
+{
+    for (std::string &knob : skyline::SkylineSession::knobNames())
+        params.push_back(std::move(knob));
+    return params;
+}
+
 void
 registerBuiltinStudies(StudyRegistry &registry)
 {

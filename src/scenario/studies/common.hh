@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/f1_model.hh"
 #include "scenario/study.hh"
@@ -71,6 +72,9 @@ factorVsKnee(const core::F1Analysis &analysis)
 
 /** A session with every override applied as a knob assignment. */
 skyline::SkylineSession sessionFromParams(const StudyParams &params);
+
+/** `params` followed by every session knob name. */
+std::vector<std::string> withSessionKnobs(std::vector<std::string> params);
 
 StudyInfo fig02Study();
 StudyInfo fig04Study();

@@ -199,15 +199,13 @@ run(const StudyContext &ctx)
 StudyInfo
 dvfsStudy()
 {
-    std::vector<std::string> params = {"platforms", "algorithms"};
-    for (std::string &knob : skyline::SkylineSession::knobNames())
-        params.push_back(std::move(knob));
     return {"dvfs", "DVFS operating-point sweep",
             "v_safe vs TDP across one roofline preset's "
             "operating points, binding ceiling at each point; "
             "comma-separated platforms=/algorithms= lists "
             "overlay several sweeps",
-            params, {"csv", "svg", "json"}, run};
+            withSessionKnobs({"platforms", "algorithms"}),
+            {"csv", "svg", "json"}, run};
 }
 
 } // namespace uavf1::scenario::detail

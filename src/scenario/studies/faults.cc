@@ -238,16 +238,13 @@ run(const StudyContext &ctx)
 StudyInfo
 faultsStudy()
 {
-    std::vector<std::string> params = {"fault",   "fault_scale",
-                                       "samples", "levels",
-                                       "seed",    "redundancy"};
-    for (std::string &knob : skyline::SkylineSession::knobNames())
-        params.push_back(std::move(knob));
     return {"faults", "Fault-injection campaign",
             "Degraded-mode envelope under a standard fault "
             "suite: v_safe degradation curve, mission-abort "
             "probability and binding shifts",
-            params, {"csv", "svg", "json"}, run};
+            withSessionKnobs({"fault", "fault_scale", "samples", "levels",
+                              "seed", "redundancy"}),
+            {"csv", "svg", "json"}, run};
 }
 
 } // namespace uavf1::scenario::detail

@@ -123,13 +123,11 @@ run(const StudyContext &ctx)
 StudyInfo
 sweepStudy()
 {
-    std::vector<std::string> params = {"knob", "from", "to", "steps"};
-    for (std::string &knob : skyline::SkylineSession::knobNames())
-        params.push_back(std::move(knob));
     return {"sweep", "Skyline knob sweep",
             "Sweep one numeric knob; infeasible points are "
             "marked, not fatal",
-            params, {"csv", "svg", "json"}, run};
+            withSessionKnobs({"knob", "from", "to", "steps"}),
+            {"csv", "svg", "json"}, run};
 }
 
 } // namespace uavf1::scenario::detail

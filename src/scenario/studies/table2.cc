@@ -88,8 +88,7 @@ table2Study()
     return {"table2", "Table II: Skyline session",
             "The full knob set analyzed end-to-end; overrides "
             "are knob assignments",
-            skyline::SkylineSession::knobNames(),
-            {"csv", "svg", "json", "html"}, run};
+            withSessionKnobs({}), {"csv", "svg", "json", "html"}, run};
 }
 
 } // namespace uavf1::scenario::detail
