@@ -59,14 +59,14 @@ run(const StudyContext &)
             config.redundancy()
                 .payloadMass(*config.compute(), config.heatsinkModel())
                 .value();
-        v_safe[single ? 0 : 1] =
-            config.f1Model().analyze().safeVelocity.value();
+        double &v = v_safe[single ? 0 : 1];
+        v = config.f1Model().analyze().safeVelocity.value();
         table.addRow({single ? "Roofline-TX2" : "Roofline-2x TX2",
                       trimmedNumber(config.redundancy().replicas()),
                       trimmedNumber(compute),
                       trimmedNumber(config.takeoffMass().value()),
-                      trimmedNumber(v_safe[single ? 0 : 1], 2)});
-        points.add(compute, v_safe[single ? 0 : 1]);
+                      trimmedNumber(v, 2)});
+        points.add(compute, v);
     }
     result.series.push_back(std::move(points));
 
