@@ -13,15 +13,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "golden_digest.hh"
 #include "scenario/runner.hh"
 
 namespace {
@@ -49,26 +48,6 @@ slurp(const std::string &path)
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
-}
-
-/** 64-bit FNV-1a. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::string
-digestLine(const std::string &name, const std::string &bytes)
-{
-    char hash[17];
-    std::snprintf(hash, sizeof hash, "%016" PRIx64, fnv1a(bytes));
-    return name + " " + std::to_string(bytes.size()) + " " + hash;
 }
 
 TEST(Fidelity, EveryPaperReferenceHoldsOrIsADeclaredGap)
@@ -115,42 +94,14 @@ TEST(Fidelity, RunAllBytesMatchTheGoldenDigest)
     for (const auto &outcome : runAllOutcomes()) {
         ASSERT_TRUE(outcome.ok) << outcome.study << ": " << outcome.error;
         for (const auto &path : outcome.artifacts) {
-            lines.push_back(digestLine(
+            lines.push_back(test::digestLine(
                 std::filesystem::path(path).filename().string(),
                 slurp(path)));
         }
-        lines.push_back(
-            digestLine(outcome.label + ".summary", outcome.result.summary));
+        lines.push_back(test::digestLine(outcome.label + ".summary",
+                                         outcome.result.summary));
     }
-
-    // name -> line; an entry is named in every failure message.
-    const auto nameOf = [](const std::string &line) {
-        return line.substr(0, line.find(' '));
-    };
-    std::map<std::string, std::string> golden;
-    std::ifstream in(UAVF1_GOLDEN_DIGEST);
-    for (std::string line; std::getline(in, line);)
-        golden[nameOf(line)] = line;
-    std::string regenerated;
-    bool same = true;
-    for (const auto &line : lines) {
-        regenerated += line + "\n";
-        const auto it = golden.find(nameOf(line));
-        if (it == golden.end() || it->second != line) {
-            ADD_FAILURE() << "differs: " << line << " (digest: "
-                          << (it == golden.end() ? "none" : it->second)
-                          << ")";
-            same = false;
-        }
-        if (it != golden.end())
-            golden.erase(it);
-    }
-    for (const auto &[name, line] : golden) {
-        ADD_FAILURE() << "no longer written: " << line;
-        same = false;
-    }
-    EXPECT_TRUE(same) << "regenerated " << UAVF1_GOLDEN_DIGEST << ":\n"
-                      << regenerated;
+    test::expectMatchesGolden(lines, UAVF1_GOLDEN_DIR "/run_all.digest");
 }
 
 TEST(Fidelity, TableClassifiesEachReference)
