@@ -23,9 +23,11 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/block_sampling.hh"
 #include "support/errors.hh"
 #include "support/validate.hh"
 #include "workload/stage_eval.hh"
@@ -33,6 +35,13 @@
 namespace uavf1::fault {
 
 namespace {
+
+/** What a campaign's sample-count errors call it. */
+constexpr const char *kWhat = "fault campaign";
+
+/** The most faults a spec may hold: the outcome table has one entry
+ * per subset of them. */
+constexpr std::size_t kMaxFaults = 16;
 
 /** True for fault kinds evaluated on the platform layer. The
  * stage-scoped kinds belong here: they perturb how one stage sees
@@ -68,41 +77,6 @@ isPipelineFault(FaultKind kind)
 
 } // namespace
 
-struct FaultCampaign::Tallies
-{
-    std::uint64_t aborts = 0;
-    std::vector<std::uint64_t> activations; ///< Per fault.
-    /** Per flat ceiling slot; empty without a platform. */
-    std::vector<std::uint64_t> ceilings;
-    /** [stage * 3 + kind], kind 0 compute, 1 memory, 2 measured;
-     * empty off the stage path. */
-    std::vector<std::uint64_t> stages;
-
-    explicit Tallies(const FaultCampaign &campaign)
-    {
-        const CampaignSpec &spec = campaign._spec;
-        activations.assign(spec.faults.size(), 0);
-        if (spec.platform) {
-            ceilings.assign(spec.platform->computeCeilings().size() +
-                                spec.platform->memoryCeilings().size(),
-                            0);
-            if (spec.pipeline)
-                stages.assign(campaign._stageCount * 3, 0);
-        }
-    }
-
-    void add(const Tallies &other)
-    {
-        aborts += other.aborts;
-        for (std::size_t j = 0; j < activations.size(); ++j)
-            activations[j] += other.activations[j];
-        for (std::size_t k = 0; k < ceilings.size(); ++k)
-            ceilings[k] += other.ceilings[k];
-        for (std::size_t k = 0; k < stages.size(); ++k)
-            stages[k] += other.stages[k];
-    }
-};
-
 FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
 {
     // Validate the nominal by constructing the model once.
@@ -126,7 +100,6 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
     // so the counts are capped to keep the tables small (2^16
     // outcomes at most).
     constexpr std::size_t max_per_layer = 8;
-    constexpr std::size_t max_faults = 16;
     for (const auto &[layer, faults] :
          {std::pair{"platform", &_platformFaults},
           std::pair{"pipeline", &_pipelineFaults},
@@ -139,9 +112,9 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
                 std::to_string(faults->size()));
         }
     }
-    if (_spec.faults.size() > max_faults) {
+    if (_spec.faults.size() > kMaxFaults) {
         throw ModelError("fault campaign supports at most " +
-                         std::to_string(max_faults) +
+                         std::to_string(kMaxFaults) +
                          " faults in all, but the spec has " +
                          std::to_string(_spec.faults.size()));
     }
@@ -259,7 +232,8 @@ FaultCampaign::precomputePlatformVariants()
         _stageCount = _spec.pipeline->stages().size();
         _stageNames = _spec.pipeline->stageNames();
         _stageBase.assign(masks * _stageCount, 0.0);
-        _stageSlot.assign(masks * _stageCount, noSlot);
+        _stageKind.assign(masks * _stageCount,
+                          sim::BindingTallies::kMeasured);
     }
     for (std::size_t mask = 0; mask < masks; ++mask) {
         platform::RooflinePlatform::Spec degraded;
@@ -436,22 +410,13 @@ FaultCampaign::precomputePlatformVariants()
         eval_options.measuredFirst = mask == 0;
         const workload::PipelineBound stage_bound =
             evaluator.evaluate(eval_options);
-        const std::size_t compute_ceilings =
-            machine.computeCeilings().size();
         for (std::size_t s = 0; s < _stageCount; ++s) {
             const workload::StageBound &stage =
                 stage_bound.stages[s];
             _stageBase[mask * _stageCount + s] =
                 stage.latencySeconds;
-            if (stage.binding.attributed) {
-                _stageSlot[mask * _stageCount + s] =
-                    static_cast<std::uint32_t>(
-                        stage.binding.kind ==
-                                platform::CeilingKind::Compute
-                            ? stage.binding.index
-                            : compute_ceilings +
-                                  stage.binding.index);
-            }
+            _stageKind[mask * _stageCount + s] = static_cast<
+                std::uint8_t>(sim::BindingTallies::kindOf(stage.binding));
         }
     }
 }
@@ -525,8 +490,6 @@ FaultCampaign::compileOutcomes()
     // path's operation order, and a run only counts masks.
     const platform::RooflinePlatform *machine =
         _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
     const pipeline::ModularRedundancy redundancy(_spec.redundancy);
     _outcomes.resize(std::size_t{1} << _spec.faults.size());
     core::F1Analysis analysis;
@@ -599,10 +562,8 @@ FaultCampaign::compileOutcomes()
             outcome.throws = true;
         }
         if (binding.attributed) {
-            outcome.ceilingSlot = static_cast<std::uint32_t>(
-                binding.kind == platform::CeilingKind::Compute
-                    ? binding.index
-                    : compute_ceilings + binding.index);
+            outcome.ceilingSlot =
+                static_cast<std::uint32_t>(machine->ceilingSlot(binding));
         }
     }
 }
@@ -645,16 +606,16 @@ void
 FaultCampaign::scalarSamples(const std::vector<double> &effective_prob,
                              std::size_t lo, std::size_t hi, Rng &rng,
                              double *v_safe, unsigned char *aborted,
-                             Tallies &tallies) const
+                             std::uint64_t *activations,
+                             sim::BindingTallies &bindings) const
 {
     const std::size_t fault_count = _spec.faults.size();
     const platform::RooflinePlatform *machine =
         _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
     const bool stage_path = machine && _spec.pipeline.has_value();
     const pipeline::ModularRedundancy redundancy(_spec.redundancy);
     core::F1Analysis analysis;
+    std::array<std::uint64_t, kMaxFaults> active_count{};
     for (std::size_t i = lo; i < hi; ++i) {
         // Exactly one draw per fault, active or not, so the stream a
         // later fault sees never depends on an earlier activation
@@ -681,7 +642,7 @@ FaultCampaign::scalarSamples(const std::vector<double> &effective_prob,
                 sensor_fraction *= 1.0 - fault.sensorDerate;
             }
             if (active)
-                ++tallies.activations[j];
+                ++active_count[j];
         }
 
         core::F1Inputs inputs = _spec.nominal;
@@ -725,7 +686,6 @@ FaultCampaign::scalarSamples(const std::vector<double> &effective_prob,
         }
         if (abort) {
             aborted[i - lo] = 1;
-            ++tallies.aborts;
             continue;
         }
         inputs.sensorRate = units::Hertz(inputs.sensorRate.value() *
@@ -733,60 +693,26 @@ FaultCampaign::scalarSamples(const std::vector<double> &effective_prob,
         inputs.computeBinding = binding;
         core::F1Model::analyzeInto(inputs, analysis);
         v_safe[i - lo] = analysis.safeVelocity.value();
-        if (machine && binding.attributed) {
-            const std::size_t slot =
-                binding.kind == platform::CeilingKind::Compute
-                    ? binding.index
-                    : compute_ceilings + binding.index;
-            ++tallies.ceilings[slot];
-        }
-        if (stage_path) {
-            const std::uint32_t *slots =
-                &_stageSlot[platform_mask * _stageCount];
-            for (std::size_t s = 0; s < _stageCount; ++s) {
-                const std::size_t kind =
-                    slots[s] == noSlot
-                        ? 2
-                        : (slots[s] < compute_ceilings ? 0 : 1);
-                ++tallies.stages[s * 3 + kind];
-            }
-        }
+        if (binding.attributed)
+            bindings.addCeiling(machine->ceilingSlot(binding));
+        for (std::size_t s = 0; s < _stageCount; ++s)
+            bindings.addStage(s, _stageKind[platform_mask * _stageCount + s]);
     }
+    for (std::size_t j = 0; j < fault_count; ++j)
+        activations[j] += active_count[j];
 }
 
 
 namespace {
 
-/**
- * What run() and runReference() draw from: each fault's activation
- * probability at a severity scale, and one forked Rng per sample
- * block — the same deterministic decomposition as
- * MonteCarloAnalyzer, with substreams keyed by block index.
- */
-struct Draws
+/** Each fault's activation probability at a severity scale. */
+std::vector<double>
+activationProbabilities(const CampaignSpec &spec, double scale)
 {
     std::vector<double> probability;
-    std::vector<Rng> blockRngs;
-};
-
-Draws
-prepareDraws(const CampaignSpec &spec, double scale, std::size_t count,
-             std::uint64_t seed)
-{
-    if (count < 10)
-        throw ModelError("fault campaign needs >= 10 samples");
-    Draws draws;
     for (const FaultSpec &fault : spec.faults)
-        draws.probability.push_back(
-            std::min(1.0, fault.probability * scale));
-    const std::size_t blocks =
-        (count + FaultCampaign::sampleBlock - 1) /
-        FaultCampaign::sampleBlock;
-    draws.blockRngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        draws.blockRngs.push_back(root.fork());
-    return draws;
+        probability.push_back(std::min(1.0, fault.probability * scale));
+    return probability;
 }
 
 /** Missions per uniformBlock call in run(): the draw buffer stays
@@ -823,36 +749,18 @@ drawMasks(const std::vector<double> &probability, std::size_t lo,
 } // namespace
 
 CampaignResult
-FaultCampaign::tallyResult(const Tallies &tallies,
-                           std::size_t count) const
+FaultCampaign::tallyResult(std::size_t count, std::uint64_t aborts,
+                           const std::vector<std::uint64_t> &activations,
+                           const sim::BindingTallies &bindings) const
 {
     CampaignResult result;
     result.samples = count;
     const auto n = static_cast<double>(count);
-    result.abortProbability = static_cast<double>(tallies.aborts) / n;
-    for (const std::uint64_t hits : tallies.activations)
+    result.abortProbability = static_cast<double>(aborts) / n;
+    for (const std::uint64_t hits : activations)
         result.faultActivationRate.push_back(
             static_cast<double>(hits) / n);
-    const std::uint64_t survivors = count - tallies.aborts;
-    const auto share = [&](std::uint64_t hits) {
-        return survivors > 0 ? static_cast<double>(hits) /
-                                   static_cast<double>(survivors)
-                             : 0.0;
-    };
-    const std::size_t compute_ceilings =
-        _spec.platform ? _spec.platform->computeCeilings().size() : 0;
-    for (std::size_t k = 0; k < tallies.ceilings.size(); ++k) {
-        (k < compute_ceilings ? result.probComputeCeilingBinds
-                              : result.probMemoryCeilingBinds)
-            .push_back(share(tallies.ceilings[k]));
-    }
-    for (std::size_t s = 0; s < tallies.stages.size() / 3; ++s) {
-        StageBindingStats &stats = result.stageBindings.emplace_back();
-        stats.stage = _stageNames[s];
-        stats.probComputeBound = share(tallies.stages[s * 3 + 0]);
-        stats.probMemoryBound = share(tallies.stages[s * 3 + 1]);
-        stats.probMeasured = share(tallies.stages[s * 3 + 2]);
-    }
+    bindings.writeShares(count - aborts, _stageNames, result);
     return result;
 }
 
@@ -860,45 +768,35 @@ CampaignResult
 FaultCampaign::run(std::size_t count, std::uint64_t seed,
                    const exec::ParallelOptions &parallel) const
 {
-    return runAtScale(count, seed, _spec.probabilityScale, parallel);
+    return runAtScale(sim::BlockLayout(kWhat, count, sampleBlock, seed),
+                      _spec.probabilityScale, parallel);
 }
 
 CampaignResult
-FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
-                          double scale,
+FaultCampaign::runAtScale(const sim::BlockLayout &layout, double scale,
                           const exec::ParallelOptions &parallel) const
 {
-    const Draws draws = prepareDraws(_spec, scale, count, seed);
+    const std::vector<double> probability =
+        activationProbabilities(_spec, scale);
+    const std::size_t count = layout.count();
     const std::size_t fault_count = _spec.faults.size();
     const std::size_t masks = _outcomes.size();
 
     // Each mission only bumps its slot's histogram at its activation
     // mask. Histograms sit more than a cache line apart, so slots
     // never share one.
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    const std::size_t slots = exec::maxSlots(options);
+    const std::size_t slots = exec::maxSlots(parallel);
     const std::size_t stride = masks + 16;
     std::vector<std::uint64_t> hist(slots * stride, 0);
     std::vector<std::vector<double>> uniforms(
         slots, std::vector<double>(kDrawRun * fault_count));
-    exec::parallelForSlots(
-        draws.blockRngs.size(),
-        [&](std::size_t slot, std::size_t block_begin,
-            std::size_t block_end) {
-            std::uint64_t *slot_hist = &hist[slot * stride];
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = draws.blockRngs[b];
-                const std::size_t lo = b * sampleBlock;
-                drawMasks(draws.probability, lo,
-                          std::min(count, lo + sampleBlock), rng,
-                          uniforms[slot].data(),
-                          [&](std::uint32_t mask) {
-                              ++slot_hist[mask];
-                          });
-            }
-        },
-        options);
+    layout.forEach(parallel, [&](std::size_t slot, std::size_t,
+                                 std::size_t lo, std::size_t hi,
+                                 Rng &rng) {
+        std::uint64_t *slot_hist = &hist[slot * stride];
+        drawMasks(probability, lo, hi, rng, uniforms[slot].data(),
+                  [&](std::uint32_t mask) { ++slot_hist[mask]; });
+    });
 
     // Everything follows from the merged histogram and the outcome
     // table, in O(masks).
@@ -906,13 +804,14 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
     for (std::size_t slot = 0; slot < slots; ++slot)
         for (std::size_t mask = 0; mask < masks; ++mask)
             counts[mask] += hist[slot * stride + mask];
-    Tallies tallies(*this);
+    std::uint64_t aborts = 0;
+    std::vector<std::uint64_t> activations(fault_count, 0);
+    sim::BindingTallies bindings(
+        _spec.platform ? &*_spec.platform : nullptr, _stageCount);
     std::vector<double> v_safe(masks, 0.0);
     std::vector<std::uint64_t> survivors(masks, 0);
     bool rejected = false;
     bool nan = false;
-    const std::size_t compute_ceilings =
-        _spec.platform ? _spec.platform->computeCeilings().size() : 0;
     for (std::size_t mask = 0; mask < masks; ++mask) {
         const std::uint64_t hits = counts[mask];
         const Outcome &outcome = _outcomes[mask];
@@ -920,37 +819,36 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
             continue;
         rejected = rejected || outcome.throws;
         for (std::size_t j = 0; j < fault_count; ++j)
-            tallies.activations[j] += ((mask >> j) & 1) * hits;
+            activations[j] += ((mask >> j) & 1) * hits;
         if (outcome.aborts) {
-            tallies.aborts += hits;
+            aborts += hits;
             continue;
         }
         survivors[mask] = hits;
         v_safe[mask] = outcome.vSafe;
         nan = nan || outcome.vSafe != outcome.vSafe;
         if (outcome.ceilingSlot != noSlot)
-            tallies.ceilings[outcome.ceilingSlot] += hits;
-        for (std::size_t s = 0; s < tallies.stages.size() / 3; ++s) {
-            const std::uint32_t slot =
-                _stageSlot[outcome.platformMask * _stageCount + s];
-            const std::size_t kind =
-                slot == noSlot ? 2 : (slot < compute_ceilings ? 0 : 1);
-            tallies.stages[s * 3 + kind] += hits;
+            bindings.addCeiling(outcome.ceilingSlot, hits);
+        for (std::size_t s = 0; s < _stageCount; ++s) {
+            bindings.addStage(
+                s, _stageKind[outcome.platformMask * _stageCount + s],
+                hits);
         }
     }
 
     // The two rare paths replay draws in block order to fail where
     // the scalar path does. A drawn mask the scalar path rejects:
     // replaying its first block through scalarSamples() throws that
-    // path's error at the same mission.
+    // path's error at the same mission (so what it tallies is never
+    // read).
     std::vector<double> &u = uniforms[0];
     if (rejected) {
-        for (std::size_t b = 0; b < draws.blockRngs.size(); ++b) {
-            const std::size_t lo = b * sampleBlock;
-            const std::size_t hi = std::min(count, lo + sampleBlock);
-            Rng rng = draws.blockRngs[b];
+        for (std::size_t b = 0; b < layout.blocks(); ++b) {
+            const std::size_t lo = layout.lo(b);
+            const std::size_t hi = layout.hi(b);
+            Rng rng = layout.rng(b);
             bool hit = false;
-            drawMasks(draws.probability, lo, hi, rng, u.data(),
+            drawMasks(probability, lo, hi, rng, u.data(),
                       [&](std::uint32_t mask) {
                           hit = hit || _outcomes[mask].throws;
                       });
@@ -958,11 +856,11 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
                 continue;
             std::vector<double> scratch_v_safe(hi - lo);
             std::vector<unsigned char> aborted(hi - lo);
-            Tallies scratch(*this);
-            Rng replay = draws.blockRngs[b];
-            scalarSamples(draws.probability, lo, hi, replay,
+            std::vector<std::uint64_t> scratch_activations(fault_count);
+            Rng replay = layout.rng(b);
+            scalarSamples(probability, lo, hi, replay,
                           scratch_v_safe.data(), aborted.data(),
-                          scratch);
+                          scratch_activations.data(), bindings);
             break;
         }
         throw std::logic_error(
@@ -970,21 +868,19 @@ FaultCampaign::runAtScale(std::size_t count, std::uint64_t seed,
             "scalar path accepts");
     }
 
-    CampaignResult result = tallyResult(tallies, count);
-    if (tallies.aborts == count)
+    CampaignResult result =
+        tallyResult(count, aborts, activations, bindings);
+    if (aborts == count)
         return result;
     if (nan) {
         // A NaN survivor: the survivors up to the first NaN, in
         // sample order, make fromSamples() name it by its index.
         std::vector<double> samples;
         bool named = false;
-        for (std::size_t b = 0; !named && b < draws.blockRngs.size();
-             ++b) {
-            const std::size_t lo = b * sampleBlock;
-            Rng rng = draws.blockRngs[b];
-            drawMasks(draws.probability, lo,
-                      std::min(count, lo + sampleBlock), rng, u.data(),
-                      [&](std::uint32_t mask) {
+        for (std::size_t b = 0; !named && b < layout.blocks(); ++b) {
+            Rng rng = layout.rng(b);
+            drawMasks(probability, layout.lo(b), layout.hi(b), rng,
+                      u.data(), [&](std::uint32_t mask) {
                           if (named || survivors[mask] == 0)
                               return;
                           samples.push_back(v_safe[mask]);
@@ -1005,35 +901,37 @@ FaultCampaign::runReference(
     std::size_t count, std::uint64_t seed,
     const exec::ParallelOptions &parallel) const
 {
-    const Draws draws =
-        prepareDraws(_spec, _spec.probabilityScale, count, seed);
-    const std::size_t blocks = draws.blockRngs.size();
+    const sim::BlockLayout layout(kWhat, count, sampleBlock, seed);
+    const std::vector<double> probability =
+        activationProbabilities(_spec, _spec.probabilityScale);
     std::vector<double> v_safe(count);
     std::vector<unsigned char> aborted(count, 0);
-    std::vector<Tallies> block_tallies(blocks, Tallies(*this));
+    const std::size_t slots = exec::maxSlots(parallel);
+    std::vector<std::vector<std::uint64_t>> activations(
+        slots, std::vector<std::uint64_t>(_spec.faults.size(), 0));
+    std::vector<sim::BindingTallies> bindings(
+        slots, sim::BindingTallies(
+                   _spec.platform ? &*_spec.platform : nullptr,
+                   _stageCount));
+    layout.forEach(parallel, [&](std::size_t slot, std::size_t,
+                                 std::size_t lo, std::size_t hi,
+                                 Rng &rng) {
+        scalarSamples(probability, lo, hi, rng, &v_safe[lo],
+                      &aborted[lo], activations[slot].data(),
+                      bindings[slot]);
+    });
 
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    exec::parallelFor(
-        blocks,
-        [&](std::size_t block_begin, std::size_t block_end) {
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = draws.blockRngs[b];
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi = std::min(count, lo + sampleBlock);
-                scalarSamples(draws.probability, lo, hi, rng,
-                              &v_safe[lo], &aborted[lo],
-                              block_tallies[b]);
-            }
-        },
-        options);
-
-    Tallies tallies(*this);
-    for (const Tallies &block : block_tallies)
-        tallies.add(block);
-    CampaignResult result = tallyResult(tallies, count);
+    for (std::size_t slot = 1; slot < slots; ++slot) {
+        for (std::size_t j = 0; j < activations[0].size(); ++j)
+            activations[0][j] += activations[slot][j];
+        bindings[0].add(bindings[slot]);
+    }
+    const auto aborts = static_cast<std::uint64_t>(
+        std::count(aborted.begin(), aborted.end(), 1));
+    CampaignResult result =
+        tallyResult(count, aborts, activations[0], bindings[0]);
     std::vector<double> survivors;
-    survivors.reserve(count - tallies.aborts);
+    survivors.reserve(count - aborts);
     for (std::size_t i = 0; i < count; ++i)
         if (!aborted[i])
             survivors.push_back(v_safe[i]);
@@ -1060,6 +958,11 @@ FaultCampaign::sweepSeverity(std::size_t levels,
 {
     if (levels < 2)
         throw ModelError("degradation curve needs >= 2 levels");
+    // The same seed at every level, so the curve varies only with
+    // severity, not with resampling noise: every level draws from one
+    // layout.
+    const sim::BlockLayout layout(kWhat, samples_per_level, sampleBlock,
+                                  seed);
 
     SeveritySweep sweep;
     sweep.curve.reserve(levels);
@@ -1067,13 +970,10 @@ FaultCampaign::sweepSeverity(std::size_t levels,
         const double scale =
             static_cast<double>(level) /
             static_cast<double>(levels - 1);
-        // The same seed at every level, so the curve varies only
-        // with severity, not with resampling noise. The outcome
-        // table does not depend on the probabilities, so every
-        // level reuses it.
-        CampaignResult result =
-            runAtScale(samples_per_level, seed,
-                       _spec.probabilityScale * scale, parallel);
+        // The outcome table does not depend on the probabilities,
+        // so every level reuses it too.
+        CampaignResult result = runAtScale(
+            layout, _spec.probabilityScale * scale, parallel);
         DegradationPoint point;
         point.scale = scale;
         point.meanSafeVelocity = result.safeVelocity.mean;

@@ -43,6 +43,11 @@
 #include "support/rng.hh"
 #include "workload/spa_pipeline.hh"
 
+namespace uavf1::sim {
+class BlockLayout;
+class BindingTallies;
+} // namespace uavf1::sim
+
 namespace uavf1::fault {
 
 /** One UAV configuration plus the fault modes to inject into it. */
@@ -254,8 +259,8 @@ class FaultCampaign
         double throughputHz = 0.0; ///< Hz, when not aborting.
     };
 
-    /** Slot sentinel: no ceiling attributed (a measurement-sourced
-     * stage, or a mission whose pipeline rate won). */
+    /** Ceiling-slot sentinel: no ceiling attributed (a mission whose
+     * pipeline rate won). */
     static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
 
     /**
@@ -268,7 +273,7 @@ class FaultCampaign
         /** Flat slot of the binding ceiling (compute ceilings
          * first), or noSlot when unattributed. */
         std::uint32_t ceilingSlot = noSlot;
-        /** Row of the per-stage tables (_stageSlot). */
+        /** Row of the per-stage tables (_stageKind). */
         std::uint32_t platformMask = 0;
         bool aborts = false;
         /** F1Model::analyzeInto rejects the mission's inputs. */
@@ -279,30 +284,31 @@ class FaultCampaign
     void precomputePipelineVariants();
     void compileOutcomes();
 
-    /** run() at probabilityScale `scale` instead of the spec's. */
-    CampaignResult runAtScale(std::size_t count, std::uint64_t seed,
+    /** run() over `layout` at probabilityScale `scale` instead of
+     * the spec's. */
+    CampaignResult runAtScale(const sim::BlockLayout &layout,
                               double scale,
                               const exec::ParallelOptions &parallel) const;
-
-    /** A run's integer tallies (aborts, activations, ceiling and
-     * stage bindings), summed over its missions. */
-    struct Tallies;
 
     /**
      * The scalar per-sample loop over samples [lo, hi) of one RNG
      * block — everything runReference() executes, and what run()
      * replays a block through when it draws a mask whose outcome
-     * throws. Outputs are indexed from `lo`.
+     * throws. Outputs are indexed from `lo`; the per-fault
+     * `activations` and the `bindings` are added to.
      */
     void scalarSamples(const std::vector<double> &effective_prob,
                        std::size_t lo, std::size_t hi, Rng &rng,
                        double *v_safe, unsigned char *aborted,
-                       Tallies &tallies) const;
+                       std::uint64_t *activations,
+                       sim::BindingTallies &bindings) const;
 
     /** Everything but the v_safe distribution, from the tallies of
      * `count` missions. */
-    CampaignResult tallyResult(const Tallies &tallies,
-                               std::size_t count) const;
+    CampaignResult
+    tallyResult(std::size_t count, std::uint64_t aborts,
+                const std::vector<std::uint64_t> &activations,
+                const sim::BindingTallies &bindings) const;
 
     CampaignSpec _spec;
     /** Fault indices by layer (order preserved within each). */
@@ -319,8 +325,8 @@ class FaultCampaign
      * Per-stage tables of the workload-aware path, used only when
      * both platform and pipeline are configured. _stageBase holds
      * each platform variant's evaluated per-stage latency (seconds)
-     * and _stageSlot its binding — a flat ceiling slot (compute
-     * ceilings first) or noSlot — both indexed
+     * and _stageKind how it is bound (a sim::BindingTallies::
+     * StageKind), both indexed
      * [platform_mask * _stageCount + stage]. _stageInflation holds
      * each pipeline variant's per-stage latency-inflation product,
      * indexed [pipeline_mask * _stageCount + stage]. A sample's
@@ -329,7 +335,7 @@ class FaultCampaign
     std::size_t _stageCount = 0;
     std::vector<std::string> _stageNames;
     std::vector<double> _stageBase;
-    std::vector<std::uint32_t> _stageSlot;
+    std::vector<std::uint8_t> _stageKind;
     std::vector<double> _stageInflation;
 };
 

@@ -186,6 +186,16 @@ class RooflinePlatform
         return _spec.memoryCeilings;
     }
 
+    /** Flat slot of a ceiling: compute ceilings first, then memory
+     * ceilings — the slot space of the evaluation plans and of the
+     * samplers' binding tallies. */
+    std::size_t ceilingSlot(CeilingRef ref) const
+    {
+        return ref.kind == CeilingKind::Compute
+                   ? ref.index
+                   : _spec.computeCeilings.size() + ref.index;
+    }
+
     /** Ordered DVFS operating points (index 0 is nominal). */
     const std::vector<OperatingPoint> &operatingPoints() const
     {

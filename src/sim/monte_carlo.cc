@@ -29,6 +29,7 @@
 
 #include "core/f1_batch.hh"
 #include "platform/evaluation_plan.hh"
+#include "sim/block_sampling.hh"
 #include "simd/pack.hh"
 #include "support/errors.hh"
 #include "support/exact_sum.hh"
@@ -529,20 +530,6 @@ factorDraw(const UncertaintySpec &spec)
     return LognormalDraw(spreads);
 }
 
-/** Samples per run: at least 10, and at most 2^53 (the StudyParams
- * bound), checked before any block arithmetic or allocation. */
-void
-requireSampleCount(std::size_t count)
-{
-    if (count < 10)
-        throw ModelError("Monte-Carlo run needs >= 10 samples");
-    constexpr std::size_t kMaxCount = std::size_t{1} << 53;
-    if (count > kMaxCount) {
-        throw ModelError("Monte-Carlo count must be at most 2^53, got " +
-                         std::to_string(count));
-    }
-}
-
 } // namespace
 
 MonteCarloAnalyzer::MonteCarloAnalyzer(const UncertaintySpec &spec)
@@ -605,6 +592,45 @@ struct alignas(64) Arena
     workload::StagePipelinePlan::Scratch planScratch;
 };
 
+
+/** One slot's tallies: the bound classes and what binds. Slots sit
+ * on their own cache lines, so per-sample increments never
+ * false-share. */
+struct alignas(64) SlotTallies
+{
+    std::array<std::uint64_t, 4> bounds{};
+    BindingTallies bindings;
+};
+
+/**
+ * What both run flavours share: the block layout, the output columns
+ * (each sample writes only its own entry) and one SlotTallies per
+ * parallel slot.
+ */
+struct Samples
+{
+    BlockLayout layout;
+    std::vector<double> vSafe;
+    std::vector<double> knee;
+    std::vector<double> roof;
+    std::vector<SlotTallies> tallies;
+
+    Samples(const UncertaintySpec &spec, std::size_t count,
+            std::uint64_t seed, const exec::ParallelOptions &parallel)
+        : layout("Monte-Carlo run", count,
+                 MonteCarloAnalyzer::sampleBlock, seed),
+          vSafe(count), knee(count), roof(count),
+          tallies(exec::maxSlots(parallel),
+                  SlotTallies{{},
+                              BindingTallies(
+                                  spec.platform ? &*spec.platform
+                                                : nullptr,
+                                  spec.pipeline
+                                      ? spec.pipeline->stages().size()
+                                      : 0)})
+    {}
+};
+
 /**
  * The original sample-at-a-time loop over samples [lo, hi) of one
  * RNG block: the reference semantics, byte for byte. It draws each
@@ -617,13 +643,8 @@ struct alignas(64) Arena
 void
 scalarSamples(const UncertaintySpec &spec, const LognormalDraw &draw,
               const workload::StagePipelineEvaluator *evaluator,
-              std::size_t stage_count,
-              const platform::RooflinePlatform *machine,
-              std::size_t compute_ceilings, std::size_t lo,
-              std::size_t hi, Rng &rng, double *v_safe, double *knee,
-              double *roof, std::array<std::uint64_t, 4> &counts,
-              std::uint64_t *ceiling_counts,
-              std::uint64_t *stage_counts)
+              std::size_t lo, std::size_t hi, Rng &rng, Samples &out,
+              SlotTallies &tallies)
 {
     core::F1Analysis analysis;
     workload::PipelineBound pipeline_bound;
@@ -652,25 +673,15 @@ scalarSamples(const UncertaintySpec &spec, const LognormalDraw &draw,
                 pipeline_bound.bottleneckBinding();
             inputs.computeBinding = binding;
             if (binding.attributed) {
-                const std::size_t slot =
-                    binding.kind == platform::CeilingKind::Compute
-                        ? binding.index
-                        : compute_ceilings + binding.index;
-                ++ceiling_counts[slot];
+                tallies.bindings.addCeiling(
+                    spec.platform->ceilingSlot(binding));
             }
-            for (std::size_t s = 0; s < stage_count; ++s) {
-                const workload::StageBound &stage =
-                    pipeline_bound.stages[s];
-                const std::size_t kind =
-                    !stage.binding.attributed
-                        ? 2
-                        : (stage.binding.kind ==
-                                   platform::CeilingKind::Compute
-                               ? 0
-                               : 1);
-                ++stage_counts[s * 3 + kind];
+            for (std::size_t s = 0; s < evaluator->stageCount(); ++s) {
+                tallies.bindings.addStage(
+                    s, BindingTallies::kindOf(
+                           pipeline_bound.stages[s].binding));
             }
-        } else if (machine) {
+        } else if (spec.platform) {
             // Ceiling-family path: the bound at a perturbed
             // arithmetic intensity drives f_compute, so which
             // ceiling binds varies sample to sample.
@@ -678,16 +689,13 @@ scalarSamples(const UncertaintySpec &spec, const LognormalDraw &draw,
             profile.ai =
                 units::OpsPerByte(profile.ai.value() * factor[kAi]);
             const platform::AttainableBound bound =
-                machine->attainable(profile, spec.opIndex);
+                spec.platform->attainable(profile, spec.opIndex);
             inputs.computeRate = units::Hertz(
                 bound.attainable.value() / spec.workPerFrameGop *
                 factor[kCompute]);
             inputs.computeBinding = bound.binding;
-            const std::size_t slot =
-                bound.binding.kind == platform::CeilingKind::Compute
-                    ? bound.binding.index
-                    : compute_ceilings + bound.binding.index;
-            ++ceiling_counts[slot];
+            tallies.bindings.addCeiling(
+                spec.platform->ceilingSlot(bound.binding));
         } else {
             inputs.computeRate = units::Hertz(
                 inputs.computeRate.value() * factor[kCompute]);
@@ -696,101 +704,51 @@ scalarSamples(const UncertaintySpec &spec, const LognormalDraw &draw,
                                          factor[kSensor]);
 
         core::F1Model::analyzeInto(inputs, analysis);
-        v_safe[i] = analysis.safeVelocity.value();
-        knee[i] = analysis.kneeThroughput.value();
-        roof[i] = analysis.roofVelocity.value();
-        ++counts[static_cast<std::size_t>(analysis.bound)];
+        out.vSafe[i] = analysis.safeVelocity.value();
+        out.knee[i] = analysis.kneeThroughput.value();
+        out.roof[i] = analysis.roofVelocity.value();
+        ++tallies.bounds[static_cast<std::size_t>(analysis.bound)];
     }
 }
 
 /** Shared tally-merge and distribution-building tail of both run
- * flavours. Per-block tallies are merged in block order — the
- * determinism contract — and the summaries run on `parallel`. */
+ * flavours. The per-slot tallies are integer counts, so they merge
+ * exactly in any order, and the summaries run on `parallel`. */
 UncertaintyResult
-buildResult(
-    std::size_t count,
-    const std::vector<std::array<std::uint64_t, 4>> &bound_counts,
-    bool machine, std::size_t compute_ceilings,
-    std::size_t total_ceilings,
-    const std::vector<std::vector<std::uint64_t>> &ceiling_counts,
-    const std::vector<std::string> &stage_names,
-    const std::vector<std::vector<std::uint64_t>> &stage_counts,
-    const std::vector<double> &v_safe, const std::vector<double> &knee,
-    const std::vector<double> &roof,
-    const exec::ParallelOptions &parallel)
+buildResult(const UncertaintySpec &spec, const Samples &samples,
+            const exec::ParallelOptions &parallel)
 {
     UncertaintyResult result;
+    const std::size_t count = samples.layout.count();
     result.samples = count;
-    std::array<std::uint64_t, 4> totals{};
-    for (const auto &counts : bound_counts)
-        for (std::size_t k = 0; k < totals.size(); ++k)
-            totals[k] += counts[k];
-
-    if (machine) {
-        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
-        for (const auto &block : ceiling_counts)
-            for (std::size_t k = 0; k < total_ceilings; ++k)
-                ceiling_totals[k] += block[k];
-        result.probComputeCeilingBinds.resize(compute_ceilings);
-        result.probMemoryCeilingBinds.resize(total_ceilings -
-                                             compute_ceilings);
-        for (std::size_t k = 0; k < total_ceilings; ++k) {
-            const double prob =
-                static_cast<double>(ceiling_totals[k]) /
-                static_cast<double>(count);
-            if (k < compute_ceilings)
-                result.probComputeCeilingBinds[k] = prob;
-            else
-                result.probMemoryCeilingBinds[k - compute_ceilings] =
-                    prob;
-        }
+    SlotTallies total = samples.tallies.front();
+    for (std::size_t slot = 1; slot < samples.tallies.size(); ++slot) {
+        for (std::size_t k = 0; k < total.bounds.size(); ++k)
+            total.bounds[k] += samples.tallies[slot].bounds[k];
+        total.bindings.add(samples.tallies[slot].bindings);
     }
-    if (!stage_names.empty()) {
-        const std::size_t stage_count = stage_names.size();
-        std::vector<std::uint64_t> stage_totals(stage_count * 3, 0);
-        for (const auto &block : stage_counts)
-            for (std::size_t k = 0; k < stage_totals.size(); ++k)
-                stage_totals[k] += block[k];
-        result.stageBindings.resize(stage_count);
-        for (std::size_t s = 0; s < stage_count; ++s) {
-            StageBindingStats &stats = result.stageBindings[s];
-            stats.stage = stage_names[s];
-            stats.probComputeBound =
-                static_cast<double>(stage_totals[s * 3 + 0]) /
-                static_cast<double>(count);
-            stats.probMemoryBound =
-                static_cast<double>(stage_totals[s * 3 + 1]) /
-                static_cast<double>(count);
-            stats.probMeasured =
-                static_cast<double>(stage_totals[s * 3 + 2]) /
-                static_cast<double>(count);
-        }
-    }
+    total.bindings.writeShares(
+        count,
+        spec.pipeline ? spec.pipeline->stageNames()
+                      : std::vector<std::string>{},
+        result);
 
     const double n = static_cast<double>(count);
-    using core::BoundType;
-    result.probComputeBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::ComputeBound)]) /
-        n;
-    result.probSensorBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::SensorBound)]) /
-        n;
-    result.probControlBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::ControlBound)]) /
-        n;
-    result.probPhysicsBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::PhysicsBound)]) /
-        n;
+    const auto share = [&](core::BoundType bound) {
+        return static_cast<double>(
+                   total.bounds[static_cast<std::size_t>(bound)]) /
+               n;
+    };
+    result.probComputeBound = share(core::BoundType::ComputeBound);
+    result.probSensorBound = share(core::BoundType::SensorBound);
+    result.probControlBound = share(core::BoundType::ControlBound);
+    result.probPhysicsBound = share(core::BoundType::PhysicsBound);
 
     // The three summaries run concurrently, and every pass of each
     // (the exact sums and the selection) fans out to whichever
     // workers are idle.
     const std::array<const std::vector<double> *, 3> outputs = {
-        &v_safe, &knee, &roof};
+        &samples.vSafe, &samples.knee, &samples.roof};
     const std::array<Distribution *, 3> summaries = {
         &result.safeVelocity, &result.kneeThroughput,
         &result.roofVelocity};
@@ -813,37 +771,7 @@ UncertaintyResult
 MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
                         const exec::ParallelOptions &parallel) const
 {
-    requireSampleCount(count);
-
-    // Deterministic decomposition: samples come in fixed-size
-    // blocks, each drawing from its own forked substream. Block
-    // geometry depends only on `count`, every sample writes to its
-    // own slot, and per-block tallies are merged in block order, so
-    // the result is bit-identical at any thread count.
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
-
-    std::vector<double> v_safe(count);
-    std::vector<double> knee(count);
-    std::vector<double> roof(count);
-    std::vector<std::array<std::uint64_t, 4>> bound_counts(
-        blocks, std::array<std::uint64_t, 4>{});
-
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
+    Samples samples(_spec, count, seed, parallel);
 
     // Compile the per-sample evaluation once. The pipeline path gets
     // a StagePipelinePlan (per-stage SoA evaluation), the flat
@@ -851,19 +779,13 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
     // legacy path needs neither.
     std::optional<workload::StagePipelinePlan> plan;
     std::optional<platform::EvaluationPlan> machine_plan;
-    std::size_t stage_count = 0;
-    std::vector<std::string> stage_names;
-    if (_spec.pipeline) {
+    if (_spec.pipeline)
         plan.emplace(*_spec.pipeline, *_spec.platform);
-        stage_count = plan->stageCount();
-        for (std::size_t s = 0; s < stage_count; ++s)
-            stage_names.push_back(plan->evaluator().stageName(s));
-    } else if (machine) {
-        machine_plan.emplace(*machine, _spec.profile);
-    }
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        plan ? blocks : 0,
-        std::vector<std::uint64_t>(stage_count * 3, 0));
+    else if (_spec.platform)
+        machine_plan.emplace(*_spec.platform, _spec.profile);
+    const std::size_t stage_count = plan ? plan->stageCount() : 0;
+    const workload::StagePipelineEvaluator *evaluator =
+        plan ? &plan->evaluator() : nullptr;
 
     // Sample-invariant nominals, hoisted.
     const double nominal_amax = _spec.nominal.aMax.value();
@@ -876,150 +798,105 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
     const double work = _spec.workPerFrameGop;
     const std::size_t op = _spec.opIndex;
 
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    std::vector<Arena> arenas(exec::maxSlots(options));
-    const workload::StagePipelineEvaluator *evaluator =
-        plan ? &plan->evaluator() : nullptr;
+    std::vector<Arena> arenas(exec::maxSlots(parallel));
+    samples.layout.forEach(parallel, [&](std::size_t slot, std::size_t,
+                                         std::size_t lo, std::size_t hi,
+                                         Rng &rng) {
+        Arena &arena = arenas[slot];
+        SlotTallies &tallies = samples.tallies[slot];
+        for (std::size_t sub = lo; sub < hi; sub += kernelBlock) {
+            const std::size_t m = std::min(hi - sub, kernelBlock);
+            // Saved state for the scalar fallback. A full sub-batch
+            // draws an even number of normals, so every sub-batch
+            // starts on a Box-Muller pair boundary and the scalar
+            // draws from here reproduce phase A.
+            Rng rescan_rng = rng;
+            bool ok = true;
 
-    exec::parallelForSlots(
-        blocks,
-        [&](std::size_t slot, std::size_t block_begin,
-            std::size_t block_end) {
-            Arena &arena = arenas[slot];
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
-                // Tally on the stack and store once per block:
-                // adjacent blocks' slots share cache lines, so
-                // per-sample increments would false-share.
-                std::array<std::uint64_t, 4> counts{};
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                for (std::size_t sub = lo; sub < hi;
-                     sub += kernelBlock) {
-                    const std::size_t m =
-                        std::min(hi - sub, kernelBlock);
-                    // Saved state for the scalar fallback. A full
-                    // sub-batch draws an even number of normals, so
-                    // every sub-batch starts on a Box-Muller pair
-                    // boundary and the scalar draws from here
-                    // reproduce phase A.
-                    Rng rescan_rng = rng;
-                    bool ok = true;
-
-                    // Phase A: the block draw, then the nominals
-                    // scaled by their factors. The pipeline path's AI
-                    // scale is the bare factor.
-                    double *const columns[] = {
-                        arena.aMax, arena.range, arena.ai,
-                        arena.computeFactor, arena.sensorFactor};
-                    _draw.drawBlock(rng, m, columns);
-                    for (std::size_t i = 0; i < m; ++i) {
-                        arena.aMax[i] = nominal_amax * arena.aMax[i];
-                        arena.range[i] =
-                            nominal_range * arena.range[i];
-                    }
-                    if (machine_plan) {
-                        for (std::size_t i = 0; i < m; ++i)
-                            arena.ai[i] = nominal_ai * arena.ai[i];
-                    }
-
-                    // Phase B: batched f_compute evaluation.
-                    if (plan) {
-                        for (std::size_t k = 0;
-                             k < stage_count * 3; ++k)
-                            arena.stageKind[k] = 0;
-                        ok = plan->tryEvaluateBlock(
-                                 op, false, arena.ai, m,
-                                 arena.throughput,
-                                 arena.bottleneckSlot,
-                                 arena.stageKind,
-                                 arena.planScratch) &&
-                             ok;
-                        for (std::size_t i = 0; i < m; ++i)
-                            arena.computeRate[i] =
-                                arena.throughput[i] *
-                                arena.computeFactor[i];
-                    } else if (machine_plan) {
-                        ok = machine_plan->tryEvaluateBlock(
-                                 op, arena.ai, m, arena.attainable,
-                                 arena.ceilingSlot) &&
-                             ok;
-                        for (std::size_t i = 0; i < m; ++i)
-                            arena.computeRate[i] =
-                                arena.attainable[i] / work *
-                                arena.computeFactor[i];
-                    } else {
-                        for (std::size_t i = 0; i < m; ++i)
-                            arena.computeRate[i] =
-                                nominal_compute *
-                                arena.computeFactor[i];
-                    }
-                    for (std::size_t i = 0; i < m; ++i)
-                        arena.sensorRate[i] =
-                            nominal_sensor * arena.sensorFactor[i];
-
-                    // Phase C: the F-1 block kernel, writing the
-                    // output lanes in place.
-                    ok = core::analyzeBlock(
-                             arena.aMax, arena.range,
-                             arena.sensorRate, arena.computeRate,
-                             control, knee_fraction, m,
-                             v_safe.data() + sub, knee.data() + sub,
-                             roof.data() + sub, arena.bound) &&
-                         ok;
-
-                    if (!ok) {
-                        // Scalar fallback: recompute the whole
-                        // sub-batch sample-at-a-time so the first
-                        // failing sample throws the scalar path's
-                        // own error (and, if none does, every
-                        // output and tally is the scalar one).
-                        scalarSamples(
-                            _spec, _draw, evaluator, stage_count,
-                            machine, compute_ceilings, sub, sub + m,
-                            rescan_rng, v_safe.data(), knee.data(),
-                            roof.data(), counts,
-                            machine ? ceiling_counts[b].data()
-                                    : nullptr,
-                            plan ? stage_counts[b].data()
-                                 : nullptr);
-                        continue;
-                    }
-
-                    // Commit tallies only after every phase
-                    // validated, so the fallback never
-                    // double-counts.
-                    for (std::size_t i = 0; i < m; ++i)
-                        ++counts[arena.bound[i]];
-                    if (plan) {
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const std::uint32_t s =
-                                arena.bottleneckSlot[i];
-                            if (s != workload::StagePipelinePlan::
-                                         measuredSlot)
-                                ++ceiling_counts[b][s];
-                        }
-                        for (std::size_t k = 0;
-                             k < stage_count * 3; ++k)
-                            stage_counts[b][k] +=
-                                arena.stageKind[k];
-                    } else if (machine_plan) {
-                        for (std::size_t i = 0; i < m; ++i)
-                            ++ceiling_counts[b]
-                                            [arena.ceilingSlot[i]];
-                    }
-                }
-                bound_counts[b] = counts;
+            // Phase A: the block draw, then the nominals scaled by
+            // their factors. The pipeline path's AI scale is the
+            // bare factor.
+            double *const columns[] = {arena.aMax, arena.range,
+                                       arena.ai, arena.computeFactor,
+                                       arena.sensorFactor};
+            _draw.drawBlock(rng, m, columns);
+            for (std::size_t i = 0; i < m; ++i) {
+                arena.aMax[i] = nominal_amax * arena.aMax[i];
+                arena.range[i] = nominal_range * arena.range[i];
             }
-        },
-        options);
+            if (machine_plan) {
+                for (std::size_t i = 0; i < m; ++i)
+                    arena.ai[i] = nominal_ai * arena.ai[i];
+            }
 
-    return buildResult(count, bound_counts, machine != nullptr,
-                       compute_ceilings, total_ceilings,
-                       ceiling_counts, stage_names, stage_counts,
-                       v_safe, knee, roof, parallel);
+            // Phase B: batched f_compute evaluation.
+            if (plan) {
+                for (std::size_t k = 0; k < stage_count * 3; ++k)
+                    arena.stageKind[k] = 0;
+                ok = plan->tryEvaluateBlock(
+                         op, false, arena.ai, m, arena.throughput,
+                         arena.bottleneckSlot, arena.stageKind,
+                         arena.planScratch) &&
+                     ok;
+                for (std::size_t i = 0; i < m; ++i)
+                    arena.computeRate[i] =
+                        arena.throughput[i] * arena.computeFactor[i];
+            } else if (machine_plan) {
+                ok = machine_plan->tryEvaluateBlock(
+                         op, arena.ai, m, arena.attainable,
+                         arena.ceilingSlot) &&
+                     ok;
+                for (std::size_t i = 0; i < m; ++i)
+                    arena.computeRate[i] = arena.attainable[i] / work *
+                                           arena.computeFactor[i];
+            } else {
+                for (std::size_t i = 0; i < m; ++i)
+                    arena.computeRate[i] =
+                        nominal_compute * arena.computeFactor[i];
+            }
+            for (std::size_t i = 0; i < m; ++i)
+                arena.sensorRate[i] =
+                    nominal_sensor * arena.sensorFactor[i];
+
+            // Phase C: the F-1 block kernel, writing the output
+            // lanes in place.
+            ok = core::analyzeBlock(arena.aMax, arena.range,
+                                    arena.sensorRate, arena.computeRate,
+                                    control, knee_fraction, m,
+                                    samples.vSafe.data() + sub,
+                                    samples.knee.data() + sub,
+                                    samples.roof.data() + sub,
+                                    arena.bound) &&
+                 ok;
+
+            if (!ok) {
+                // Scalar fallback: recompute the whole sub-batch
+                // sample-at-a-time so the first failing sample
+                // throws the scalar path's own error (and, if none
+                // does, every output and tally is the scalar one).
+                scalarSamples(_spec, _draw, evaluator, sub, sub + m,
+                              rescan_rng, samples, tallies);
+                continue;
+            }
+
+            // Commit tallies only after every phase validated, so
+            // the fallback never double-counts.
+            for (std::size_t i = 0; i < m; ++i)
+                ++tallies.bounds[arena.bound[i]];
+            if (plan) {
+                for (std::size_t i = 0; i < m; ++i) {
+                    const std::uint32_t s = arena.bottleneckSlot[i];
+                    if (s != workload::StagePipelinePlan::measuredSlot)
+                        tallies.bindings.addCeiling(s);
+                }
+                tallies.bindings.addStages(arena.stageKind);
+            } else if (machine_plan) {
+                for (std::size_t i = 0; i < m; ++i)
+                    tallies.bindings.addCeiling(arena.ceilingSlot[i]);
+            }
+        }
+    });
+    return buildResult(_spec, samples, parallel);
 }
 
 UncertaintyResult
@@ -1027,73 +904,17 @@ MonteCarloAnalyzer::runReference(
     std::size_t count, std::uint64_t seed,
     const exec::ParallelOptions &parallel) const
 {
-    requireSampleCount(count);
-
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
-
-    std::vector<double> v_safe(count);
-    std::vector<double> knee(count);
-    std::vector<double> roof(count);
-    std::vector<std::array<std::uint64_t, 4>> bound_counts(
-        blocks, std::array<std::uint64_t, 4>{});
-
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
-
+    Samples samples(_spec, count, seed, parallel);
     std::optional<workload::StagePipelineEvaluator> evaluator;
-    std::size_t stage_count = 0;
-    std::vector<std::string> stage_names;
-    if (_spec.pipeline) {
+    if (_spec.pipeline)
         evaluator.emplace(*_spec.pipeline, *_spec.platform);
-        stage_count = evaluator->stageCount();
-        for (std::size_t s = 0; s < stage_count; ++s)
-            stage_names.push_back(evaluator->stageName(s));
-    }
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        evaluator ? blocks : 0,
-        std::vector<std::uint64_t>(stage_count * 3, 0));
-
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    exec::parallelFor(
-        blocks,
-        [&](std::size_t block_begin, std::size_t block_end) {
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
-                std::array<std::uint64_t, 4> counts{};
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                scalarSamples(
-                    _spec, _draw, evaluator ? &*evaluator : nullptr,
-                    stage_count, machine, compute_ceilings, lo, hi,
-                    rng, v_safe.data(), knee.data(), roof.data(),
-                    counts,
-                    machine ? ceiling_counts[b].data() : nullptr,
-                    evaluator ? stage_counts[b].data() : nullptr);
-                bound_counts[b] = counts;
-            }
-        },
-        options);
-
-    return buildResult(count, bound_counts, machine != nullptr,
-                       compute_ceilings, total_ceilings,
-                       ceiling_counts, stage_names, stage_counts,
-                       v_safe, knee, roof, parallel);
+    samples.layout.forEach(parallel, [&](std::size_t slot, std::size_t,
+                                         std::size_t lo, std::size_t hi,
+                                         Rng &rng) {
+        scalarSamples(_spec, _draw, evaluator ? &*evaluator : nullptr,
+                      lo, hi, rng, samples, samples.tallies[slot]);
+    });
+    return buildResult(_spec, samples, parallel);
 }
 
 } // namespace uavf1::sim

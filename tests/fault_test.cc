@@ -683,6 +683,46 @@ TEST(FaultCampaign, FaultCountsAreCappedByName)
                           "has 17");
 }
 
+TEST(FaultCampaign, SampleCountIsRangeCheckedByName)
+{
+    // A count past 2^53 throws a ModelError naming it before any
+    // block arithmetic or allocation, on every run entry point.
+    const FaultCampaign campaign(tx2Campaign("mixed"));
+    const auto run = [&](int entry, std::size_t count) {
+        if (entry == 0)
+            (void)campaign.run(count);
+        else if (entry == 1)
+            (void)campaign.runReference(count);
+        else
+            (void)campaign.sweepSeverity(2, count);
+    };
+    for (const std::size_t count :
+         {std::numeric_limits<std::size_t>::max(), std::size_t{1} << 60,
+          (std::size_t{1} << 53) + 1}) {
+        for (int entry = 0; entry < 3; ++entry) {
+            try {
+                run(entry, count);
+                ADD_FAILURE() << "count " << count << " was accepted";
+            } catch (const ModelError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "count must be at most 2^53, got " +
+                              std::to_string(count)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // Below 10 the existing error holds.
+    for (int entry = 0; entry < 3; ++entry) {
+        try {
+            run(entry, 9);
+            ADD_FAILURE() << "count 9 was accepted";
+        } catch (const ModelError &e) {
+            EXPECT_STREQ(e.what(), "fault campaign needs >= 10 samples");
+        }
+    }
+}
+
 /** A TX2-CPU + Navion campaign with the mavbench pipeline: the
  * configuration where the stage-gated accelerator ceiling is in
  * play, so stage-scoped platform faults have a roof to demote. */
