@@ -60,9 +60,9 @@ struct ParallelOptions
     /** Cooperative cancellation: checked at every chunk boundary.
      * When the token fires, the loop stops dispatching chunks and
      * rethrows TimeoutError/CancelledError on the caller. The
-     * default token is inert. Appended last so existing designated
-     * initializers keep compiling. */
-    CancellationToken cancel;
+     * default token is inert. Appended last, with a default member
+     * initializer, so designated initializers may leave it out. */
+    CancellationToken cancel{};
 };
 
 /**

@@ -88,7 +88,10 @@ JsonObject::addRaw(const std::string &key, const std::string &json)
 std::string
 JsonObject::render() const
 {
-    return "{" + join(_members, ", ") + "}";
+    std::string out = "{";
+    out += join(_members, ", ");
+    out += "}";
+    return out;
 }
 
 JsonArray &
@@ -101,7 +104,10 @@ JsonArray::add(const std::string &json)
 std::string
 JsonArray::render() const
 {
-    return "[" + join(_elements, ", ") + "]";
+    std::string out = "[";
+    out += join(_elements, ", ");
+    out += "]";
+    return out;
 }
 
 void

@@ -51,7 +51,7 @@ struct SpaStage
     double megabytes = 0.0;
     /** Ceiling annotations of this stage's kernel. The stage name
      * is used as the stage tag when traits.stage is empty. */
-    WorkloadTraits traits;
+    WorkloadTraits traits{};
 
     /** True when the stage carries a usable roofline annotation. */
     bool annotated() const

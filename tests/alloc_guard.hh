@@ -38,6 +38,11 @@ operator new(std::size_t size, const std::nothrow_t &) noexcept
     return std::malloc(size);
 }
 
+// GCC 12 flags free() on a pointer from operator new once the delete
+// is inlined; these operators pair new with malloc, so free matches.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 void
 operator delete(void *p) noexcept
 {
@@ -55,5 +60,7 @@ operator delete(void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
+
+#pragma GCC diagnostic pop
 
 #endif // UAVF1_TESTS_ALLOC_GUARD_HH

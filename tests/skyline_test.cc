@@ -593,7 +593,7 @@ TEST(Dse, ParetoFrontMatchesBruteForceOnTieHeavyInputs)
     std::vector<DesignPoint> points;
     for (int i = 0; i < 300; ++i) {
         DesignPoint point = syntheticPoint(
-            "p" + std::to_string(i),
+            std::string("p").append(std::to_string(i)),
             std::floor(rng.uniform(0.0, 5.0)),
             std::floor(rng.uniform(0.0, 5.0)),
             std::floor(rng.uniform(0.0, 5.0)));
