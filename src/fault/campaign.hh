@@ -10,13 +10,14 @@
  * degradation curve as fault rates sweep from zero to their full
  * severity.
  *
- * Determinism follows the PR-1 contract exactly as
- * sim::MonteCarloAnalyzer does: samples come in fixed-size blocks,
- * each drawing from its own Rng::fork() substream keyed by block
- * index, every sample draws exactly one uniform per fault spec
- * (whether or not the fault activates), and per-block tallies merge
- * in block order — so a campaign is bit-identical for a given seed
- * at any thread count.
+ * Determinism follows the contract sim::MonteCarloAnalyzer keeps,
+ * through the same skeleton (sim/block_sampling.hh): samples come in
+ * fixed-size blocks, each drawing from its own Rng::fork() substream
+ * keyed by block index, every sample draws exactly one uniform per
+ * fault spec (whether or not the fault activates), and every tally
+ * is an integer count (run() keeps per-slot mask histograms), so
+ * tallies merge exactly in any order — a campaign is bit-identical
+ * for a given seed at any thread count.
  *
  * All degraded platform variants (one per subset of platform-layer
  * faults) and pipeline variants (per subset of workload-layer
@@ -59,7 +60,9 @@ struct CampaignSpec
     /**
      * Ceiling-family evaluation of f_compute under platform faults:
      * required whenever a platform-layer fault (CeilingDerate,
-     * OperatingPointLoss, ThermalThrottle) is present. When set,
+     * OperatingPointLoss, ThermalThrottle, StageCeilingDerate,
+     * StageTrafficInflation) is present; the two stage-scoped kinds
+     * also need `pipeline`. When set,
      * f_compute derives from the degraded platform's attainable
      * bound on `profile` divided by workPerFrameGop, and the
      * campaign tallies per-ceiling binding shifts.
@@ -184,9 +187,11 @@ class FaultCampaign
      * Sample `count` missions (deterministic for a seed; see file
      * comment) and summarize the degraded outcomes.
      *
-     * @param count number of missions (>= 10)
+     * @param count number of missions, in [10, 2^53]
      * @param seed RNG seed
      * @param parallel executor options (pool, thread cap, cancel)
+     * @throws ModelError for a count outside [10, 2^53], before any
+     *         allocation
      */
     CampaignResult
     run(std::size_t count, std::uint64_t seed = 1,
@@ -198,8 +203,9 @@ class FaultCampaign
      * mask and summarizes from the mask histogram; this is the
      * original scalar loop, summarized through
      * sim::Distribution::fromSamples, kept as the bit-identity
-     * oracle for the property tests and the baseline side of the
-     * perf benches. For any (spec, count, seed) the two return
+     * oracle for the property tests and as the baseline of
+     * perfbench's fault.reference_ratio. For any (spec, count, seed)
+     * the two return
      * bit-identical results, and throw the same error when a
      * mission's inputs are rejected.
      */
@@ -214,7 +220,7 @@ class FaultCampaign
      * varies only with severity.
      *
      * @param levels number of curve points (>= 2)
-     * @param samples_per_level missions per point (>= 10)
+     * @param samples_per_level missions per point, in [10, 2^53]
      */
     std::vector<DegradationPoint>
     degradationCurve(std::size_t levels,

@@ -141,8 +141,8 @@ struct UncertaintyResult
      * Probability that each machine ceiling binds the roofline
      * bound, indexed like the spec platform's computeCeilings() /
      * memoryCeilings(). Empty unless UncertaintySpec::platform is
-     * set; per-chunk tallies are merged in chunk order, so the
-     * probabilities are bit-identical at any thread count. The two
+     * set; the tallies are integer counts, so they merge exactly and
+     * the probabilities are bit-identical at any thread count. The two
      * vectors sum to 1 (every sample has exactly one binding
      * ceiling).
      */
@@ -199,8 +199,9 @@ class MonteCarloAnalyzer
      * Sample-at-a-time reference implementation. run() routes every
      * sample through the batched SoA kernels; this is the original
      * scalar loop, kept as the bit-identity oracle for the property
-     * tests and the baseline side of the perf benches. For any
-     * (spec, count, seed) the two return bit-identical results.
+     * tests and as the baseline of perfbench's mc.reference_ratio.*.
+     * For any (spec, count, seed) the two return bit-identical
+     * results.
      */
     UncertaintyResult
     runReference(std::size_t count, std::uint64_t seed = 1,
