@@ -806,8 +806,7 @@ FaultCampaign::runAtScale(const sim::BlockLayout &layout, double scale,
             counts[mask] += hist[slot * stride + mask];
     std::uint64_t aborts = 0;
     std::vector<std::uint64_t> activations(fault_count, 0);
-    sim::BindingTallies bindings(
-        _spec.platform ? &*_spec.platform : nullptr, _stageCount);
+    sim::BindingTallies bindings(_spec.platform, _stageCount);
     std::vector<double> v_safe(masks, 0.0);
     std::vector<std::uint64_t> survivors(masks, 0);
     bool rejected = false;
@@ -910,9 +909,7 @@ FaultCampaign::runReference(
     std::vector<std::vector<std::uint64_t>> activations(
         slots, std::vector<std::uint64_t>(_spec.faults.size(), 0));
     std::vector<sim::BindingTallies> bindings(
-        slots, sim::BindingTallies(
-                   _spec.platform ? &*_spec.platform : nullptr,
-                   _stageCount));
+        slots, sim::BindingTallies(_spec.platform, _stageCount));
     layout.forEach(parallel, [&](std::size_t slot, std::size_t,
                                  std::size_t lo, std::size_t hi,
                                  Rng &rng) {
@@ -926,15 +923,13 @@ FaultCampaign::runReference(
             activations[0][j] += activations[slot][j];
         bindings[0].add(bindings[slot]);
     }
-    const auto aborts = static_cast<std::uint64_t>(
-        std::count(aborted.begin(), aborted.end(), 1));
-    CampaignResult result =
-        tallyResult(count, aborts, activations[0], bindings[0]);
     std::vector<double> survivors;
-    survivors.reserve(count - aborts);
+    survivors.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
         if (!aborted[i])
             survivors.push_back(v_safe[i]);
+    CampaignResult result = tallyResult(count, count - survivors.size(),
+                                        activations[0], bindings[0]);
     if (!survivors.empty())
         result.safeVelocity =
             sim::Distribution::fromSamples(survivors, parallel);

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,9 +120,9 @@ class BindingTallies
         kMeasured, ///< Measurement-sourced: no ceiling attributed.
     };
 
-    /** Zero counts for `machine`'s ceilings (none when null) and
+    /** Zero counts for `machine`'s ceilings (none when unset) and
      * `stages` stages. */
-    BindingTallies(const platform::RooflinePlatform *machine,
+    BindingTallies(const std::optional<platform::RooflinePlatform> &machine,
                    std::size_t stages)
         : _computeCeilings(machine ? machine->computeCeilings().size()
                                    : 0),

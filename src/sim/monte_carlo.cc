@@ -619,16 +619,13 @@ struct Samples
             std::uint64_t seed, const exec::ParallelOptions &parallel)
         : layout("Monte-Carlo run", count,
                  MonteCarloAnalyzer::sampleBlock, seed),
-          vSafe(count), knee(count), roof(count),
-          tallies(exec::maxSlots(parallel),
-                  SlotTallies{{},
-                              BindingTallies(
-                                  spec.platform ? &*spec.platform
-                                                : nullptr,
-                                  spec.pipeline
-                                      ? spec.pipeline->stages().size()
-                                      : 0)})
-    {}
+          vSafe(count), knee(count), roof(count)
+    {
+        const std::size_t stages =
+            spec.pipeline ? spec.pipeline->stages().size() : 0;
+        tallies.assign(exec::maxSlots(parallel),
+                       {{}, BindingTallies(spec.platform, stages)});
+    }
 };
 
 /**
