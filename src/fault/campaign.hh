@@ -205,9 +205,8 @@ class FaultCampaign
      * sim::Distribution::fromSamples, kept as the bit-identity
      * oracle for the property tests and as the baseline of
      * perfbench's fault.reference_ratio. For any (spec, count, seed)
-     * the two return
-     * bit-identical results, and throw the same error when a
-     * mission's inputs are rejected.
+     * the two return bit-identical results, and throw the same error
+     * when a mission's inputs are rejected.
      */
     CampaignResult
     runReference(std::size_t count, std::uint64_t seed = 1,
