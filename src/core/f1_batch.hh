@@ -11,8 +11,8 @@
  * first-wins rule, v = a * (sqrt(t^2 + 2d/a) - t), the knee and
  * physics-roof expressions, and the bound classification. sqrt and
  * division are correctly rounded per IEEE 754, so vectorizing them
- * is bit-exact; nothing here calls exp/log (whose vector forms are
- * *not* bit-exact — random draws stay scalar in the samplers).
+ * is bit-exact. Nothing here calls exp or log: the samplers draw
+ * their inputs beforehand with simd/math.hh's width-invariant ones.
  *
  * Validation is an accumulated branch-only flag; when any sample
  * fails, callers re-run the scalar analyzeInto() sample-major so the
@@ -53,26 +53,14 @@ bool analyzeBlock(const double *a_max, const double *range,
                   double *roof, std::uint8_t *bound);
 
 /**
- * Leaner still: only v_safe, with constant physics (the fault
- * campaign perturbs rates, never the airframe). Same contract.
+ * Leaner still: only v_safe, with per-sample rates and constant
+ * physics. Same contract. No study calls it; perfbench's core layer
+ * probes it.
  */
 bool analyzeVSafeBlock(double a_max, double range,
                        const double *sensor, const double *compute,
                        double control, std::size_t n,
                        double *v_safe);
-
-/**
- * Full-analysis block kernel: analyzeInto() for every sample,
- * SoA-gathered internally, writing complete F1Analysis records —
- * bit-identical to calling analyzeInto(inputs[i], out[i]) in a
- * loop, including which sample's validation error is thrown first.
- * This is the batched back end of F1Model::evaluateBatch() and the
- * design-space sweep.
- *
- * @throws ModelError exactly as the scalar loop would
- */
-void analyzeFullBlock(const F1Inputs *inputs, F1Analysis *out,
-                      std::size_t n);
 
 } // namespace uavf1::core
 

@@ -11,7 +11,6 @@
 #ifndef UAVF1_CORE_F1_MODEL_HH
 #define UAVF1_CORE_F1_MODEL_HH
 
-#include <span>
 #include <vector>
 
 #include "core/safety_model.hh"
@@ -165,15 +164,6 @@ class F1Model
      * F1Model(inputs).analyze().
      */
     static void analyzeInto(const F1Inputs &inputs, F1Analysis &out);
-
-    /**
-     * Batch entry point: analyze inputs[i] into out[i] for every i.
-     *
-     * @throws ModelError if the spans differ in size or any input
-     *         is invalid
-     */
-    static void evaluateBatch(std::span<const F1Inputs> inputs,
-                              std::span<F1Analysis> out);
 
     /**
      * Sample the roofline curve over [f_min, f_max] (log-spaced).

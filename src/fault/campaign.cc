@@ -951,8 +951,11 @@ FaultCampaign::sweepSeverity(std::size_t levels,
                              std::uint64_t seed,
                              const exec::ParallelOptions &parallel) const
 {
-    if (levels < 2)
-        throw ModelError("degradation curve needs >= 2 levels");
+    if (levels < 2 || levels > maxLevels) {
+        throw ModelError("degradation curve levels must be in [2, " +
+                         std::to_string(maxLevels) + "], got " +
+                         std::to_string(levels));
+    }
     // The same seed at every level, so the curve varies only with
     // severity, not with resampling noise: every level draws from one
     // layout.

@@ -218,8 +218,10 @@ class FaultCampaign
      * probabilityScale), the same seed at every level so the curve
      * varies only with severity.
      *
-     * @param levels number of curve points (>= 2)
+     * @param levels number of curve points, in [2, maxLevels]
      * @param samples_per_level missions per point, in [10, 2^53]
+     * @throws ModelError naming `levels` when it is out of range,
+     *         before any allocation
      */
     std::vector<DegradationPoint>
     degradationCurve(std::size_t levels,
@@ -247,6 +249,9 @@ class FaultCampaign
 
     /** Samples per RNG substream block (the determinism grain). */
     static constexpr std::size_t sampleBlock = 2048;
+
+    /** Most curve points degradationCurve()/sweepSeverity() take. */
+    static constexpr std::size_t maxLevels = 1000;
 
   private:
     /** Outcome of one subset of platform-layer faults. */

@@ -27,7 +27,6 @@ namespace uavf1::scenario::detail {
 // parameter instead of wrapping or exhausting memory.
 inline constexpr std::size_t kMaxSweepPoints = 100000; ///< Per series.
 inline constexpr std::size_t kMaxMissions = 100000000; ///< faults samples.
-inline constexpr std::size_t kMaxLevels = 1000;        ///< faults levels.
 
 // Paper references (arXiv 2204.10898). A tolerance is the precision
 // of the quote:

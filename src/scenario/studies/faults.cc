@@ -51,7 +51,8 @@ run(const StudyContext &ctx)
     }
     const auto samples =
         ctx.params.getCount("samples", 4096, kMaxMissions);
-    const auto levels = ctx.params.getCount("levels", 9, kMaxLevels);
+    const auto levels = ctx.params.getCount(
+        "levels", 9, fault::FaultCampaign::maxLevels);
     const std::uint64_t seed = ctx.params.getUnsigned("seed", 1);
 
     // Any stage-resolved fault — workload-layer latency/failure or

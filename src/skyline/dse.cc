@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/f1_batch.hh"
 #include "exec/parallel.hh"
 #include "support/errors.hh"
 
@@ -29,39 +28,21 @@ DesignSpaceExplorer::sweep(
     // Flattened (platform, algorithm) grid evaluated on the sweep
     // engine; each design writes only its own slot, so the output
     // is identical to the serial double loop at any thread count.
-    //
-    // Config construction (component composition, infeasibility
-    // checks) stays per-point, but the F-1 analyses are gathered
-    // into blocks and run through the SoA kernel — bit-identical to
-    // analyze() per point, including which validation error a bad
-    // input throws.
+    // Each point builds its config and runs analyzeInto(). An
+    // infeasible design (f1Inputs() rejects T/W <= 1) is recorded;
+    // any other error propagates.
     const std::size_t n = computes.size() * algorithms.size();
     std::vector<DesignPoint> points(n);
 
     exec::ParallelOptions options = parallel;
     if (options.grain <= 1) {
         // Building a config dominates a point's cost (~2 us); size
-        // chunks to amortize dispatch without fragmenting blocks.
+        // chunks to amortize dispatch.
         options.grain = exec::suggestedGrain(n, 2000.0);
     }
 
-    constexpr std::size_t block = 64; // SoA kernel block size.
     exec::parallelFor(
         n, [&](std::size_t begin, std::size_t end) {
-            core::F1Inputs inputs[block];
-            core::F1Analysis analyses[block];
-            std::size_t pending_index[block];
-            std::size_t pending = 0;
-            const auto flush = [&] {
-                core::analyzeFullBlock(inputs, analyses, pending);
-                for (std::size_t k = 0; k < pending; ++k) {
-                    DesignPoint &point = points[pending_index[k]];
-                    point.analysis = analyses[k];
-                    point.safeVelocity =
-                        point.analysis.safeVelocity.value();
-                }
-                pending = 0;
-            };
             for (std::size_t i = begin; i < end; ++i) {
                 const auto &platform = computes[i / algorithms.size()];
                 const auto &algorithm =
@@ -75,12 +56,10 @@ DesignSpaceExplorer::sweep(
                         .compute(platform)
                         .algorithm(algorithm)
                         .build();
-                    // The analysis is deferred to the block kernel;
-                    // everything else the point reports is known
-                    // now.
-                    inputs[pending] = config.f1Inputs();
-                    pending_index[pending] = i;
-                    ++pending;
+                    core::F1Model::analyzeInto(config.f1Inputs(),
+                                               point.analysis);
+                    point.safeVelocity =
+                        point.analysis.safeVelocity.value();
                     point.feasible = true;
                     point.computePower = config.computePower().value();
                     point.computeMass =
@@ -93,17 +72,8 @@ DesignSpaceExplorer::sweep(
                 } catch (const InfeasibleError &e) {
                     point.feasible = false;
                     point.infeasibleReason = e.what();
-                } catch (...) {
-                    // A non-infeasibility construction error: flush
-                    // first so an earlier point's analysis error
-                    // still wins, as it would point-at-a-time.
-                    flush();
-                    throw;
                 }
-                if (pending == block)
-                    flush();
             }
-            flush();
         },
         options);
     return points;

@@ -18,7 +18,6 @@
 #include <bit>
 #include <cfloat>
 #include <limits>
-#include <utility>
 
 #include "simd/simd.hh"
 
@@ -80,18 +79,6 @@ StagePipelinePlan::StagePipelinePlan(
     const SpaPipeline &pipeline,
     const platform::RooflinePlatform &platform)
     : _evaluator(pipeline, platform)
-{
-    compile();
-}
-
-StagePipelinePlan::StagePipelinePlan(StagePipelineEvaluator evaluator)
-    : _evaluator(std::move(evaluator))
-{
-    compile();
-}
-
-void
-StagePipelinePlan::compile()
 {
     _stageCount = _evaluator.stageCount();
     _onMeasuredPlatform = _evaluator.onMeasuredPlatform();

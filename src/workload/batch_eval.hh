@@ -80,15 +80,6 @@ class StagePipelinePlan
     StagePipelinePlan(const SpaPipeline &pipeline,
                       const platform::RooflinePlatform &platform);
 
-    /**
-     * Compile an already-built evaluator — the route stage-scoped
-     * faults take: the campaign overrides per-stage profiles on the
-     * evaluator (StagePipelineEvaluator::overrideStageProfile) and
-     * compiles the result, so a plan and the scalar spine see the
-     * same transformed profiles.
-     */
-    explicit StagePipelinePlan(StagePipelineEvaluator evaluator);
-
     /** Number of pipeline stages. */
     std::size_t stageCount() const { return _stageCount; }
 
@@ -156,10 +147,6 @@ class StagePipelinePlan
                          std::uint32_t *bottleneck_slot,
                          std::uint64_t *stage_kind_counts,
                          Scratch &scratch) const;
-
-    /** Shared constructor body: compile every sample-invariant
-     * table from _evaluator (whatever profiles it carries). */
-    void compile();
 
     StagePipelineEvaluator _evaluator;
     std::size_t _stageCount = 0;

@@ -5,8 +5,8 @@
  * workload::StagePipelinePlan vs StagePipelineEvaluator, the
  * core::analyze*Block kernels vs F1Model::analyzeInto(), the
  * Monte-Carlo / fault-campaign run() vs runReference() oracles at
- * 1/2/8 threads, the batched design-space sweep vs per-point
- * analyze(), the allocation-free guarantee of the kernels, and the
+ * 1/2/8 threads, the design-space sweep vs per-point analyze(),
+ * the allocation-free guarantee of the kernels, and the
  * exec::parallelForSlots / suggestedGrain contracts they ride on.
  */
 
@@ -346,8 +346,6 @@ TEST(F1Batch, KernelsMatchAnalyzeIntoBitForBit)
                                    200.0, 0.98, n, v_safe, knee,
                                    roof, bound));
     double v_only[n];
-    core::F1Analysis full[n];
-    core::analyzeFullBlock(inputs, full, n);
 
     core::F1Analysis scalar;
     for (std::size_t i = 0; i < n; ++i) {
@@ -357,12 +355,6 @@ TEST(F1Batch, KernelsMatchAnalyzeIntoBitForBit)
         EXPECT_EQ(roof[i], scalar.roofVelocity.value());
         EXPECT_EQ(bound[i],
                   static_cast<std::uint8_t>(scalar.bound));
-        EXPECT_EQ(full[i].safeVelocity.value(),
-                  scalar.safeVelocity.value());
-        EXPECT_EQ(full[i].bound, scalar.bound);
-        EXPECT_EQ(full[i].kneeVelocity.value(),
-                  scalar.kneeVelocity.value());
-        EXPECT_EQ(full[i].verdict, scalar.verdict);
     }
 
     // Constant-physics variant against the same scalars.
@@ -924,8 +916,8 @@ TEST(DseBatch, SweepMatchesPerPointAnalyze)
             EXPECT_FALSE(point.infeasibleReason.empty());
             continue;
         }
-        // Rebuild the config and compare the batched analysis with
-        // the scalar per-point call, field for field.
+        // Rebuild the config and compare the sweep's analysis with
+        // F1Model::analyze(), field for field.
         core::UavConfig::Builder builder = prototype;
         const core::UavConfig config =
             builder.compute(computes[i / algos.size()])

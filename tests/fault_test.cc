@@ -723,6 +723,40 @@ TEST(FaultCampaign, SampleCountIsRangeCheckedByName)
     }
 }
 
+TEST(FaultCampaign, LevelCountIsRangeCheckedByName)
+{
+    // A level count outside [2, maxLevels] throws a ModelError
+    // naming it before the curve is reserved, on both curve entry
+    // points.
+    const FaultCampaign campaign(tx2Campaign("mixed"));
+    const auto sweep = [&](bool curve_only, std::size_t levels) {
+        if (curve_only)
+            (void)campaign.degradationCurve(levels, 10);
+        else
+            (void)campaign.sweepSeverity(levels, 10);
+    };
+    for (const std::size_t levels :
+         {std::numeric_limits<std::size_t>::max(), std::size_t{1} << 60,
+          FaultCampaign::maxLevels + 1, std::size_t{1}, std::size_t{0}}) {
+        for (const bool curve_only : {true, false}) {
+            try {
+                sweep(curve_only, levels);
+                ADD_FAILURE() << "levels " << levels << " was accepted";
+            } catch (const ModelError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "levels must be in [2, " +
+                              std::to_string(FaultCampaign::maxLevels) +
+                              "], got " + std::to_string(levels)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    EXPECT_EQ(campaign.degradationCurve(FaultCampaign::maxLevels, 10)
+                  .size(),
+              FaultCampaign::maxLevels);
+}
+
 /** A TX2-CPU + Navion campaign with the mavbench pipeline: the
  * configuration where the stage-gated accelerator ceiling is in
  * play, so stage-scoped platform faults have a roof to demote. */
