@@ -196,25 +196,23 @@ runScenarios(const DriverOptions &options, bool run_all)
     const scenario::ScenarioRunner runner;
     const scenario::StudyRegistry &registry = runner.registry();
 
-    // Split one --set argument into its key/value halves; the
-    // reserved spec keys must not hijack the study/label picked on
-    // the command line.
-    const auto splitSet = [](const std::string &assignment) {
-        const auto eq = assignment.find('=');
-        if (eq == std::string::npos) {
-            throw ModelError("malformed --set '" + assignment +
-                             "' (expected knob=value)");
+    // Each --set argument is one assignment, and the reserved spec
+    // keys must not hijack the study/label picked on the command
+    // line.
+    std::vector<Assignment> sets;
+    for (const auto &argument : options.sets) {
+        const auto parsed = parseAssignments(argument);
+        if (parsed.size() != 1) {
+            throw ModelError("malformed --set '" + argument +
+                             "' (expected one knob=value)");
         }
-        const std::string key =
-            toLower(trim(assignment.substr(0, eq)));
-        if (key == "study" || key == "label") {
+        if (parsed[0].key == "study" || parsed[0].key == "label") {
             throw ModelError(
-                "--set cannot assign '" + key +
+                "--set cannot assign '" + parsed[0].key +
                 "'; name studies positionally and use --label");
         }
-        return std::make_pair(key,
-                              trim(assignment.substr(eq + 1)));
-    };
+        sets.push_back(parsed[0]);
+    }
 
     // A label names one scenario's artifacts, so it needs exactly one
     // study; with more it would be dropped without a word.
@@ -229,20 +227,20 @@ runScenarios(const DriverOptions &options, bool run_all)
         specs = runner.allSpecs();
         // Apply each override to the studies that accept it; an
         // override no study accepts is a typo, not a no-op.
-        for (const auto &assignment : options.sets) {
-            const auto [key, value] = splitSet(assignment);
+        for (const auto &assignment : sets) {
             std::size_t applied = 0;
             for (auto &spec : specs) {
                 const auto &params =
                     registry.find(spec.study).params;
-                if (std::find(params.begin(), params.end(), key) !=
-                    params.end()) {
-                    spec.overrides.set(key, value);
+                if (std::find(params.begin(), params.end(),
+                              assignment.key) != params.end()) {
+                    spec.apply(assignment);
                     ++applied;
                 }
             }
             if (applied == 0) {
-                throw ModelError("--set '" + assignment +
+                throw ModelError("--set '" + assignment.key + "=" +
+                                 assignment.value +
                                  "' matches no study parameter; "
                                  "see 'skyline_cli list'");
             }
@@ -257,10 +255,8 @@ runScenarios(const DriverOptions &options, bool run_all)
             scenario::ScenarioSpec spec;
             spec.study = name;
             registry.find(name); // Fail fast on unknown names.
-            for (const auto &assignment : options.sets) {
-                const auto [key, value] = splitSet(assignment);
-                spec.overrides.set(key, value);
-            }
+            for (const auto &assignment : sets)
+                spec.apply(assignment);
             spec.label = options.label;
             specs.push_back(std::move(spec));
         }

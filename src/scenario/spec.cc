@@ -11,15 +11,9 @@
 namespace uavf1::scenario {
 
 void
-ScenarioSpec::set(const std::string &assignment)
+ScenarioSpec::apply(const Assignment &assignment)
 {
-    const auto eq = assignment.find('=');
-    if (eq == std::string::npos) {
-        throw ModelError("malformed assignment '" + assignment +
-                         "' (expected 'knob=value')");
-    }
-    const std::string key = toLower(trim(assignment.substr(0, eq)));
-    const std::string value = trim(assignment.substr(eq + 1));
+    const auto &[key, value] = assignment;
     if (key == "study") {
         study = toLower(value);
     } else if (key == "label") {
@@ -29,16 +23,18 @@ ScenarioSpec::set(const std::string &assignment)
     }
 }
 
+void
+ScenarioSpec::set(const std::string &assignments)
+{
+    for (const auto &assignment : parseAssignments(assignments))
+        apply(assignment);
+}
+
 ScenarioSpec
 ScenarioSpec::parse(const std::string &text)
 {
     ScenarioSpec spec;
-    for (const auto &raw_line : splitAndTrim(text, '\n')) {
-        const std::string line = trim(raw_line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        spec.set(line); // Throws on lines without '='.
-    }
+    spec.set(text);
     if (spec.study.empty()) {
         throw ModelError(
             "scenario spec does not name a study "

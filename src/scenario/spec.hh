@@ -3,9 +3,10 @@
  * Declarative scenario specification.
  *
  * A ScenarioSpec names a registered study plus parameter overrides.
- * The text form uses the same `key = value` grammar as
- * SkylineSession::loadConfig — one assignment per line, '#' lines
- * are comments — with two reserved keys:
+ * The text form uses the `key = value` grammar of parseAssignments
+ * (support/strings.hh), which SkylineSession::loadConfig and the
+ * CLI's --set share — one assignment per line, '#' lines are
+ * comments — with two reserved keys:
  *
  *     study = fig09          # which registered study to run
  *     label = heavy-payload  # optional artifact/display label
@@ -18,6 +19,7 @@
 #include <string>
 
 #include "scenario/study.hh"
+#include "support/strings.hh"
 
 namespace uavf1::scenario {
 
@@ -34,12 +36,17 @@ struct ScenarioSpec
         return label.empty() ? study : label;
     }
 
+    /** Apply one parsed assignment: `study`, `label`, or else an
+     * override. */
+    void apply(const Assignment &assignment);
+
     /**
-     * Add one `knob=value` assignment (the CLI's --set argument).
+     * Apply `key = value` assignments, one per line (see
+     * parseAssignments).
      *
-     * @throws ModelError when no '=' is present
+     * @throws ModelError on a line without '='
      */
-    void set(const std::string &assignment);
+    void set(const std::string &assignments);
 
     /**
      * Parse the `key = value` text form.

@@ -128,6 +128,12 @@ run(const StudyContext &ctx)
     std::string stage_breakdown;
     const std::string pipeline_name =
         trim(ctx.params.get("pipeline", ""));
+    const std::string stage_filter = trim(ctx.params.get("stage", ""));
+    if (pipeline_name.empty() && !stage_filter.empty()) {
+        throw ModelError("parameter 'stage' ('" + stage_filter +
+                         "') needs the 'pipeline' parameter, whose "
+                         "breakdown it narrows");
+    }
     if (!pipeline_name.empty()) {
         const auto pipeline =
             workload::standardPipelineFor(pipeline_name);
@@ -149,8 +155,6 @@ run(const StudyContext &ctx)
                      : " (did you mean " + join(hints, " or ") +
                            "?)"));
         }
-        const std::string stage_filter =
-            trim(ctx.params.get("stage", ""));
         if (!stage_filter.empty() &&
             !pipeline->hasStage(stage_filter)) {
             const auto hints = closestMatches(

@@ -6,6 +6,8 @@
 #include "skyline/session.hh"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdlib>
 
 #include "components/catalog.hh"
@@ -34,6 +36,24 @@ parseNumber(const std::string &name, const std::string &value)
     // strtod parses overflow ("1e999") to +/-inf and accepts
     // "nan"; neither is a usable knob value.
     return requireFinite(parsed, "knob '" + name + "'");
+}
+
+/**
+ * Require a positive knob value whose reciprocal is finite. The
+ * model divides by rates, periods, ranges and masses, and 1/x of a
+ * subnormal x overflows to infinity, which turns into a NaN a step
+ * later.
+ */
+void
+requireInvertible(double value, const std::string &name)
+{
+    requirePositive(value, name);
+    if (!std::isfinite(1.0 / value)) {
+        throw ModelError(strFormat(
+            "%s must be at least %g, so that its reciprocal stays "
+            "finite; got %g",
+            name.c_str(), 1.0 / DBL_MAX, value));
+    }
 }
 
 /**
@@ -123,28 +143,28 @@ SkylineSession::set(const std::string &name, const std::string &value)
 
     const double number = parseNumber(key, trim(value));
     if (key == "sensor_framerate") {
-        requirePositive(number, key);
+        requireInvertible(number, key);
         _knobs.sensorFramerate = units::Hertz(number);
     } else if (key == "compute_tdp") {
-        requirePositive(number, key);
+        requireInvertible(number, key);
         _knobs.computeTdp = units::Watts(number);
     } else if (key == "compute_runtime") {
-        requirePositive(number, key);
+        requireInvertible(number, key);
         _knobs.computeRuntime = units::Seconds(number);
     } else if (key == "sensor_range") {
-        requirePositive(number, key);
+        requireInvertible(number, key);
         _knobs.sensorRange = units::Meters(number);
     } else if (key == "drone_weight") {
-        requirePositive(number, key);
+        requireInvertible(number, key);
         _knobs.droneWeight = units::Grams(number);
     } else if (key == "rotor_pull") {
-        requirePositive(number, key);
+        requireInvertible(number, key);
         _knobs.rotorPull = units::Grams(number);
     } else if (key == "payload_weight") {
         requireNonNegative(number, key);
         _knobs.payloadWeight = units::Grams(number);
     } else if (key == "control_rate") {
-        requirePositive(number, key);
+        requireInvertible(number, key);
         _knobs.controlRate = units::Hertz(number);
     } else if (key == "knee_fraction") {
         requireInRange(number, 1e-6, 1.0 - 1e-9, key);
@@ -170,8 +190,17 @@ SkylineSession::knobNames()
 std::optional<platform::RooflinePlatform>
 SkylineSession::rooflinePlatform() const
 {
-    if (_knobs.platform.empty())
+    if (_knobs.platform.empty()) {
+        // The operating point names a DVFS point of the preset, so
+        // without one it would be ignored without a word.
+        if (!_knobs.operatingPoint.empty()) {
+            throw ModelError("knob 'operating_point' ('" +
+                             _knobs.operatingPoint +
+                             "') needs the 'platform' knob, whose "
+                             "preset it selects a point of");
+        }
         return std::nullopt;
+    }
     return rooflinePresets().byName(_knobs.platform);
 }
 
@@ -457,17 +486,8 @@ SkylineSession::saveConfig() const
 void
 SkylineSession::loadConfig(const std::string &text)
 {
-    for (const auto &raw_line : splitAndTrim(text, '\n')) {
-        const std::string line = trim(raw_line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            throw ModelError("malformed config line '" + line +
-                             "' (expected 'knob = value')");
-        }
-        set(line.substr(0, eq), line.substr(eq + 1));
-    }
+    for (const auto &[key, value] : parseAssignments(text))
+        set(key, value);
 }
 
 std::vector<SweepPoint>

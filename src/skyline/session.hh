@@ -92,7 +92,8 @@ class SkylineSession
      * (case-insensitive): sensor_framerate, compute_tdp, algorithm,
      * compute_runtime, sensor_range, drone_weight, rotor_pull,
      * payload_weight, control_rate, knee_fraction, platform,
-     * operating_point, pipeline.
+     * operating_point, pipeline. A positive numeric knob must also
+     * be large enough that its reciprocal stays finite.
      *
      * The `platform` knob routes the session through a roofline
      * platform preset: it is validated eagerly against the catalog
@@ -179,9 +180,11 @@ class SkylineSession
     /**
      * The roofline platform preset selected by the platform knob
      * (with its operating-point set), or nothing when the knob is
-     * empty.
+     * empty. Every path that resolves the operating point comes
+     * through here, whichever order the two knobs were set in.
      *
-     * @throws ModelError for an unknown preset or operating point
+     * @throws ModelError for an unknown preset or operating point,
+     *         or an operating point without a platform
      */
     std::optional<platform::RooflinePlatform>
     rooflinePlatform() const;

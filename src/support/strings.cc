@@ -12,6 +12,8 @@
 #include <numeric>
 #include <utility>
 
+#include "support/errors.hh"
+
 namespace uavf1 {
 
 std::string
@@ -141,6 +143,24 @@ splitAndTrim(const std::string &s, char delim)
         }
     }
     out.push_back(trim(current));
+    return out;
+}
+
+std::vector<Assignment>
+parseAssignments(const std::string &text)
+{
+    std::vector<Assignment> out;
+    for (const auto &line : splitAndTrim(text, '\n')) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        const auto eq = line.find('=');
+        if (eq == std::string::npos) {
+            throw ModelError("malformed assignment '" + line +
+                             "' (expected 'key = value')");
+        }
+        out.push_back({toLower(trim(line.substr(0, eq))),
+                       trim(line.substr(eq + 1))});
+    }
     return out;
 }
 

@@ -41,6 +41,23 @@ std::vector<std::string> splitAndTrim(const std::string &s, char delim);
 /** Strip leading/trailing whitespace. */
 std::string trim(const std::string &s);
 
+/** One `key = value` assignment. */
+struct Assignment
+{
+    std::string key;   ///< Trimmed and lower-cased.
+    std::string value; ///< Trimmed.
+};
+
+/**
+ * Parse the `key = value` grammar that scenario specs, session
+ * configs and the CLI's --set share: one assignment per line, split
+ * at the line's first '='. Blank lines and lines starting with '#'
+ * are skipped.
+ *
+ * @throws ModelError quoting the first line that has no '='
+ */
+std::vector<Assignment> parseAssignments(const std::string &text);
+
 /** Levenshtein edit distance between two strings. */
 std::size_t editDistance(const std::string &a, const std::string &b);
 

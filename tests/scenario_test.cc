@@ -197,6 +197,45 @@ TEST(Spec, RejectsMalformedAndStudylessText)
     EXPECT_THROW(spec.set("no-equals-sign"), ModelError);
 }
 
+TEST(Runner, HostileKnobValuesFailNamingTheKnob)
+{
+    const ScenarioRunner runner;
+    const auto run = [&](const std::string &study,
+                         const std::string &knob,
+                         const std::string &value) {
+        ScenarioSpec spec;
+        spec.study = study;
+        spec.overrides.set(knob, value);
+        return runner.run(spec);
+    };
+    // A subnormal period or range used to surface as a NaN f_action
+    // or an empty roofline range, naming no knob.
+    for (const char *knob : {"compute_runtime", "sensor_range"}) {
+        const ScenarioOutcome outcome = run("table2", knob, "1e-320");
+        EXPECT_FALSE(outcome.ok) << knob;
+        EXPECT_NE(outcome.error.find(knob), std::string::npos)
+            << outcome.error;
+    }
+    // A dependent knob without its enabling knob used to be ignored;
+    // the error names both.
+    const struct
+    {
+        const char *study, *knob, *enabler;
+    } dependents[] = {{"table2", "operating_point", "platform"},
+                      {"roofline", "stage", "pipeline"}};
+    for (const auto &dependent : dependents) {
+        const ScenarioOutcome outcome =
+            run(dependent.study, dependent.knob, "abc");
+        EXPECT_FALSE(outcome.ok) << dependent.knob;
+        EXPECT_NE(outcome.error.find(dependent.knob),
+                  std::string::npos)
+            << outcome.error;
+        EXPECT_NE(outcome.error.find(dependent.enabler),
+                  std::string::npos)
+            << outcome.error;
+    }
+}
+
 TEST(Runner, RunsAStudyWithOverrides)
 {
     ScenarioSpec spec;

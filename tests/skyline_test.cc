@@ -73,6 +73,52 @@ TEST(Session, RejectsUnknownKnobAndBadValues)
     EXPECT_EQ(SkylineSession::knobNames().size(), 13u);
 }
 
+TEST(Session, RejectsPositiveKnobsWithAnInfiniteReciprocal)
+{
+    // 1e-320 is positive and finite, but 1/x overflows: the model
+    // would form a NaN. The error names the knob instead.
+    for (const char *knob :
+         {"sensor_framerate", "compute_tdp", "compute_runtime",
+          "sensor_range", "drone_weight", "rotor_pull",
+          "control_rate"}) {
+        SkylineSession session;
+        try {
+            session.set(knob, "1e-320");
+            FAIL() << knob << " accepted 1e-320";
+        } catch (const ModelError &e) {
+            EXPECT_NE(std::string(e.what()).find(knob),
+                      std::string::npos)
+                << e.what();
+        }
+        // The smallest normal double still has a finite reciprocal.
+        EXPECT_NO_THROW(session.set(knob, "2.3e-308")) << knob;
+    }
+}
+
+TEST(Session, OperatingPointWithoutPlatformIsRejected)
+{
+    SkylineSession session;
+    session.set("operating_point", "half-clock");
+    try {
+        (void)session.analyze();
+        FAIL() << "operating_point without platform was ignored";
+    } catch (const ModelError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("operating_point"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'platform'"), std::string::npos) << what;
+    }
+    EXPECT_THROW(session.effectiveTdp(), ModelError);
+    // Setting the platform afterwards resolves the point; clearing
+    // the point then leaves a plain session.
+    session.set("platform", "Nvidia TX2");
+    EXPECT_DOUBLE_EQ(session.model().inputs().computeRate.value(),
+                     0.5 * 1330.0 / 0.04);
+    session.set("platform", "");
+    session.set("operating_point", "");
+    EXPECT_NO_THROW(session.analyze());
+}
+
 TEST(Session, PlatformKnobRoutesComputeThroughTheCeilingFamily)
 {
     SkylineSession session;

@@ -165,6 +165,30 @@ TEST(Strings, SplitAndTrim)
     EXPECT_EQ(parts[2], "c");
 }
 
+TEST(Strings, ParseAssignmentsSkipsCommentsAndTrims)
+{
+    const auto parsed = parseAssignments(
+        "# comment\n\n  Sweep_Samples =  21  \nlabel = a = b\n=x\n");
+    ASSERT_EQ(parsed.size(), 3u);
+    EXPECT_EQ(parsed[0].key, "sweep_samples");
+    EXPECT_EQ(parsed[0].value, "21");
+    // Split at the first '='; the value keeps its case.
+    EXPECT_EQ(parsed[1].key, "label");
+    EXPECT_EQ(parsed[1].value, "a = b");
+    EXPECT_EQ(parsed[2].key, "");
+    EXPECT_EQ(parsed[2].value, "x");
+    EXPECT_TRUE(parseAssignments(" \n# only a comment").empty());
+
+    try {
+        parseAssignments("a = 1\n no equals ");
+        FAIL() << "expected ModelError";
+    } catch (const ModelError &e) {
+        EXPECT_NE(std::string(e.what()).find("'no equals'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Strings, EditDistance)
 {
     EXPECT_EQ(editDistance("", ""), 0u);
