@@ -11,6 +11,5 @@
 #include "physics/drag.hh"
 #include "physics/mass_budget.hh"
 #include "physics/propulsion.hh"
-#include "physics/rotor_aero.hh"
 
 #endif // UAVF1_PHYSICS_PHYSICS_HH

@@ -10,11 +10,12 @@
  * uniformBlock() and fork() are integer arithmetic plus one exact
  * conversion, so they are bit-exact everywhere. normal() calls libm
  * (log, sin, cos), so its bits are only as portable as the
- * platform's libm; workload::LatencyTrace and the perfbench probes
- * use it. The Monte-Carlo analyzer and the flight simulator draw
- * their normals libm-free instead, from uniformBlock() through the
- * Box-Muller pairs of sim/normals.hh, which keep normal()'s pairing
- * (cosine first, sine as the spare).
+ * platform's libm. No library code calls it: its callers are the
+ * perfbench probes and tests, and it stays until perfbench draws
+ * its normals another way. The Monte-Carlo analyzer and the flight
+ * simulator draw their normals libm-free, from uniformBlock()
+ * through the Box-Muller pairs of sim/normals.hh, which keep
+ * normal()'s pairing (cosine first, sine as the spare).
  */
 
 #ifndef UAVF1_SUPPORT_RNG_HH

@@ -4,8 +4,8 @@
  *
  * Pulls in the full public API: units, physics, thermal,
  * components, workloads, the action pipeline, the F-1 core,
- * the flight simulator, the parallel sweep engine, plotting,
- * Skyline and the mission model.
+ * the flight simulator, the parallel sweep engine, plotting and
+ * Skyline.
  */
 
 #ifndef UAVF1_UAVF1_HH
@@ -19,11 +19,9 @@
 #include "core/uav_config.hh"
 #include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
-#include "mission/mission_model.hh"
 #include "physics/physics.hh"
 #include "pipeline/action_pipeline.hh"
 #include "pipeline/redundancy.hh"
-#include "pipeline/reliability.hh"
 #include "platform/roofline_platform.hh"
 #include "platform/workload_profile.hh"
 #include "plot/ascii_renderer.hh"
@@ -41,7 +39,6 @@
 #include "units/units.hh"
 #include "workload/algorithm.hh"
 #include "workload/dvfs.hh"
-#include "workload/latency_trace.hh"
 #include "workload/spa_pipeline.hh"
 #include "workload/throughput.hh"
 

@@ -6,27 +6,10 @@
 #ifndef UAVF1_UNITS_UNITS_HH
 #define UAVF1_UNITS_UNITS_HH
 
-#include <string>
-
 #include "units/arithmetic.hh"
 #include "units/constants.hh"
 #include "units/dimensions.hh"
 #include "units/literals.hh"
 #include "units/quantity.hh"
-
-namespace uavf1::units {
-
-/**
- * Format a raw magnitude with an SI prefix, e.g. (1740, "g") ->
- * "1.74 kg"-style output. Used by reports and chart labels.
- *
- * @param value magnitude in the base unit
- * @param symbol base unit symbol
- * @param precision digits after the decimal point
- */
-std::string formatSi(double value, const std::string &symbol,
-                     int precision = 2);
-
-} // namespace uavf1::units
 
 #endif // UAVF1_UNITS_UNITS_HH

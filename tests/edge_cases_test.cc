@@ -22,7 +22,6 @@
 #include "components/catalog.hh"
 #include "core/uav_config.hh"
 #include "exec/thread_pool.hh"
-#include "mission/mission_model.hh"
 #include "plot/ascii_renderer.hh"
 #include "plot/csv_writer.hh"
 #include "plot/roofline_chart.hh"
@@ -196,20 +195,6 @@ TEST(UavConfigDescribe, RedundantOverriddenConfig)
     const std::string text = config.describe();
     EXPECT_NE(text.find("x2"), std::string::npos);
     EXPECT_NE(text.find("(override)"), std::string::npos);
-}
-
-TEST(MissionModel, EnergySweepConsistentWithPower)
-{
-    mission::PowerProfile profile;
-    profile.hoverPower = 100.0_w;
-    profile.staticPower = 10.0_w;
-    profile.drag = physics::DragModel(1.0, 0.02);
-    const mission::MissionModel leg(800.0_m, profile);
-    for (double v = 0.5; v <= 12.0; v += 0.5) {
-        const auto point = leg.evaluate(MetersPerSecond(v));
-        EXPECT_NEAR(point.energy, point.power * point.time, 1e-6);
-        EXPECT_GE(point.power, 110.0);
-    }
 }
 
 TEST(Distribution, SingleSampleAndTwoSamples)

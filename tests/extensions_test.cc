@@ -1,27 +1,21 @@
 /**
  * @file
  * Tests for the extension modules that implement the paper's
- * prescribed-but-unevaluated remedies: DVFS derating, redundancy
- * reliability, momentum-theory hover power, and the Skyline knob
- * sweep.
+ * prescribed-but-unevaluated remedies: DVFS derating, the Skyline
+ * knob sweep and config, and the Monte-Carlo analyzer.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <string>
 
 #include "components/catalog.hh"
-#include "core/safety_model.hh"
-#include "physics/rotor_aero.hh"
-#include "pipeline/reliability.hh"
 #include "sim/monte_carlo.hh"
 #include "skyline/session.hh"
 #include "studies/presets.hh"
 #include "support/errors.hh"
 #include "workload/dvfs.hh"
-#include "workload/latency_trace.hh"
 #include "workload/throughput.hh"
 
 namespace {
@@ -84,98 +78,6 @@ TEST(Dvfs, RangeValidation)
     workload::DvfsModel::Params bad;
     bad.exponent = 5.0;
     EXPECT_THROW(workload::DvfsModel{bad}, ModelError);
-}
-
-TEST(Reliability, ModuleSurvivalIsExponential)
-{
-    const pipeline::ReliabilityModel model(0.1); // 0.1 / hour.
-    // One hour mission: exp(-0.1).
-    EXPECT_NEAR(model.moduleSurvival(Seconds(3600.0)),
-                std::exp(-0.1), 1e-12);
-    // Zero-length mission never fails.
-    EXPECT_DOUBLE_EQ(model.moduleSurvival(Seconds(0.0)), 1.0);
-}
-
-TEST(Reliability, TmrMasksOneFault)
-{
-    const pipeline::ReliabilityModel model(0.5);
-    const Seconds mission(3600.0);
-    const double p = model.moduleSurvival(mission);
-    const double tmr = model.missionSuccess(
-        pipeline::RedundancyScheme::Triple, mission);
-    EXPECT_NEAR(tmr, p * p * p + 3.0 * p * p * (1.0 - p), 1e-12);
-    // TMR beats simplex beats DMR on mission success (DMR aborts on
-    // any single failure).
-    const double simplex = model.missionSuccess(
-        pipeline::RedundancyScheme::None, mission);
-    const double dmr = model.missionSuccess(
-        pipeline::RedundancyScheme::Dual, mission);
-    EXPECT_GT(tmr, simplex);
-    EXPECT_LT(dmr, simplex);
-}
-
-TEST(Reliability, RedundancyCutsUnsafeFailures)
-{
-    const pipeline::ReliabilityModel model(0.2);
-    const Seconds mission(1800.0);
-    const double simplex = model.unsafeFailure(
-        pipeline::RedundancyScheme::None, mission);
-    const double dmr = model.unsafeFailure(
-        pipeline::RedundancyScheme::Dual, mission);
-    const double tmr = model.unsafeFailure(
-        pipeline::RedundancyScheme::Triple, mission);
-    EXPECT_LT(dmr, simplex);
-    EXPECT_LT(tmr, simplex);
-    // DMR's detect-and-abort squares the unsafe probability.
-    EXPECT_NEAR(dmr, simplex * simplex, 1e-12);
-}
-
-TEST(Reliability, RejectsBadRate)
-{
-    EXPECT_THROW(pipeline::ReliabilityModel(0.0), ModelError);
-    EXPECT_THROW(pipeline::ReliabilityModel(-1.0), ModelError);
-}
-
-TEST(RotorAero, DiskAreaAndHoverPower)
-{
-    // 4 rotors of 0.24 m diameter: A = 4 * pi * 0.12^2.
-    const physics::RotorAero aero(4, 0.24, 0.65);
-    EXPECT_NEAR(aero.diskAreaM2(), 4.0 * M_PI * 0.12 * 0.12, 1e-12);
-
-    // Ideal momentum theory, checked against the closed form.
-    const Kilograms mass(1.2);
-    const double weight = 1.2 * 9.80665;
-    const double ideal = std::pow(weight, 1.5) /
-                         std::sqrt(2.0 * 1.225 * aero.diskAreaM2());
-    EXPECT_NEAR(aero.hoverPower(mass).value(), ideal / 0.65, 1e-9);
-}
-
-TEST(RotorAero, HeavierNeedsSuperlinearPower)
-{
-    const physics::RotorAero aero(4, 0.24);
-    const double p1 = aero.hoverPower(1.0_kg).value();
-    const double p2 = aero.hoverPower(2.0_kg).value();
-    // P ~ m^1.5: doubling mass costs ~2.83x power.
-    EXPECT_NEAR(p2 / p1, std::pow(2.0, 1.5), 1e-9);
-}
-
-TEST(RotorAero, EnduranceMatchesEnergyBudget)
-{
-    const physics::RotorAero aero(4, 0.24, 0.65);
-    const Kilograms mass(1.0);
-    const WattHours energy(44.4);
-    const auto endurance =
-        aero.hoverEndurance(mass, energy, Watts(5.0));
-    const double total =
-        aero.hoverPower(mass).value() + 5.0;
-    EXPECT_NEAR(endurance.value(), 44.4 * 3600.0 / total, 1e-6);
-}
-
-TEST(RotorAero, RejectsBadArguments)
-{
-    EXPECT_THROW(physics::RotorAero(0, 0.24), ModelError);
-    EXPECT_THROW(physics::RotorAero(4, -0.1), ModelError);
-    EXPECT_THROW(physics::RotorAero(4, 0.24, 1.5), ModelError);
 }
 
 TEST(SkylineSweep, TdpSweepIsMonotoneInVelocity)
@@ -261,87 +163,6 @@ TEST(SessionConfig, LoadRejectsMalformedLines)
     skyline::SkylineSession session;
     EXPECT_THROW(session.loadConfig("compute_tdp 12"), ModelError);
     EXPECT_THROW(session.loadConfig("warp = 9"), ModelError);
-}
-
-TEST(LatencyTrace, FromSamplesStatistics)
-{
-    const workload::LatencyTrace trace(
-        "t", {Seconds(0.1), Seconds(0.3), Seconds(0.2)});
-    EXPECT_EQ(trace.size(), 3u);
-    EXPECT_NEAR(trace.mean().value(), 0.2, 1e-12);
-    EXPECT_NEAR(trace.worst().value(), 0.3, 1e-12);
-    // Sorted ascending.
-    EXPECT_DOUBLE_EQ(trace.sortedSeconds().front(), 0.1);
-    EXPECT_DOUBLE_EQ(trace.sortedSeconds().back(), 0.3);
-    // Percentiles interpolate: p50 is the middle sample.
-    EXPECT_NEAR(trace.percentile(50.0).value(), 0.2, 1e-12);
-    EXPECT_NEAR(trace.percentile(0.0).value(), 0.1, 1e-12);
-    EXPECT_NEAR(trace.percentile(100.0).value(), 0.3, 1e-12);
-}
-
-TEST(LatencyTrace, SynthesizedLognormalHitsTargetMean)
-{
-    const auto trace = workload::LatencyTrace::synthesize(
-        "planner", Seconds(0.9), 0.6, 20000, 42);
-    EXPECT_NEAR(trace.mean().value(), 0.9, 0.02);
-    // Heavy tail: p99 well above the mean.
-    EXPECT_GT(trace.percentile(99.0).value(),
-              1.5 * trace.mean().value());
-    // Percentiles are monotone.
-    double previous = 0.0;
-    for (double p : {10.0, 50.0, 90.0, 99.0, 100.0}) {
-        const double value = trace.percentile(p).value();
-        EXPECT_GE(value, previous);
-        previous = value;
-    }
-}
-
-TEST(LatencyTrace, ZeroCvIsConstant)
-{
-    const auto trace = workload::LatencyTrace::synthesize(
-        "const", Seconds(0.5), 0.0, 64, 1);
-    EXPECT_NEAR(trace.percentile(0.0).value(), 0.5, 1e-12);
-    EXPECT_NEAR(trace.percentile(100.0).value(), 0.5, 1e-12);
-    EXPECT_NEAR(trace.meanThroughput().value(), 2.0, 1e-9);
-}
-
-TEST(LatencyTrace, DeterministicForSeed)
-{
-    const auto a = workload::LatencyTrace::synthesize(
-        "a", Seconds(0.9), 0.6, 256, 7);
-    const auto b = workload::LatencyTrace::synthesize(
-        "b", Seconds(0.9), 0.6, 256, 7);
-    EXPECT_EQ(a.sortedSeconds(), b.sortedSeconds());
-}
-
-TEST(LatencyTrace, ScaledByAndValidation)
-{
-    const auto trace = workload::LatencyTrace::synthesize(
-        "t", Seconds(0.2), 0.3, 128, 3);
-    const auto slower = trace.scaledBy(2.0, " (slow host)");
-    EXPECT_NEAR(slower.mean().value(), 2.0 * trace.mean().value(),
-                1e-12);
-    EXPECT_THROW(trace.scaledBy(0.0, "x"), ModelError);
-    EXPECT_THROW(trace.percentile(101.0), ModelError);
-    EXPECT_THROW(workload::LatencyTrace("empty", {}), ModelError);
-    EXPECT_THROW(
-        workload::LatencyTrace("neg", {Seconds(-0.1)}), ModelError);
-}
-
-TEST(LatencyTrace, TailSizingLowersSafeVelocity)
-{
-    // The ablation's core claim as a test: p99 sizing never exceeds
-    // mean sizing in safe velocity.
-    const auto trace = workload::LatencyTrace::synthesize(
-        "planner", Seconds(0.9), 0.6, 4096, 7);
-    const core::SafetyModel safety(MetersPerSecondSquared(4.12),
-                                   Meters(2.73));
-    const double v_mean =
-        safety.safeVelocityAtRate(trace.meanThroughput()).value();
-    const double v_p99 =
-        safety.safeVelocityAtRate(trace.percentileThroughput(99.0))
-            .value();
-    EXPECT_LT(v_p99, v_mean);
 }
 
 TEST(OracleCsv, RoundTrip)
@@ -441,6 +262,13 @@ TEST(MonteCarlo, MarginalDesignsAreUncertain)
         sim::MonteCarloAnalyzer(robust).run(20000, 5);
     EXPECT_GT(robust_result.probPhysicsBound,
               result.probPhysicsBound);
+    // Nano + PULP at 6 Hz sits far below its knee: robustly
+    // compute-bound.
+    sim::UncertaintySpec nano;
+    nano.nominal = studies::nanoInputs(units::Hertz(6.0));
+    EXPECT_GT(sim::MonteCarloAnalyzer(nano).run(20000, 5)
+                  .probComputeBound,
+              0.99);
 }
 
 TEST(MonteCarlo, DeterministicForSeed)

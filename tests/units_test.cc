@@ -171,12 +171,4 @@ TEST(Literals, AllLiteralsProduceExpectedMagnitudes)
     EXPECT_DOUBLE_EQ((35_deg).value(), 35.0);
 }
 
-TEST(FormatSi, PrefixSelection)
-{
-    EXPECT_EQ(uavf1::units::formatSi(1740.0, "g"), "1.74 kg");
-    EXPECT_EQ(uavf1::units::formatSi(0.064, "W"), "64.00 mW");
-    EXPECT_EQ(uavf1::units::formatSi(0.0, "W"), "0.00 W");
-    EXPECT_EQ(uavf1::units::formatSi(2.5, "m", 1), "2.5 m");
-}
-
 } // namespace
