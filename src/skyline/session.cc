@@ -191,13 +191,16 @@ std::optional<platform::RooflinePlatform>
 SkylineSession::rooflinePlatform() const
 {
     if (_knobs.platform.empty()) {
-        // The operating point names a DVFS point of the preset, so
-        // without one it would be ignored without a word.
-        if (!_knobs.operatingPoint.empty()) {
-            throw ModelError("knob 'operating_point' ('" +
-                             _knobs.operatingPoint +
-                             "') needs the 'platform' knob, whose "
-                             "preset it selects a point of");
+        // Both knobs act on the preset's roofline path, so without a
+        // preset they would be ignored without a word.
+        const char *dependent =
+            !_knobs.operatingPoint.empty() ? "operating_point"
+            : !_knobs.pipeline.empty()     ? "pipeline"
+                                           : nullptr;
+        if (dependent) {
+            throw ModelError(std::string("knob '") + dependent +
+                             "' needs the 'platform' knob, whose "
+                             "roofline path it configures");
         }
         return std::nullopt;
     }

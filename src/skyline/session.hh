@@ -184,7 +184,7 @@ class SkylineSession
      * through here, whichever order the two knobs were set in.
      *
      * @throws ModelError for an unknown preset or operating point,
-     *         or an operating point without a platform
+     *         or an operating point or pipeline without a platform
      */
     std::optional<platform::RooflinePlatform>
     rooflinePlatform() const;

@@ -220,12 +220,15 @@ TEST(Runner, HostileKnobValuesFailNamingTheKnob)
     // the error names both.
     const struct
     {
-        const char *study, *knob, *enabler;
-    } dependents[] = {{"table2", "operating_point", "platform"},
-                      {"roofline", "stage", "pipeline"}};
+        const char *study, *knob, *value, *enabler;
+    } dependents[] = {
+        {"table2", "operating_point", "abc", "platform"},
+        {"table2", "pipeline", "MAVBench package delivery (TX2)",
+         "platform"},
+        {"roofline", "stage", "abc", "pipeline"}};
     for (const auto &dependent : dependents) {
         const ScenarioOutcome outcome =
-            run(dependent.study, dependent.knob, "abc");
+            run(dependent.study, dependent.knob, dependent.value);
         EXPECT_FALSE(outcome.ok) << dependent.knob;
         EXPECT_NE(outcome.error.find(dependent.knob),
                   std::string::npos)

@@ -95,20 +95,26 @@ TEST(Session, RejectsPositiveKnobsWithAnInfiniteReciprocal)
     }
 }
 
-TEST(Session, OperatingPointWithoutPlatformIsRejected)
+TEST(Session, DependentKnobsWithoutPlatformAreRejected)
 {
+    for (const auto &[knob, value] :
+         {std::pair{"operating_point", "half-clock"},
+          std::pair{"pipeline", "MAVBench package delivery (TX2)"}}) {
+        SkylineSession session;
+        session.set(knob, value);
+        try {
+            (void)session.analyze();
+            FAIL() << knob << " without platform was ignored";
+        } catch (const ModelError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(knob), std::string::npos) << what;
+            EXPECT_NE(what.find("'platform'"), std::string::npos)
+                << what;
+        }
+        EXPECT_THROW(session.effectiveTdp(), ModelError) << knob;
+    }
     SkylineSession session;
     session.set("operating_point", "half-clock");
-    try {
-        (void)session.analyze();
-        FAIL() << "operating_point without platform was ignored";
-    } catch (const ModelError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("operating_point"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("'platform'"), std::string::npos) << what;
-    }
-    EXPECT_THROW(session.effectiveTdp(), ModelError);
     // Setting the platform afterwards resolves the point; clearing
     // the point then leaves a plain session.
     session.set("platform", "Nvidia TX2");
