@@ -6,14 +6,14 @@
 # MAP is the GNU ld map of the skyline_cli link. Its "Archive member
 # included" section names every archive member the link loaded.
 # Fails when a member of ARCHIVE is not loaded and is not on the
-# allow-list below, and when an allow-listed member is loaded (the
-# entry is stale). ISA_DEPENDENT names members that the build's
+# allow-list below, and when an allow-listed member is loaded or gone
+# (the entry is stale). ISA_DEPENDENT names members that the build's
 # instruction-set level decides on (the runtime-dispatch AVX2
-# object); they are neither required nor stale. Members are compared by count, not by name: the
-# archive holds two dvfs.cc.o (workload/ and scenario/studies/) and
-# two table1.cc.o (sim/ and scenario/studies/). Prints "SKIPPED:" (a
-# ctest skip) when the map is missing or lacks GNU ld's section, as
-# a gold or lld map does.
+# object); they are neither required nor stale. Members are compared
+# by count, not by name: the archive holds two dvfs.cc.o (workload/
+# and scenario/studies/) and two table1.cc.o (sim/ and
+# scenario/studies/). Prints "SKIPPED:" (a ctest skip) when the map
+# is missing or lacks GNU ld's section, as a gold or lld map does.
 
 # Members no CLI path loads, each with the reason it stays.
 #   dse.cc.o  skyline::DesignSpaceExplorer, reached only by
@@ -87,17 +87,17 @@ list(LENGTH loaded loaded_count)
 if(offenders)
   list(JOIN offenders "\n  " shown)
   message(FATAL_ERROR
-          "skyline_cli loads no copy of these ${archive_name} "
-          "members; reach them from a study or delete them, or add "
-          "them to the allow-list in tests/cli_link_map.cmake with "
-          "a reason:\n  ${shown}")
+          "skyline_cli does not load (every copy of) these "
+          "${archive_name} members; reach them from a study or "
+          "delete them, or add them to the allow-list in "
+          "tests/cli_link_map.cmake with a reason:\n  ${shown}")
 endif()
 if(stale)
   list(JOIN stale "\n  " shown)
   message(FATAL_ERROR
-          "skyline_cli now loads these allow-listed members; remove "
-          "them from the allow-list in tests/cli_link_map.cmake:\n"
-          "  ${shown}")
+          "these allow-listed members are loaded by skyline_cli or "
+          "gone from ${archive_name}; remove them from the "
+          "allow-list in tests/cli_link_map.cmake:\n  ${shown}")
 endif()
 list(JOIN allowed ", " shown)
 message("ok: skyline_cli loads ${loaded_count} of ${member_count} "
