@@ -46,13 +46,14 @@ class Registry
 
     /** Look up by exact name; throws ModelError with "did you
      * mean" suggestions (prefix/edit-distance) and the full
-     * candidate list. */
+     * candidate list, led by `knob` when the name came from one. */
     const T &
-    byName(const std::string &name) const
+    byName(const std::string &name, const std::string &knob = "") const
     {
         auto it = _index.find(name);
         if (it == _index.end()) {
             std::string message =
+                (knob.empty() ? "" : "knob '" + knob + "': ") +
                 "unknown catalog entry '" + name + "'";
             const auto suggestions = closestMatches(name, names());
             if (!suggestions.empty()) {

@@ -5,11 +5,25 @@
 
 #include "core/uav_config.hh"
 
+#include "control/flight_controller.hh"
 #include "support/errors.hh"
 #include "support/strings.hh"
 #include "support/validate.hh"
 
 namespace uavf1::core {
+
+namespace {
+
+/** The flight controller every configuration flies. */
+const control::FlightController &
+flightController()
+{
+    static const control::FlightController controller =
+        control::FlightController::typical1kHz();
+    return controller;
+}
+
+} // namespace
 
 units::Newtons
 UavConfig::totalThrust() const
@@ -27,8 +41,6 @@ UavConfig::thrustToWeight() const
 units::MetersPerSecondSquared
 UavConfig::maxAcceleration() const
 {
-    if (_aMaxOverride)
-        return *_aMaxOverride;
     return physics::maxAcceleration(totalThrust(), _mass.totalKg(),
                                     _accelOptions);
 }
@@ -36,8 +48,6 @@ UavConfig::maxAcceleration() const
 units::Watts
 UavConfig::computePower() const
 {
-    if (!_compute)
-        return units::Watts(0.0);
     return _redundancy.power(*_compute);
 }
 
@@ -49,8 +59,7 @@ UavConfig::f1Inputs() const
     inputs.sensingRange = _sensor.range();
     inputs.sensorRate = _sensor.framerate();
     inputs.computeRate = _computeRate;
-    inputs.controlRate = _flightController.loopRate();
-    inputs.kneeFraction = _kneeFraction;
+    inputs.controlRate = flightController().loopRate();
     inputs.computeBinding = _computeBinding;
     return inputs;
 }
@@ -74,50 +83,33 @@ UavConfig::describe() const
                      _sensor.name().c_str(),
                      _sensor.framerate().value(),
                      _sensor.range().value());
-    if (_compute) {
-        out += strFormat(
-            "  compute: %s x%d (TDP %.2f W, module %.0f g, "
-            "heatsink %.0f g)\n",
-            _compute->name().c_str(), _redundancy.replicas(),
-            _compute->tdp().value(), _compute->moduleMass().value(),
-            _compute->heatsinkMass(_heatsink).value());
-    }
-    if (_rooflineFamily) {
-        out += strFormat(
-            "  roofline: %s @ %s\n", _rooflineFamily->name().c_str(),
-            _operatingPoint.empty() ? "nominal"
-                                    : _operatingPoint.c_str());
-    }
-    if (_algorithm) {
-        out += strFormat("  algorithm: %s (%s)\n",
-                         _algorithm->name().c_str(),
-                         workload::toString(_algorithm->paradigm()));
-    }
+    out += strFormat(
+        "  compute: %s x%d (TDP %.2f W, module %.0f g, "
+        "heatsink %.0f g)\n",
+        _compute->name().c_str(), _redundancy.replicas(),
+        _compute->tdp().value(), _compute->moduleMass().value(),
+        _compute->heatsinkMass(heatsinkModel()).value());
+    out += strFormat("  algorithm: %s (%s)\n",
+                     _algorithm->name().c_str(),
+                     workload::toString(_algorithm->paradigm()));
     std::string provenance = workload::toString(_computeRateSource);
     // A CeilingRef is only resolvable against the family that
     // produced it; the ref's family tag makes a mismatch (e.g. on a
     // hand-assembled config) detectable, and a report must not
     // throw, so ask the family instead of resolving blindly.
-    const platform::RooflinePlatform *family =
-        _rooflineFamily ? &*_rooflineFamily
-                        : (_compute ? &_compute->roofline() : nullptr);
-    if (_computeBinding.attributed && family &&
-        family->resolves(_computeBinding)) {
+    const platform::RooflinePlatform &family = _compute->roofline();
+    if (_computeBinding.attributed && family.resolves(_computeBinding)) {
         provenance +=
             ", " +
             std::string(platform::toString(_computeBinding.kind)) +
-            " ceiling '" + family->ceilingName(_computeBinding) + "'";
+            " ceiling '" + family.ceilingName(_computeBinding) + "'";
     }
     out += strFormat("  f_compute: %.2f Hz (%s)\n",
                      _computeRate.value(), provenance.c_str());
-    out += strFormat("  takeoff mass: %.0f g, thrust %.2f N",
-                     takeoffMass().value(), totalThrust().value());
-    if (!_aMaxOverride) {
-        out += strFormat(", T/W %.2f", thrustToWeight());
-    }
-    out += strFormat("\n  a_max: %.2f m/s^2%s\n",
-                     maxAcceleration().value(),
-                     _aMaxOverride ? " (override)" : "");
+    out += strFormat("  takeoff mass: %.0f g, thrust %.2f N, T/W %.2f\n",
+                     takeoffMass().value(), totalThrust().value(),
+                     thrustToWeight());
+    out += strFormat("  a_max: %.2f m/s^2\n", maxAcceleration().value());
     return out;
 }
 
@@ -142,13 +134,6 @@ UavConfig::Builder::sensor(components::Sensor sensor)
 }
 
 UavConfig::Builder &
-UavConfig::Builder::flightController(control::FlightController fc)
-{
-    _flightController = std::move(fc);
-    return *this;
-}
-
-UavConfig::Builder &
 UavConfig::Builder::compute(components::ComputePlatform platform)
 {
     _compute = std::move(platform);
@@ -163,20 +148,6 @@ UavConfig::Builder::algorithm(workload::AutonomyAlgorithm algorithm)
 }
 
 UavConfig::Builder &
-UavConfig::Builder::roofline(platform::RooflinePlatform family)
-{
-    _rooflineFamily = std::move(family);
-    return *this;
-}
-
-UavConfig::Builder &
-UavConfig::Builder::operatingPoint(std::string name)
-{
-    _operatingPoint = std::move(name);
-    return *this;
-}
-
-UavConfig::Builder &
 UavConfig::Builder::throughputOracle(workload::ThroughputOracle oracle)
 {
     _oracle = std::move(oracle);
@@ -184,30 +155,9 @@ UavConfig::Builder::throughputOracle(workload::ThroughputOracle oracle)
 }
 
 UavConfig::Builder &
-UavConfig::Builder::heatsinkModel(thermal::HeatsinkModel model)
-{
-    _heatsink = model;
-    return *this;
-}
-
-UavConfig::Builder &
 UavConfig::Builder::redundancy(pipeline::ModularRedundancy redundancy)
 {
     _redundancy = redundancy;
-    return *this;
-}
-
-UavConfig::Builder &
-UavConfig::Builder::battery(physics::Battery battery)
-{
-    _batteries.push_back(std::move(battery));
-    return *this;
-}
-
-UavConfig::Builder &
-UavConfig::Builder::payload(const std::string &label, units::Grams mass)
-{
-    _extraPayload.add(label, mass);
     return *this;
 }
 
@@ -228,30 +178,6 @@ UavConfig::Builder::thrustDerate(double derate)
     return *this;
 }
 
-UavConfig::Builder &
-UavConfig::Builder::computeRateOverride(units::Hertz rate)
-{
-    requirePositive(rate.value(), "computeRateOverride");
-    _computeRateOverride = rate;
-    return *this;
-}
-
-UavConfig::Builder &
-UavConfig::Builder::aMaxOverride(units::MetersPerSecondSquared a_max)
-{
-    requirePositive(a_max.value(), "aMaxOverride");
-    _aMaxOverride = a_max;
-    return *this;
-}
-
-UavConfig::Builder &
-UavConfig::Builder::kneeFraction(double fraction)
-{
-    requireInRange(fraction, 1e-6, 1.0 - 1e-9, "kneeFraction");
-    _kneeFraction = fraction;
-    return *this;
-}
-
 UavConfig
 UavConfig::Builder::build() const
 {
@@ -268,68 +194,36 @@ UavConfig::Builder::build() const
     config._name = _name;
     config._airframe = *_airframe;
     config._sensor = *_sensor;
-    config._flightController = _flightController;
     config._compute = _compute;
     config._algorithm = _algorithm;
     config._redundancy = _redundancy;
-    config._heatsink = _heatsink;
     config._accelOptions = _accelOptions;
     config._thrustDerate = _thrustDerate;
-    config._aMaxOverride = _aMaxOverride;
-    config._kneeFraction = _kneeFraction;
 
-    // Compute rate: override wins; then the roofline family; then
-    // the flat platform — both of the latter through the oracle's
-    // measured-first ceiling-family path, so every fallback carries
-    // binding attribution.
-    if (_computeRateOverride) {
-        config._computeRate =
-            _redundancy.effectiveThroughput(*_computeRateOverride);
-        config._computeRateSource = workload::ThroughputSource::Measured;
-    } else if (_rooflineFamily && _algorithm) {
-        const std::size_t op_index =
-            _operatingPoint.empty()
-                ? 0
-                : _rooflineFamily->operatingPointIndex(_operatingPoint);
-        const auto estimate =
-            _oracle.throughput(*_algorithm, *_rooflineFamily, op_index);
-        config._computeRate =
-            _redundancy.effectiveThroughput(estimate.value);
-        config._computeRateSource = estimate.source;
-        config._computeBinding = estimate.binding;
-        config._rooflineFamily = _rooflineFamily;
-        config._operatingPoint = _operatingPoint;
-    } else if (_compute && _algorithm) {
-        const auto estimate = _oracle.throughput(*_algorithm, *_compute);
-        config._computeRate =
-            _redundancy.effectiveThroughput(estimate.value);
-        config._computeRateSource = estimate.source;
-        config._computeBinding = estimate.binding;
-    } else {
-        throw ModelError(
-            "UAV configuration '" + _name +
-            "' has no compute rate: set computeRateOverride(), "
-            "roofline() and algorithm(), or both compute() and "
-            "algorithm()");
+    // Compute rate: the oracle's measured-first ceiling-family path,
+    // so an unmeasured pair carries binding attribution.
+    if (!_compute || !_algorithm) {
+        throw ModelError("UAV configuration '" + _name +
+                         "' has no compute rate: set both compute() "
+                         "and algorithm()");
     }
+    const auto estimate = _oracle.throughput(*_algorithm, *_compute);
+    config._computeRate = _redundancy.effectiveThroughput(estimate.value);
+    config._computeRateSource = estimate.source;
+    config._computeBinding = estimate.binding;
 
     // Mass roll-up.
     physics::MassBudget mass;
     mass.add(_airframe->name() + " (base)", _airframe->baseMass());
-    mass.add(_flightController.name() + " (FC)",
-             _flightController.mass());
+    mass.add(flightController().name() + " (FC)",
+             flightController().mass());
     mass.add(_sensor->name() + " (sensor)", _sensor->mass());
-    if (_compute) {
-        mass.add(_compute->name() + " (compute)",
-                 _redundancy.payloadMass(*_compute, _heatsink));
-    }
-    for (const auto &battery : _batteries)
-        mass.add(battery.name() + " (battery)", battery.mass());
-    mass.add(_extraPayload);
+    mass.add(_compute->name() + " (compute)",
+             _redundancy.payloadMass(*_compute, config.heatsinkModel()));
     config._mass = mass;
 
-    // Validate physics feasibility eagerly (unless overridden):
-    // maxAcceleration() throws InfeasibleError for T/W <= 1.
+    // Validate physics feasibility eagerly: maxAcceleration() throws
+    // InfeasibleError for T/W <= 1.
     (void)config.maxAcceleration();
 
     return config;

@@ -3,19 +3,14 @@
  * Full UAV system configuration.
  *
  * Joins every substrate — airframe, sensor, compute platform (with
- * heat sink and optional modular redundancy), autonomy algorithm,
- * flight controller, batteries and extra payload — and reduces the
- * assembly to the scalar F1Inputs the model consumes:
+ * heat sink and optional modular redundancy), autonomy algorithm and
+ * a generic 1 kHz flight controller — and reduces the assembly to
+ * the scalar F1Inputs the model consumes:
  *
  *   payload masses -> total mass -> (with thrust) a_max
  *   sensor         -> f_sensor and range d
  *   algorithm on compute (oracle) -> f_compute
  *   flight controller -> f_control
- *
- * Direct overrides for a_max and f_compute exist because the Skyline
- * tool (Table II) exposes user-defined knobs that bypass the
- * component path, and because several paper experiments are only
- * specified at that level.
  */
 
 #ifndef UAVF1_CORE_UAV_CONFIG_HH
@@ -23,18 +18,14 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "components/airframe.hh"
 #include "components/compute_platform.hh"
 #include "components/sensor.hh"
-#include "control/flight_controller.hh"
 #include "core/f1_model.hh"
 #include "physics/acceleration.hh"
-#include "physics/battery.hh"
 #include "physics/mass_budget.hh"
 #include "pipeline/redundancy.hh"
-#include "platform/roofline_platform.hh"
 #include "thermal/heatsink.hh"
 #include "workload/algorithm.hh"
 #include "workload/throughput.hh"
@@ -59,38 +50,16 @@ class UavConfig
     /** The sensor. */
     const components::Sensor &sensor() const { return _sensor; }
 
-    /** The flight controller. */
-    const control::FlightController &flightController() const
-    {
-        return _flightController;
-    }
-
-    /** The compute platform, if componentized. */
+    /** The compute platform (always set by build()). */
     const std::optional<components::ComputePlatform> &compute() const
     {
         return _compute;
     }
 
-    /** The autonomy algorithm, if componentized. */
+    /** The autonomy algorithm (always set by build()). */
     const std::optional<workload::AutonomyAlgorithm> &algorithm() const
     {
         return _algorithm;
-    }
-
-    /** The multi-ceiling family f_compute was derived on, when the
-     * builder routed through the roofline path (empty otherwise;
-     * the flat compute() path resolves bindings against
-     * compute()->roofline() instead). */
-    const std::optional<platform::RooflinePlatform> &
-    rooflineFamily() const
-    {
-        return _rooflineFamily;
-    }
-
-    /** Operating-point name of the roofline path ("" = nominal). */
-    const std::string &operatingPoint() const
-    {
-        return _operatingPoint;
     }
 
     /** Redundancy scheme applied to the compute subsystem. */
@@ -99,11 +68,9 @@ class UavConfig
         return _redundancy;
     }
 
-    /** The heat-sink model used for compute payload mass. */
-    const thermal::HeatsinkModel &heatsinkModel() const
-    {
-        return _heatsink;
-    }
+    /** The heat-sink model used for compute payload mass (the
+     * paper-calibrated default). */
+    thermal::HeatsinkModel heatsinkModel() const { return {}; }
 
     /** Itemized takeoff mass. */
     const physics::MassBudget &massBudget() const { return _mass; }
@@ -117,11 +84,10 @@ class UavConfig
     /** Thrust-to-weight ratio at takeoff mass. */
     double thrustToWeight() const;
 
-    /** a_max: the override if set, else from the acceleration law. */
+    /** a_max from the acceleration law. */
     units::MetersPerSecondSquared maxAcceleration() const;
 
-    /** f_compute: override, else oracle throughput through the
-     * redundancy voter. */
+    /** f_compute: oracle throughput through the redundancy voter. */
     units::Hertz computeRate() const { return _computeRate; }
 
     /** Provenance of the compute rate. */
@@ -162,24 +128,17 @@ class UavConfig
     components::Sensor _sensor{
         "unset", units::Hertz(1.0), units::Meters(1.0),
         units::Degrees(90.0), units::Grams(0.0), units::Watts(0.0)};
-    control::FlightController _flightController{
-        control::FlightController::typical1kHz()};
     std::optional<components::ComputePlatform> _compute;
     std::optional<workload::AutonomyAlgorithm> _algorithm;
-    std::optional<platform::RooflinePlatform> _rooflineFamily;
-    std::string _operatingPoint;
     pipeline::ModularRedundancy _redundancy{
         pipeline::RedundancyScheme::None};
-    thermal::HeatsinkModel _heatsink;
     physics::MassBudget _mass;
     physics::AccelerationOptions _accelOptions;
     double _thrustDerate = 1.0;
-    std::optional<units::MetersPerSecondSquared> _aMaxOverride;
     units::Hertz _computeRate{1.0};
     workload::ThroughputSource _computeRateSource =
         workload::ThroughputSource::Measured;
     platform::CeilingRef _computeBinding{};
-    double _kneeFraction = SafetyModel::defaultKneeFraction;
 };
 
 /**
@@ -197,45 +156,17 @@ class UavConfig::Builder
     /** Set the sensor (required). */
     Builder &sensor(components::Sensor sensor);
 
-    /** Set the flight controller (default: generic 1 kHz). */
-    Builder &flightController(control::FlightController fc);
-
     /** Set the compute platform. */
     Builder &compute(components::ComputePlatform platform);
 
     /** Set the autonomy algorithm. */
     Builder &algorithm(workload::AutonomyAlgorithm algorithm);
 
-    /**
-     * Route f_compute through a multi-ceiling roofline family with
-     * measured-throughput-first semantics (the oracle's table wins
-     * at the nominal operating point; the workload-aware bound with
-     * binding attribution answers everywhere else). Takes precedence
-     * over compute() for rate derivation; compute() still
-     * contributes module mass and power.
-     */
-    Builder &roofline(platform::RooflinePlatform family);
-
-    /**
-     * Operating point for the roofline path, by name (default:
-     * nominal). Resolved against the family at build().
-     */
-    Builder &operatingPoint(std::string name);
-
     /** Set the throughput oracle (default: paper-seeded). */
     Builder &throughputOracle(workload::ThroughputOracle oracle);
 
-    /** Set the heat-sink model (default: paper-calibrated). */
-    Builder &heatsinkModel(thermal::HeatsinkModel model);
-
     /** Apply compute redundancy (default: none). */
     Builder &redundancy(pipeline::ModularRedundancy redundancy);
-
-    /** Add a battery pack to the payload. */
-    Builder &battery(physics::Battery battery);
-
-    /** Add an arbitrary labelled payload mass. */
-    Builder &payload(const std::string &label, units::Grams mass);
 
     /** Select the acceleration law (default: hover-constrained). */
     Builder &accelerationOptions(physics::AccelerationOptions options);
@@ -243,24 +174,13 @@ class UavConfig::Builder
     /** Derate usable thrust to a fraction of static pull. */
     Builder &thrustDerate(double derate);
 
-    /** Override f_compute directly (Skyline "compute runtime"
-     * knob). */
-    Builder &computeRateOverride(units::Hertz rate);
-
-    /** Override a_max directly (bypasses mass/thrust). */
-    Builder &aMaxOverride(units::MetersPerSecondSquared a_max);
-
-    /** Set the knee criterion fraction. */
-    Builder &kneeFraction(double fraction);
-
     /**
      * Validate and assemble the configuration.
      *
      * @throws ModelError if the airframe or sensor is missing, or if
-     *         no compute rate is derivable (needs either an override
-     *         or both a platform and an algorithm)
+     *         no compute rate is derivable (needs both a platform
+     *         and an algorithm)
      * @throws InfeasibleError if thrust cannot lift the takeoff mass
-     *         (unless a_max is overridden)
      */
     UavConfig build() const;
 
@@ -268,24 +188,14 @@ class UavConfig::Builder
     std::string _name;
     std::optional<components::Airframe> _airframe;
     std::optional<components::Sensor> _sensor;
-    control::FlightController _flightController{
-        control::FlightController::typical1kHz()};
     std::optional<components::ComputePlatform> _compute;
     std::optional<workload::AutonomyAlgorithm> _algorithm;
-    std::optional<platform::RooflinePlatform> _rooflineFamily;
-    std::string _operatingPoint;
     workload::ThroughputOracle _oracle{
         workload::ThroughputOracle::standard()};
-    thermal::HeatsinkModel _heatsink;
     pipeline::ModularRedundancy _redundancy{
         pipeline::RedundancyScheme::None};
-    std::vector<physics::Battery> _batteries;
-    physics::MassBudget _extraPayload;
     physics::AccelerationOptions _accelOptions;
     double _thrustDerate = 1.0;
-    std::optional<units::Hertz> _computeRateOverride;
-    std::optional<units::MetersPerSecondSquared> _aMaxOverride;
-    double _kneeFraction = SafetyModel::defaultKneeFraction;
 };
 
 } // namespace uavf1::core

@@ -111,10 +111,8 @@ runLoop(std::size_t count,
     const std::size_t grain = std::max<std::size_t>(1, options.grain);
     const std::size_t chunks = (count + grain - 1) / grain;
 
-    std::size_t participants = pool.threadCount();
-    if (options.maxThreads > 0)
-        participants = std::min(participants, options.maxThreads);
-    participants = std::min(participants, chunks);
+    const std::size_t participants =
+        std::min(pool.threadCount(), chunks);
 
     // Serial fast path: a one-thread budget or a single chunk. Still
     // walks the same chunk boundaries as the parallel path so
@@ -191,10 +189,7 @@ maxSlots(const ParallelOptions &options)
 {
     ThreadPool &pool =
         options.pool ? *options.pool : ThreadPool::global();
-    std::size_t slots = pool.threadCount();
-    if (options.maxThreads > 0)
-        slots = std::min(slots, options.maxThreads);
-    return std::max<std::size_t>(1, slots);
+    return pool.threadCount();
 }
 
 void

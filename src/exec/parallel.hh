@@ -52,8 +52,6 @@ struct ParallelOptions
 {
     /** Pool to run on; nullptr means ThreadPool::global(). */
     ThreadPool *pool = nullptr;
-    /** Cap on participating threads; 0 means the whole pool. */
-    std::size_t maxThreads = 0;
     /** Minimum indices per chunk (chunk geometry, so it also pins
      * the determinism granularity of chunk-keyed state). */
     std::size_t grain = 1;
@@ -77,9 +75,9 @@ void parallelFor(std::size_t count,
 
 /**
  * Upper bound (inclusive of the caller) on the number of distinct
- * slot indices parallelForSlots can hand out under `options`:
- * min(pool thread count, maxThreads when set). Size per-slot scratch
- * arenas with this *before* the loop so the body never allocates.
+ * slot indices parallelForSlots can hand out under `options`: the
+ * pool's thread count. Size per-slot scratch arenas with this
+ * *before* the loop so the body never allocates.
  */
 std::size_t maxSlots(const ParallelOptions &options = {});
 

@@ -21,8 +21,6 @@ toString(AccelerationLaw law)
         return "hover-constrained";
       case AccelerationLaw::VerticalExcess:
         return "vertical-excess";
-      case AccelerationLaw::TiltLimited:
-        return "tilt-limited";
     }
     return "unknown";
 }
@@ -76,15 +74,6 @@ maxAcceleration(units::Newtons thrust, units::Kilograms mass,
             g * std::sqrt(twr * twr - 1.0));
       case AccelerationLaw::VerticalExcess:
         return units::MetersPerSecondSquared(g * (twr - 1.0));
-      case AccelerationLaw::TiltLimited: {
-        const double hover = g * std::sqrt(twr * twr - 1.0);
-        const double tilt_rad = units::toRadians(options.maxTilt).value();
-        requireInRange(units::toDegrees(
-                           units::Radians(tilt_rad)).value(),
-                       0.0, 89.9, "maxTilt (degrees)");
-        const double clipped = g * std::tan(tilt_rad);
-        return units::MetersPerSecondSquared(std::fmin(hover, clipped));
-      }
     }
     throw ModelError("unknown acceleration law");
 }

@@ -8,7 +8,7 @@
  *   T cos(alpha) - m g = m a_y
  *   T sin(alpha) - F_D = m a_x
  *
- * The F-1 model ignores drag (F_D = 0). Three laws are provided:
+ * The F-1 model ignores drag (F_D = 0). Two laws are provided:
  *
  * - HoverConstrained: hold altitude (a_y = 0), pitch so that the
  *   vertical thrust component exactly cancels gravity; the horizontal
@@ -17,9 +17,6 @@
  *   flights (constant-altitude dash to an obstacle).
  * - VerticalExcess: a_max = g * (twr - 1), the climb-rate limit; a
  *   more conservative law some UAV texts use.
- * - TiltLimited: HoverConstrained additionally clipped by a maximum
- *   commanded tilt angle (flight controllers limit pitch), i.e.
- *   a_max = min(g * sqrt(twr^2 - 1), g * tan(max_tilt)).
  *
  * All laws require thrust-to-weight > 1; otherwise the vehicle cannot
  * hover and InfeasibleError is raised.
@@ -37,7 +34,6 @@ enum class AccelerationLaw
 {
     HoverConstrained,
     VerticalExcess,
-    TiltLimited,
 };
 
 /** Printable name of an acceleration law. */
@@ -48,9 +44,6 @@ struct AccelerationOptions
 {
     /** Which law to apply. */
     AccelerationLaw law = AccelerationLaw::HoverConstrained;
-
-    /** Tilt clip used by TiltLimited. */
-    units::Degrees maxTilt{35.0};
 };
 
 /**
@@ -66,7 +59,7 @@ double thrustToWeight(units::Newtons thrust, units::Kilograms mass);
  *
  * @param thrust total usable thrust
  * @param mass total takeoff mass
- * @param options law selection and tilt clip
+ * @param options law selection
  * @throws InfeasibleError if thrust-to-weight <= 1
  */
 units::MetersPerSecondSquared

@@ -18,14 +18,6 @@ MassBudget::add(const std::string &label, units::Grams mass)
     return *this;
 }
 
-MassBudget &
-MassBudget::add(const MassBudget &other)
-{
-    for (const auto &item : other._items)
-        _items.push_back(item);
-    return *this;
-}
-
 units::Grams
 MassBudget::total() const
 {

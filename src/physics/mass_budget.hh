@@ -44,9 +44,6 @@ class MassBudget
      */
     MassBudget &add(const std::string &label, units::Grams mass);
 
-    /** Merge another budget's items (labels preserved). */
-    MassBudget &add(const MassBudget &other);
-
     /** Total mass in grams. */
     units::Grams total() const;
 

@@ -99,7 +99,7 @@ validateWorkloadProfile(const WorkloadProfile &profile,
     if (!(ai > 0.0) || ai > 1e300) {
         throw ModelError("ai on " + context +
                          " must be positive and finite, got " +
-                         std::to_string(ai));
+                         shortestNumber(ai));
     }
     for (std::size_t i = 0; i < WorkloadProfile::maxMemoryLevels;
          ++i) {
@@ -111,7 +111,7 @@ validateWorkloadProfile(const WorkloadProfile &profile,
             throw ModelError(
                 "trafficFraction[" + std::to_string(i) + "] on " +
                 context + " must be finite and non-negative, got " +
-                std::to_string(traffic));
+                shortestNumber(traffic));
         }
     }
     for (std::size_t i = 0; i < WorkloadProfile::targetClassCount;
@@ -123,7 +123,7 @@ validateWorkloadProfile(const WorkloadProfile &profile,
             throw ModelError(
                 "targetDerate[" + std::to_string(i) + "] on " +
                 context + " must be in [0, 1], got " +
-                std::to_string(derate));
+                shortestNumber(derate));
         }
     }
 }

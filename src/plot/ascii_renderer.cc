@@ -9,7 +9,6 @@
 #include <cmath>
 #include <vector>
 
-#include "support/errors.hh"
 #include "support/strings.hh"
 
 namespace uavf1::plot {
@@ -21,47 +20,31 @@ const char seriesGlyphs[] = {'*', '+', 'o', 'x', '#', '@', '%', '&'};
 
 constexpr int glyphCount = 8;
 
-} // namespace
+/** Plot area in characters. */
+constexpr int width = 72;
+constexpr int height = 20;
 
-AsciiRenderer::AsciiRenderer(const Options &options) : _options(options)
-{
-    if (_options.width < 16 || _options.height < 6)
-        throw ModelError("ASCII canvas too small (min 16x6)");
-}
+} // namespace
 
 std::string
 AsciiRenderer::render(Chart &chart) const
 {
     chart.fitAxes();
-    const int w = _options.width;
-    const int h = _options.height;
 
-    std::vector<std::string> grid(h, std::string(w, ' '));
+    std::vector<std::string> grid(height, std::string(width, ' '));
 
     auto col = [&](double x) {
         return std::clamp(
-            static_cast<int>(
-                std::lround(chart.xAxis().normalized(x) * (w - 1))),
-            0, w - 1);
+            static_cast<int>(std::lround(
+                chart.xAxis().normalized(x) * (width - 1))),
+            0, width - 1);
     };
     auto row = [&](double y) {
         return std::clamp(
             static_cast<int>(std::lround(
-                (1.0 - chart.yAxis().normalized(y)) * (h - 1))),
-            0, h - 1);
+                (1.0 - chart.yAxis().normalized(y)) * (height - 1))),
+            0, height - 1);
     };
-
-    // Reference lines first so data overdraws them.
-    for (const auto &hl : chart.hlines()) {
-        const int r = row(hl.y);
-        for (int c = 0; c < w; ++c)
-            grid[r][c] = '-';
-    }
-    for (const auto &vl : chart.vlines()) {
-        const int c = col(vl.x);
-        for (int r = 0; r < h; ++r)
-            grid[r][c] = grid[r][c] == '-' ? '+' : '|';
-    }
 
     // Series: lines are rasterized by sampling segments.
     int glyph_idx = 0;
@@ -103,7 +86,7 @@ AsciiRenderer::render(Chart &chart) const
         const std::string &text = annotation.text;
         for (std::size_t i = 0; i < text.size(); ++i) {
             const std::size_t cc = c + 2 + i;
-            if (cc >= static_cast<std::size_t>(w))
+            if (cc >= static_cast<std::size_t>(width))
                 break;
             grid[r][cc] = text[i];
         }
@@ -117,20 +100,21 @@ AsciiRenderer::render(Chart &chart) const
     const std::string y_lo = Axis::tickLabel(chart.yAxis().lo());
     const std::size_t gutter = std::max(y_hi.size(), y_lo.size()) + 1;
 
-    for (int r = 0; r < h; ++r) {
+    for (int r = 0; r < height; ++r) {
         std::string label;
         if (r == 0) {
             label = y_hi;
-        } else if (r == h - 1) {
+        } else if (r == height - 1) {
             label = y_lo;
         }
         out += padLeft(label, gutter) + "|" + grid[r] + "\n";
     }
-    out += std::string(gutter, ' ') + "+" + std::string(w, '-') + "\n";
+    out += std::string(gutter, ' ') + "+" + std::string(width, '-') +
+           "\n";
     const std::string x_lo = Axis::tickLabel(chart.xAxis().lo());
     const std::string x_hi = Axis::tickLabel(chart.xAxis().hi());
     std::string footer = std::string(gutter + 1, ' ') + x_lo;
-    const std::size_t target = gutter + 1 + w - x_hi.size();
+    const std::size_t target = gutter + 1 + width - x_hi.size();
     if (footer.size() < target)
         footer += std::string(target - footer.size(), ' ');
     footer += x_hi;

@@ -21,24 +21,9 @@ namespace uavf1::plot {
 class AsciiRenderer
 {
   public:
-    /** Canvas geometry. */
-    struct Options
-    {
-        int width = 72;   ///< Plot area width in characters.
-        int height = 20;  ///< Plot area height in characters.
-    };
-
-    /** Renderer with default geometry. */
-    AsciiRenderer() = default;
-
-    /** Renderer with explicit geometry. */
-    explicit AsciiRenderer(const Options &options);
-
-    /** Render a chart to a multi-line string. */
+    /** Render a chart to a multi-line string (a 72 x 20 character
+     * plot area plus axis labels and legend). */
     std::string render(Chart &chart) const;
-
-  private:
-    Options _options;
 };
 
 } // namespace uavf1::plot

@@ -29,22 +29,6 @@ Chart::annotate(double x, double y, const std::string &text)
     return *this;
 }
 
-Chart &
-Chart::hline(double y, const std::string &label)
-{
-    _hlines.push_back({y, label});
-    _fitted = false;
-    return *this;
-}
-
-Chart &
-Chart::vline(double x, const std::string &label)
-{
-    _vlines.push_back({x, label});
-    _fitted = false;
-    return *this;
-}
-
 void
 Chart::fitAxes()
 {
@@ -60,10 +44,6 @@ Chart::fitAxes()
         _xAxis.accommodate(annotation.x);
         _yAxis.accommodate(annotation.y);
     }
-    for (const auto &hline : _hlines)
-        _yAxis.accommodate(hline.y);
-    for (const auto &vline : _vlines)
-        _xAxis.accommodate(vline.x);
     _xAxis.finalize();
     _yAxis.finalize();
     _fitted = true;

@@ -23,20 +23,6 @@ struct Annotation
     std::string text;
 };
 
-/** A horizontal reference line (e.g. a velocity ceiling). */
-struct HLine
-{
-    double y = 0.0;
-    std::string label;
-};
-
-/** A vertical reference line (e.g. the knee throughput). */
-struct VLine
-{
-    double x = 0.0;
-    std::string label;
-};
-
 /**
  * A 2-D chart.
  */
@@ -51,12 +37,6 @@ class Chart
 
     /** Add a labelled point annotation. */
     Chart &annotate(double x, double y, const std::string &text);
-
-    /** Add a horizontal reference line. */
-    Chart &hline(double y, const std::string &label);
-
-    /** Add a vertical reference line. */
-    Chart &vline(double x, const std::string &label);
 
     /** Chart title. */
     const std::string &title() const { return _title; }
@@ -76,12 +56,6 @@ class Chart
         return _annotations;
     }
 
-    /** All horizontal reference lines. */
-    const std::vector<HLine> &hlines() const { return _hlines; }
-
-    /** All vertical reference lines. */
-    const std::vector<VLine> &vlines() const { return _vlines; }
-
     /**
      * Fit the axes to the data (no-op for fixed ranges). Called by
      * renderers before projecting; idempotent.
@@ -94,8 +68,6 @@ class Chart
     Axis _yAxis;
     std::vector<Series> _series;
     std::vector<Annotation> _annotations;
-    std::vector<HLine> _hlines;
-    std::vector<VLine> _vlines;
     bool _fitted = false;
 };
 

@@ -20,20 +20,26 @@ const char *const palette[] = {
 
 constexpr int paletteSize = 10;
 
+/** Canvas geometry, px: the margins leave room for the title (top)
+ * and the axis labels (left, bottom). */
+constexpr int width = 820;
+constexpr int height = 520;
+constexpr int marginLeft = 70;
+constexpr int marginRight = 30;
+constexpr int marginTop = 46;
+constexpr int marginBottom = 58;
+
 } // namespace
 
 std::string
 SvgWriter::render(Chart &chart) const
 {
     chart.fitAxes();
-    const Options &opt = _options;
 
-    const double plot_x0 = opt.marginLeft;
-    const double plot_y0 = opt.marginTop;
-    const double plot_w =
-        opt.width - opt.marginLeft - opt.marginRight;
-    const double plot_h =
-        opt.height - opt.marginTop - opt.marginBottom;
+    const double plot_x0 = marginLeft;
+    const double plot_y0 = marginTop;
+    const double plot_w = width - marginLeft - marginRight;
+    const double plot_h = height - marginTop - marginBottom;
 
     auto px = [&](double x) {
         return plot_x0 + chart.xAxis().normalized(x) * plot_w;
@@ -47,13 +53,13 @@ SvgWriter::render(Chart &chart) const
     svg += strFormat(
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%d\" "
         "height=\"%d\" viewBox=\"0 0 %d %d\">\n",
-        opt.width, opt.height, opt.width, opt.height);
+        width, height, width, height);
     svg += "<style>text{font-family:Helvetica,Arial,sans-serif;}"
            "</style>\n";
     svg += strFormat(
         "<rect x=\"0\" y=\"0\" width=\"%d\" height=\"%d\" "
         "fill=\"white\"/>\n",
-        opt.width, opt.height);
+        width, height);
 
     // Title.
     svg += strFormat(
@@ -65,13 +71,11 @@ SvgWriter::render(Chart &chart) const
     // Grid + ticks.
     for (const auto &tick : chart.xAxis().ticks()) {
         const double x = px(tick.value);
-        if (opt.grid) {
-            svg += strFormat(
-                "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" "
-                "y2=\"%.1f\" stroke=\"#dddddd\" "
-                "stroke-width=\"1\"/>\n",
-                x, plot_y0, x, plot_y0 + plot_h);
-        }
+        svg += strFormat(
+            "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" "
+            "y2=\"%.1f\" stroke=\"#dddddd\" "
+            "stroke-width=\"1\"/>\n",
+            x, plot_y0, x, plot_y0 + plot_h);
         svg += strFormat(
             "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" "
             "stroke=\"black\" stroke-width=\"1\"/>\n",
@@ -84,13 +88,11 @@ SvgWriter::render(Chart &chart) const
     }
     for (const auto &tick : chart.yAxis().ticks()) {
         const double y = py(tick.value);
-        if (opt.grid) {
-            svg += strFormat(
-                "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" "
-                "y2=\"%.1f\" stroke=\"#dddddd\" "
-                "stroke-width=\"1\"/>\n",
-                plot_x0, y, plot_x0 + plot_w, y);
-        }
+        svg += strFormat(
+            "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" "
+            "y2=\"%.1f\" stroke=\"#dddddd\" "
+            "stroke-width=\"1\"/>\n",
+            plot_x0, y, plot_x0 + plot_w, y);
         svg += strFormat(
             "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" "
             "stroke=\"black\" stroke-width=\"1\"/>\n",
@@ -120,38 +122,6 @@ SvgWriter::render(Chart &chart) const
         plot_x0 - 50.0, plot_y0 + plot_h / 2.0, plot_x0 - 50.0,
         plot_y0 + plot_h / 2.0,
         escapeXml(chart.yAxis().label()).c_str());
-
-    // Reference lines.
-    for (const auto &hl : chart.hlines()) {
-        const double y = py(hl.y);
-        svg += strFormat(
-            "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" "
-            "stroke=\"#555555\" stroke-width=\"1\" "
-            "stroke-dasharray=\"6,4\"/>\n",
-            plot_x0, y, plot_x0 + plot_w, y);
-        if (!hl.label.empty()) {
-            svg += strFormat(
-                "<text x=\"%.1f\" y=\"%.1f\" font-size=\"11\" "
-                "fill=\"#555555\">%s</text>\n",
-                plot_x0 + 6.0, y - 4.0, escapeXml(hl.label).c_str());
-        }
-    }
-    for (const auto &vl : chart.vlines()) {
-        const double x = px(vl.x);
-        svg += strFormat(
-            "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" "
-            "stroke=\"#555555\" stroke-width=\"1\" "
-            "stroke-dasharray=\"6,4\"/>\n",
-            x, plot_y0, x, plot_y0 + plot_h);
-        if (!vl.label.empty()) {
-            svg += strFormat(
-                "<text x=\"%.1f\" y=\"%.1f\" font-size=\"11\" "
-                "fill=\"#555555\" transform=\"rotate(-90 %.1f "
-                "%.1f)\">%s</text>\n",
-                x - 4.0, plot_y0 + 14.0, x - 4.0, plot_y0 + 14.0,
-                escapeXml(vl.label).c_str());
-        }
-    }
 
     // Series.
     int color_idx = 0;
@@ -198,7 +168,7 @@ SvgWriter::render(Chart &chart) const
     }
 
     // Legend.
-    if (opt.legend && !chart.series().empty()) {
+    if (!chart.series().empty()) {
         const double lx = plot_x0 + plot_w - 190.0;
         double ly = plot_y0 + 12.0;
         const double entry_h = 18.0;

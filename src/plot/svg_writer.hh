@@ -3,8 +3,8 @@
  * SVG chart renderer.
  *
  * Self-contained (no external plotting dependency): produces a
- * standalone .svg with axes, grid, ticks, series, legend and
- * annotations. This is the library's substitute for the paper's
+ * standalone 820x520 px .svg with axes, grid, ticks, series, legend
+ * and annotations. This is the library's substitute for the paper's
  * web-based Skyline visualization area.
  */
 
@@ -23,25 +23,6 @@ namespace uavf1::plot {
 class SvgWriter
 {
   public:
-    /** Canvas geometry and styling. */
-    struct Options
-    {
-        int width = 820;        ///< Canvas width, px.
-        int height = 520;       ///< Canvas height, px.
-        int marginLeft = 70;    ///< Left margin for y labels.
-        int marginRight = 30;   ///< Right margin.
-        int marginTop = 46;     ///< Top margin for the title.
-        int marginBottom = 58;  ///< Bottom margin for x labels.
-        bool grid = true;       ///< Draw gridlines at ticks.
-        bool legend = true;     ///< Draw the legend box.
-    };
-
-    /** Writer with default options. */
-    SvgWriter() = default;
-
-    /** Writer with explicit options. */
-    explicit SvgWriter(const Options &options) : _options(options) {}
-
     /** Render a chart to an SVG document string. */
     std::string render(Chart &chart) const;
 
@@ -51,9 +32,6 @@ class SvgWriter
      * @throws ModelError if the file cannot be written
      */
     void writeFile(Chart &chart, const std::string &path) const;
-
-  private:
-    Options _options;
 };
 
 } // namespace uavf1::plot

@@ -8,9 +8,11 @@
 #include "scenario/runner.hh"
 #include "scenario/studies/common.hh"
 #include "skyline/session.hh"
+#include "studies/presets.hh"
 #include "support/errors.hh"
 #include "support/strings.hh"
 #include "support/table.hh"
+#include "workload/algorithm.hh"
 
 namespace uavf1::scenario::detail {
 
@@ -147,7 +149,14 @@ run(const StudyContext &ctx)
     // Overlay mode: the cartesian product of the requested
     // platforms and algorithms, every combination swept across its
     // own preset's operating points. Empty lists inherit the single
-    // session's knob.
+    // session's knob. List entries are checked here, so an unknown
+    // one names the list knob it came from.
+    const auto presets = studies::rooflinePlatformPresets();
+    for (const std::string &name : platform_names)
+        (void)presets.byName(name, "platforms");
+    const auto algorithms = workload::annotatedAlgorithms();
+    for (const std::string &name : algorithm_names)
+        (void)algorithms.byName(name, "algorithms");
     if (platform_names.empty())
         platform_names = {params.get("platform", "Nvidia TX2")};
     if (algorithm_names.empty())

@@ -28,12 +28,24 @@ run(const StudyContext &ctx)
 {
     const auto presets = studies::rooflinePlatformPresets();
     const platform::RooflinePlatform &machine =
-        presets.byName(ctx.params.get("platform", "Nvidia TX2"));
+        presets.byName(ctx.params.get("platform", "Nvidia TX2"),
+                       "platform");
     const std::string op_name = ctx.params.get("op", "");
     const std::size_t op =
         op_name.empty() ? 0 : machine.operatingPointIndex(op_name);
     const double ai_min = ctx.params.getNumber("ai_min", 0.01);
     const double ai_max = ctx.params.getNumber("ai_max", 1000.0);
+    // The platform model takes an AI up to 1e300 (requireFinite's
+    // bound), and the envelopes sample ai_min * (ai_max / ai_min)^t,
+    // so the ratio must be finite too.
+    if (!(ai_min > 0.0 && ai_min < ai_max && ai_max <= 1e300 &&
+          std::isfinite(ai_max / ai_min))) {
+        throw ModelError(
+            "parameters 'ai_min' and 'ai_max' need 0 < ai_min < "
+            "ai_max <= 1e300 and a finite ai_max / ai_min, got "
+            "ai_min = " + shortestNumber(ai_min) + ", ai_max = " +
+            shortestNumber(ai_max));
+    }
     const auto samples =
         ctx.params.getCount("samples", 97, kMaxSweepPoints);
     const std::string workloads =

@@ -121,7 +121,7 @@ SkylineSession::set(const std::string &name, const std::string &value)
         // Validate eagerly so a typo fails at the knob, with the
         // catalog's "did you mean" treatment, not at model time.
         if (!platform.empty())
-            (void)rooflinePresets().byName(platform);
+            (void)rooflinePresets().byName(platform, "platform");
         _knobs.platform = platform;
         return;
     }
@@ -136,7 +136,8 @@ SkylineSession::set(const std::string &name, const std::string &value)
         // Validate eagerly against the pipeline registry, same
         // treatment as the platform knob.
         if (!pipeline.empty())
-            (void)workload::standardPipelines().byName(pipeline);
+            (void)workload::standardPipelines().byName(pipeline,
+                                                       "pipeline");
         _knobs.pipeline = pipeline;
         return;
     }

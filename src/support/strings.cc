@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <numeric>
@@ -46,6 +47,15 @@ trimmedNumber(double value, int precision)
     if (!s.empty() && s.back() == '.')
         s.pop_back();
     return s;
+}
+
+std::string
+shortestNumber(double value)
+{
+    char buffer[32];
+    const auto result =
+        std::to_chars(buffer, buffer + sizeof(buffer), value);
+    return std::string(buffer, result.ptr);
 }
 
 std::string

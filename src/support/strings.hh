@@ -19,6 +19,10 @@ std::string strFormat(const char *fmt, ...)
  * zeros ("2.130" -> "2.13", "3.000" -> "3"). */
 std::string trimmedNumber(double value, int precision = 3);
 
+/** The shortest text that reads back as exactly `value` ("0.1",
+ * "-1e-320", "1e+308", "nan"). */
+std::string shortestNumber(double value);
+
 /** Escape the five XML/HTML special characters. */
 std::string escapeXml(const std::string &text);
 

@@ -15,6 +15,7 @@
 #include <string_view>
 
 #include "support/errors.hh"
+#include "support/strings.hh"
 
 namespace uavf1 {
 
@@ -24,7 +25,7 @@ requirePositive(double value, std::string_view name)
 {
     if (!(value > 0.0)) {
         throw ModelError(std::string(name) + " must be positive, got " +
-                         std::to_string(value));
+                         shortestNumber(value));
     }
     return value;
 }
@@ -36,7 +37,7 @@ requireNonNegative(double value, std::string_view name)
     if (value < 0.0) {
         throw ModelError(std::string(name) +
                          " must be non-negative, got " +
-                         std::to_string(value));
+                         shortestNumber(value));
     }
     return value;
 }
@@ -47,8 +48,8 @@ requireInRange(double value, double lo, double hi, std::string_view name)
 {
     if (!(value >= lo && value <= hi)) {
         throw ModelError(std::string(name) + " must be in [" +
-                         std::to_string(lo) + ", " + std::to_string(hi) +
-                         "], got " + std::to_string(value));
+                         shortestNumber(lo) + ", " + shortestNumber(hi) +
+                         "], got " + shortestNumber(value));
     }
     return value;
 }

@@ -5,10 +5,7 @@
 
 #include "workload/throughput.hh"
 
-#include <cstdlib>
-
 #include "support/errors.hh"
-#include "support/strings.hh"
 #include "support/validate.hh"
 
 namespace uavf1::workload {
@@ -190,55 +187,6 @@ ThroughputOracle::measured(const std::string &algorithm,
                          "' on '" + platform + "'");
     }
     return it->second;
-}
-
-ThroughputOracle
-ThroughputOracle::fromCsv(const std::string &csv)
-{
-    ThroughputOracle oracle;
-    bool header_seen = false;
-    for (const auto &raw_line : splitAndTrim(csv, '\n')) {
-        const std::string line = trim(raw_line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        const auto fields = splitAndTrim(line, ',');
-        if (fields.size() != 3) {
-            throw ModelError("malformed throughput CSV row '" +
-                             line + "' (expected 3 fields)");
-        }
-        if (!header_seen) {
-            if (toLower(fields[0]) != "algorithm" ||
-                toLower(fields[1]) != "platform") {
-                throw ModelError(
-                    "throughput CSV must start with the header "
-                    "'algorithm,platform,throughput_hz'");
-            }
-            header_seen = true;
-            continue;
-        }
-        char *end = nullptr;
-        const double hz = std::strtod(fields[2].c_str(), &end);
-        if (end == fields[2].c_str() || (end && *end != '\0')) {
-            throw ModelError("non-numeric throughput '" +
-                             fields[2] + "' in row '" + line + "'");
-        }
-        oracle.addMeasurement(fields[0], fields[1],
-                              units::Hertz(hz));
-    }
-    if (!header_seen)
-        throw ModelError("throughput CSV contains no header row");
-    return oracle;
-}
-
-std::string
-ThroughputOracle::toCsv() const
-{
-    std::string out = "algorithm,platform,throughput_hz\n";
-    for (const auto &[key, value] : _table) {
-        out += key.first + "," + key.second + "," +
-               trimmedNumber(value.value(), 6) + "\n";
-    }
-    return out;
 }
 
 } // namespace uavf1::workload

@@ -203,19 +203,6 @@ class ThroughputOracle
     units::Hertz measured(const std::string &algorithm,
                           const std::string &platform) const;
 
-    /**
-     * Parse measurements from CSV text with the header
-     * `algorithm,platform,throughput_hz` ('#' comment lines and
-     * blank lines allowed), so downstream users can plug in their
-     * own characterizations.
-     *
-     * @throws ModelError on a malformed header or row
-     */
-    static ThroughputOracle fromCsv(const std::string &csv);
-
-    /** Serialize all measurements as fromCsv()-compatible CSV. */
-    std::string toCsv() const;
-
   private:
     std::map<std::pair<std::string, std::string>, units::Hertz> _table;
 };

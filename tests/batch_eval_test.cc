@@ -457,7 +457,6 @@ monteCarloSpecs()
 
 TEST(MonteCarloBatch, RunMatchesReferenceAtEveryThreadCount)
 {
-    exec::ThreadPool pool(8);
     // Odd counts exercise partial kernel blocks and a partial
     // trailing RNG block. The tail sub-batch of 5003 holds 11
     // samples and that of 2113 one sample, so with three or five
@@ -468,9 +467,9 @@ TEST(MonteCarloBatch, RunMatchesReferenceAtEveryThreadCount)
             const sim::UncertaintyResult reference =
                 analyzer.runReference(count, 9);
             for (const std::size_t threads : {1u, 2u, 8u}) {
+                exec::ThreadPool pool(threads);
                 exec::ParallelOptions options;
                 options.pool = &pool;
-                options.maxThreads = threads;
                 expectIdentical(reference,
                                 analyzer.run(count, 9, options));
             }
@@ -573,16 +572,15 @@ campaignSpecs()
 
 TEST(CampaignBatch, RunMatchesReferenceAtEveryThreadCount)
 {
-    exec::ThreadPool pool(8);
     const std::size_t count = 4111;
     for (const fault::CampaignSpec &spec : campaignSpecs()) {
         const fault::FaultCampaign campaign(spec);
         const fault::CampaignResult reference =
             campaign.runReference(count, 13);
         for (const std::size_t threads : {1u, 2u, 8u}) {
+            exec::ThreadPool pool(threads);
             exec::ParallelOptions options;
             options.pool = &pool;
-            options.maxThreads = threads;
             expectIdentical(reference,
                             campaign.run(count, 13, options));
         }
@@ -633,14 +631,13 @@ TEST(CampaignBatch, SixteenFaultCampaignMatchesReference)
     ASSERT_EQ(spec.faults.size(), 16u);
     const fault::FaultCampaign campaign(spec);
 
-    exec::ThreadPool pool(8);
     const std::size_t count = 4111;
     const fault::CampaignResult reference =
         campaign.runReference(count, 29);
     for (const std::size_t threads : {1u, 2u, 8u}) {
+        exec::ThreadPool pool(threads);
         exec::ParallelOptions options;
         options.pool = &pool;
-        options.maxThreads = threads;
         expectIdentical(reference, campaign.run(count, 29, options));
     }
 }
@@ -704,11 +701,10 @@ TEST(CampaignBatch, RejectedOutcomeThrowsAtTheSameMissionOnBothPaths)
     EXPECT_NE(message.find("computeRate"), std::string::npos)
         << message;
 
-    exec::ThreadPool pool(8);
     for (const std::size_t threads : {1u, 2u, 8u}) {
+        exec::ThreadPool pool(threads);
         exec::ParallelOptions options;
         options.pool = &pool;
-        options.maxThreads = threads;
         EXPECT_EQ(errorOf([&] { campaign.run(rejected, seed, options); }),
                   message)
             << threads << " threads";
@@ -737,11 +733,10 @@ TEST(CampaignBatch, NaNSafeVelocityIsNamedLikeTheOracle)
     const std::string message =
         errorOf([&] { campaign.runReference(20000, 5); });
     EXPECT_NE(message.find("is NaN"), std::string::npos) << message;
-    exec::ThreadPool pool(8);
     for (const std::size_t threads : {1u, 2u, 8u}) {
+        exec::ThreadPool pool(threads);
         exec::ParallelOptions options;
         options.pool = &pool;
-        options.maxThreads = threads;
         EXPECT_EQ(errorOf([&] { campaign.run(20000, 5, options); }),
                   message)
             << threads << " threads";
@@ -839,8 +834,7 @@ TEST(Exec, ParallelForSlotsCoversEveryIndexWithBoundedSlots)
     options.pool = &pool;
     options.grain = 8;
     const std::size_t slots = exec::maxSlots(options);
-    EXPECT_GE(slots, 1u);
-    EXPECT_LE(slots, 4u);
+    EXPECT_EQ(slots, 4u);
 
     constexpr std::size_t count = 1000;
     std::vector<std::atomic<int>> visits(count);
@@ -861,16 +855,6 @@ TEST(Exec, ParallelForSlotsCoversEveryIndexWithBoundedSlots)
     for (std::size_t i = 0; i < count; ++i)
         EXPECT_EQ(visits[i].load(), 1) << i;
     EXPECT_GE(seen_slots.size(), 1u);
-
-    // maxThreads caps the slot space.
-    options.maxThreads = 1;
-    EXPECT_EQ(exec::maxSlots(options), 1u);
-    exec::parallelForSlots(
-        64,
-        [&](std::size_t slot, std::size_t, std::size_t) {
-            EXPECT_EQ(slot, 0u);
-        },
-        options);
 }
 
 TEST(Exec, SuggestedGrainIsThreadIndependentAndBounded)

@@ -40,35 +40,17 @@ using namespace uavf1;
 using namespace uavf1::units;
 using namespace uavf1::units::literals;
 
-TEST(SvgOptions, GridAndLegendCanBeDisabled)
+TEST(Svg, DrawsGridAndLegend)
 {
     plot::Chart chart("opts", plot::Axis("x"), plot::Axis("y"));
     plot::Series series("s");
     series.add(0.0, 0.0).add(1.0, 1.0);
     chart.add(series);
 
-    plot::SvgWriter::Options options;
-    options.grid = false;
-    options.legend = false;
-    const std::string svg = plot::SvgWriter(options).render(chart);
-    // No light-gray gridlines and no legend box/label.
-    EXPECT_EQ(svg.find("#dddddd"), std::string::npos);
-    EXPECT_EQ(svg.find("fill-opacity=\"0.85\""), std::string::npos);
-
-    const std::string with_grid = plot::SvgWriter().render(chart);
-    EXPECT_NE(with_grid.find("#dddddd"), std::string::npos);
-}
-
-TEST(SvgOptions, VlinesAreRendered)
-{
-    plot::Chart chart("vline", plot::Axis("x"), plot::Axis("y"));
-    plot::Series series("s");
-    series.add(0.0, 0.0).add(10.0, 5.0);
-    chart.add(series);
-    chart.vline(4.0, "knee here");
+    // Light-gray gridlines and the legend box.
     const std::string svg = plot::SvgWriter().render(chart);
-    EXPECT_NE(svg.find("knee here"), std::string::npos);
-    EXPECT_NE(svg.find("stroke-dasharray"), std::string::npos);
+    EXPECT_NE(svg.find("#dddddd"), std::string::npos);
+    EXPECT_NE(svg.find("fill-opacity=\"0.85\""), std::string::npos);
 }
 
 TEST(AsciiRenderer, MarkersOnlySeriesUsesGlyph)
@@ -190,11 +172,9 @@ TEST(UavConfigDescribe, RedundantOverriddenConfig)
             .algorithm(algorithms.byName("DroNet"))
             .redundancy(pipeline::ModularRedundancy(
                 pipeline::RedundancyScheme::Dual))
-            .aMaxOverride(3.0_mps2)
             .build();
     const std::string text = config.describe();
     EXPECT_NE(text.find("x2"), std::string::npos);
-    EXPECT_NE(text.find("(override)"), std::string::npos);
 }
 
 TEST(Distribution, SingleSampleAndTwoSamples)
@@ -382,24 +362,6 @@ TEST(Distribution, HistogramMatchesFromSamplesOnTheExpandedSamples)
 
     // All-zero counts are no samples at all.
     EXPECT_THROW(sim::Distribution::fromHistogram({1.0}, {0}), ModelError);
-}
-
-TEST(OracleCsvFile, RoundTripViaDisk)
-{
-    const auto oracle = workload::ThroughputOracle::standard();
-    const std::string path = "edge_oracle.csv";
-    {
-        std::ofstream out(path);
-        out << oracle.toCsv();
-    }
-    std::ifstream in(path);
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    in.close();
-    std::remove(path.c_str());
-    const auto restored = workload::ThroughputOracle::fromCsv(content);
-    EXPECT_DOUBLE_EQ(
-        restored.measured("DroNet", "Nvidia AGX").value(), 230.0);
 }
 
 TEST(SafetyNumerics, ExtremeParameterRegimes)

@@ -439,9 +439,9 @@ TEST(ExecMonteCarlo, ThreadCapFallsBackToSerial)
     sim::UncertaintySpec spec;
     spec.nominal = studies::pelicanInputs(units::Hertz(55.0));
     const sim::MonteCarloAnalyzer analyzer(spec);
+    exec::ThreadPool single(1);
     exec::ThreadPool pool(8);
-    const auto capped =
-        analyzer.run(5000, 7, {.pool = &pool, .maxThreads = 1});
+    const auto capped = analyzer.run(5000, 7, {.pool = &single});
     const auto full = analyzer.run(5000, 7, {.pool = &pool});
     expectBitIdentical(capped, full);
 }

@@ -165,47 +165,6 @@ TEST(SessionConfig, LoadRejectsMalformedLines)
     EXPECT_THROW(session.loadConfig("warp = 9"), ModelError);
 }
 
-TEST(OracleCsv, RoundTrip)
-{
-    const auto original = workload::ThroughputOracle::standard();
-    const auto restored =
-        workload::ThroughputOracle::fromCsv(original.toCsv());
-    EXPECT_DOUBLE_EQ(
-        restored.measured("DroNet", "Nvidia TX2").value(), 178.0);
-    EXPECT_DOUBLE_EQ(
-        restored.measured("CAD2RL", "Ras-Pi4").value(), 0.0652);
-    EXPECT_TRUE(
-        restored.hasMeasurement("SPA package delivery",
-                                "Nvidia TX2"));
-}
-
-TEST(OracleCsv, ParsesCommentsAndWhitespace)
-{
-    const auto oracle = workload::ThroughputOracle::fromCsv(
-        "# my measurements\n"
-        "algorithm,platform,throughput_hz\n"
-        "\n"
-        "  MyNet ,  MyChip , 42.5 \n");
-    EXPECT_DOUBLE_EQ(oracle.measured("MyNet", "MyChip").value(),
-                     42.5);
-}
-
-TEST(OracleCsv, RejectsMalformedInput)
-{
-    EXPECT_THROW(workload::ThroughputOracle::fromCsv(""),
-                 ModelError);
-    EXPECT_THROW(workload::ThroughputOracle::fromCsv(
-                     "algorithm,platform,throughput_hz\na,b\n"),
-                 ModelError);
-    EXPECT_THROW(workload::ThroughputOracle::fromCsv(
-                     "algorithm,platform,throughput_hz\n"
-                     "a,b,not-a-number\n"),
-                 ModelError);
-    EXPECT_THROW(workload::ThroughputOracle::fromCsv(
-                     "x,y,z\na,b,1\n"),
-                 ModelError);
-}
-
 TEST(MonteCarlo, ZeroUncertaintyCollapsesToNominal)
 {
     sim::UncertaintySpec spec;

@@ -31,14 +31,12 @@ TEST(MassBudget, AccumulatesAndSummarizes)
     EXPECT_NE(budget.summary().find("TOTAL"), std::string::npos);
 }
 
-TEST(MassBudget, MergeAndDuplicateLabelsSum)
+TEST(MassBudget, DuplicateLabelsSum)
 {
-    MassBudget a;
-    a.add("weight", 50.0_g);
-    MassBudget b;
-    b.add("weight", 100.0_g);
-    a.add(b);
-    EXPECT_DOUBLE_EQ(a.massOf("weight").value(), 150.0);
+    MassBudget budget;
+    budget.add("weight", 50.0_g).add("weight", 100.0_g);
+    EXPECT_DOUBLE_EQ(budget.massOf("weight").value(), 150.0);
+    EXPECT_EQ(budget.items().size(), 2u);
 }
 
 TEST(MassBudget, RejectsNegativeMass)
@@ -95,25 +93,6 @@ TEST(Acceleration, VerticalExcessMatchesClosedForm)
     EXPECT_NEAR(a.value(), 0.5 * 9.80665, 1e-9);
 }
 
-TEST(Acceleration, TiltLimitedClipsHoverConstrained)
-{
-    // twr = 2 gives hover-constrained g*sqrt(3) ~ 16.99; a 30 deg
-    // tilt clip caps at g*tan(30) ~ 5.66.
-    const auto clipped = maxAcceleration(
-        Newtons(2.0 * 9.80665), 1.0_kg,
-        {.law = AccelerationLaw::TiltLimited,
-         .maxTilt = Degrees(30.0)});
-    EXPECT_NEAR(clipped.value(),
-                9.80665 * std::tan(30.0 * M_PI / 180.0), 1e-9);
-
-    // A generous clip leaves the hover-constrained value intact.
-    const auto unclipped = maxAcceleration(
-        Newtons(2.0 * 9.80665), 1.0_kg,
-        {.law = AccelerationLaw::TiltLimited,
-         .maxTilt = Degrees(80.0)});
-    EXPECT_NEAR(unclipped.value(), 9.80665 * std::sqrt(3.0), 1e-9);
-}
-
 TEST(Acceleration, HoverPitchAngle)
 {
     // twr = 2 -> alpha = acos(1/2) = 60 deg.
@@ -139,8 +118,6 @@ TEST(Acceleration, LawNames)
                  "hover-constrained");
     EXPECT_STREQ(toString(AccelerationLaw::VerticalExcess),
                  "vertical-excess");
-    EXPECT_STREQ(toString(AccelerationLaw::TiltLimited),
-                 "tilt-limited");
 }
 
 TEST(Drag, QuadraticForce)

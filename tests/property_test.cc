@@ -183,21 +183,6 @@ TEST_P(AccelLawTest, HoverConstrainedDominatesVerticalExcess)
     EXPECT_GE(hover.value(), excess.value() - 1e-12);
 }
 
-TEST_P(AccelLawTest, TiltClipNeverExceedsHoverConstrained)
-{
-    const double twr = GetParam();
-    const Newtons thrust(twr * 9.80665);
-    const Kilograms mass(1.0);
-    const auto hover = physics::maxAcceleration(
-        thrust, mass,
-        {.law = physics::AccelerationLaw::HoverConstrained});
-    const auto tilted = physics::maxAcceleration(
-        thrust, mass,
-        {.law = physics::AccelerationLaw::TiltLimited,
-         .maxTilt = Degrees(25.0)});
-    EXPECT_LE(tilted.value(), hover.value() + 1e-12);
-}
-
 INSTANTIATE_TEST_SUITE_P(TwrSweep, AccelLawTest,
                          ::testing::Values(1.01, 1.05, 1.15, 1.5,
                                            2.0, 3.0, 5.0));

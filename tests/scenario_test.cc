@@ -216,6 +216,36 @@ TEST(Runner, HostileKnobValuesFailNamingTheKnob)
         EXPECT_NE(outcome.error.find(knob), std::string::npos)
             << outcome.error;
     }
+    // An AI range whose ratio overflows used to fail in the platform
+    // model with a ~300-digit AI, naming neither knob.
+    {
+        const ScenarioOutcome outcome =
+            run("roofline", "ai_max", "1e308");
+        EXPECT_FALSE(outcome.ok);
+        for (const char *knob : {"ai_min", "ai_max"}) {
+            EXPECT_NE(outcome.error.find(knob), std::string::npos)
+                << outcome.error;
+        }
+    }
+    // An unknown catalog entry used to name no knob; the error names
+    // the one the user set and keeps the known entries.
+    const struct
+    {
+        const char *study, *knob, *quoted;
+    } lookups[] = {{"table2", "platform", "'platform'"},
+                   {"table2", "pipeline", "'pipeline'"},
+                   {"dvfs", "platforms", "'platforms'"},
+                   {"dvfs", "algorithms", "'algorithms'"}};
+    for (const auto &lookup : lookups) {
+        const ScenarioOutcome outcome =
+            run(lookup.study, lookup.knob, "abc");
+        EXPECT_FALSE(outcome.ok) << lookup.knob;
+        EXPECT_NE(outcome.error.find(lookup.quoted), std::string::npos)
+            << outcome.error;
+        EXPECT_NE(outcome.error.find("known entries: "),
+                  std::string::npos)
+            << outcome.error;
+    }
     // A dependent knob without its enabling knob used to be ignored;
     // the error names both.
     const struct

@@ -262,16 +262,15 @@ TEST(StageEval, CombinedCampaignReproducesThePipelineOnlyRates)
 TEST(StageEval, CombinedCampaignIsBitIdenticalAcrossThreads)
 {
     const fault::FaultCampaign campaign(spaCampaign(true));
-    exec::ThreadPool pool(8);
-
+    exec::ThreadPool single(1);
     exec::ParallelOptions serial;
-    serial.maxThreads = 1;
+    serial.pool = &single;
     const fault::CampaignResult one = campaign.run(3000, 5, serial);
 
     for (const std::size_t threads : {2u, 8u}) {
+        exec::ThreadPool pool(threads);
         exec::ParallelOptions options;
         options.pool = &pool;
-        options.maxThreads = threads;
         const fault::CampaignResult many =
             campaign.run(3000, 5, options);
         EXPECT_EQ(one.safeVelocity.mean, many.safeVelocity.mean);
@@ -362,16 +361,15 @@ TEST(StageEval, MonteCarloPipelinePathTalliesPerStageBindings)
 TEST(StageEval, MonteCarloPipelinePathIsBitIdenticalAcrossThreads)
 {
     const sim::MonteCarloAnalyzer analyzer(navionUncertainty());
-    exec::ThreadPool pool(8);
-
+    exec::ThreadPool single(1);
     exec::ParallelOptions serial;
-    serial.maxThreads = 1;
+    serial.pool = &single;
     const sim::UncertaintyResult one = analyzer.run(5000, 7, serial);
 
     for (const std::size_t threads : {2u, 8u}) {
+        exec::ThreadPool pool(threads);
         exec::ParallelOptions options;
         options.pool = &pool;
-        options.maxThreads = threads;
         const sim::UncertaintyResult many =
             analyzer.run(5000, 7, options);
         EXPECT_EQ(one.safeVelocity.mean, many.safeVelocity.mean);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "support/errors.hh"
@@ -28,13 +29,22 @@ TEST(Validate, PositiveAcceptsAndRejects)
 
 TEST(Validate, ErrorMessageNamesParameter)
 {
-    try {
-        requirePositive(-1.0, "rotor_pull");
-        FAIL() << "expected ModelError";
-    } catch (const ModelError &e) {
-        EXPECT_NE(std::string(e.what()).find("rotor_pull"),
-                  std::string::npos);
-    }
+    const auto message = [](const auto &check) {
+        try {
+            check();
+        } catch (const ModelError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    // Values print in their shortest round-trip form, so a subnormal
+    // does not read as "-0.000000".
+    EXPECT_EQ(message([] { requirePositive(-1e-320, "rotor_pull"); }),
+              "rotor_pull must be positive, got -1e-320");
+    EXPECT_EQ(message([] { requireNonNegative(-0.1, "x"); }),
+              "x must be non-negative, got -0.1");
+    EXPECT_EQ(message([] { requireInRange(1e308, 1e-6, 0.5, "x"); }),
+              "x must be in [1e-06, 0.5], got 1e+308");
 }
 
 TEST(Validate, NonNegativeAndRange)
@@ -143,6 +153,17 @@ TEST(Strings, TrimmedNumber)
     EXPECT_EQ(trimmedNumber(2.130, 3), "2.13");
     EXPECT_EQ(trimmedNumber(0.5), "0.5");
     EXPECT_EQ(trimmedNumber(-1.250, 3), "-1.25");
+}
+
+TEST(Strings, ShortestNumberRoundTrips)
+{
+    EXPECT_EQ(shortestNumber(0.1), "0.1");
+    EXPECT_EQ(shortestNumber(-1e-320), "-1e-320");
+    EXPECT_EQ(shortestNumber(1000.0), "1000");
+    EXPECT_EQ(shortestNumber(1e308), "1e+308");
+    for (const double value : {0.1, 1.0 / 3.0, 5e-324, 1.7e308})
+        EXPECT_EQ(std::strtod(shortestNumber(value).c_str(), nullptr),
+                  value);
 }
 
 TEST(Strings, JoinPadTrim)

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for UavConfig and its builder: validation, mass
- * roll-up, throughput resolution, overrides and redundancy
- * integration.
+ * roll-up, throughput resolution and redundancy integration.
  */
 
 #include <gtest/gtest.h>
@@ -34,18 +33,18 @@ pelicanBuilder()
 
 TEST(UavConfigBuilder, RequiresAirframeAndSensor)
 {
+    const auto catalog = components::Catalog::standard();
+    const auto algorithms = workload::standardAlgorithms();
     UavConfig::Builder no_airframe("x");
-    no_airframe.sensor(components::Catalog::standard()
-                           .sensors()
-                           .byName("60FPS camera (10m)"));
-    no_airframe.computeRateOverride(100.0_hz);
+    no_airframe.sensor(catalog.sensors().byName("60FPS camera (10m)"))
+        .compute(catalog.computes().byName("Nvidia TX2"))
+        .algorithm(algorithms.byName("DroNet"));
     EXPECT_THROW(no_airframe.build(), ModelError);
 
     UavConfig::Builder no_sensor("x");
-    no_sensor.airframe(components::Catalog::standard()
-                           .airframes()
-                           .byName("AscTec Pelican"));
-    no_sensor.computeRateOverride(100.0_hz);
+    no_sensor.airframe(catalog.airframes().byName("AscTec Pelican"))
+        .compute(catalog.computes().byName("Nvidia TX2"))
+        .algorithm(algorithms.byName("DroNet"));
     EXPECT_THROW(no_sensor.build(), ModelError);
 
     EXPECT_THROW(UavConfig::Builder(""), ModelError);
@@ -57,7 +56,7 @@ TEST(UavConfigBuilder, RequiresAComputeRateSource)
     UavConfig::Builder builder("x");
     builder.airframe(catalog.airframes().byName("AscTec Pelican"))
         .sensor(catalog.sensors().byName("60FPS camera (10m)"));
-    // No override and no compute+algorithm pair.
+    // No compute+algorithm pair.
     EXPECT_THROW(builder.build(), ModelError);
     // Platform alone is not enough.
     builder.compute(catalog.computes().byName("Nvidia TX2"));
@@ -72,55 +71,30 @@ TEST(UavConfig, ComputeRateFromOracle)
               workload::ThroughputSource::Measured);
 }
 
-TEST(UavConfig, ComputeRateOverrideWins)
-{
-    const UavConfig config =
-        pelicanBuilder().computeRateOverride(55.0_hz).build();
-    EXPECT_DOUBLE_EQ(config.computeRate().value(), 55.0);
-}
-
 TEST(UavConfig, MassRollUpIncludesEverything)
 {
-    const auto catalog = components::Catalog::standard();
-    const UavConfig config =
-        pelicanBuilder()
-            .battery(catalog.batteries().byName("3S 5000mAh"))
-            .payload("calibration weight", 50.0_g)
-            .build();
+    const UavConfig config = pelicanBuilder().build();
 
     const auto &budget = config.massBudget();
-    // Airframe 1000 + FC 10 + sensor 72 + TX2 (85 + ~41 heatsink)
-    // + battery 380 + weight 50.
+    // Airframe 1000 + FC 10 + sensor 72 + TX2 (85 + ~41 heatsink).
     EXPECT_NEAR(config.takeoffMass().value(),
-                1000.0 + 10.0 + 72.0 + 85.0 + 41.2 + 380.0 + 50.0,
-                1.0);
-    EXPECT_DOUBLE_EQ(budget.massOf("calibration weight").value(),
-                     50.0);
-    EXPECT_GE(budget.items().size(), 6u);
-}
-
-TEST(UavConfig, AMaxOverrideBypassesPhysics)
-{
-    const UavConfig config =
-        pelicanBuilder().aMaxOverride(4.12_mps2).build();
-    EXPECT_DOUBLE_EQ(config.maxAcceleration().value(), 4.12);
+                1000.0 + 10.0 + 72.0 + 85.0 + 41.2, 1.0);
+    EXPECT_NEAR(budget.massOf("Nvidia TX2 (compute)").value(),
+                85.0 + 41.2, 1.0);
+    EXPECT_EQ(budget.items().size(), 4u);
 }
 
 TEST(UavConfig, InfeasibleBuildThrows)
 {
-    // Loading a Pelican with an Intel NUC plus a pile of lead
-    // exceeds its thrust.
+    // A nano-UAV cannot lift a TX2.
     const auto catalog = components::Catalog::standard();
     const auto algorithms = workload::standardAlgorithms();
     UavConfig::Builder builder("overloaded");
-    builder.airframe(catalog.airframes().byName("AscTec Pelican"))
-        .sensor(catalog.sensors().byName("RGB-D 60FPS (4.5m)"))
-        .compute(catalog.computes().byName("Intel NUC"))
-        .algorithm(algorithms.byName("DroNet"))
-        .payload("lead brick", 2000.0_g);
+    builder.airframe(catalog.airframes().byName("Nano-UAV"))
+        .sensor(catalog.sensors().byName("Nano camera 60FPS (6m)"))
+        .compute(catalog.computes().byName("Nvidia TX2"))
+        .algorithm(algorithms.byName("DroNet"));
     EXPECT_THROW(builder.build(), InfeasibleError);
-    // With an a_max override, feasibility is the caller's problem.
-    EXPECT_NO_THROW(builder.aMaxOverride(1.0_mps2).build());
 }
 
 TEST(UavConfig, RedundancyAffectsMassAndRate)
@@ -161,6 +135,8 @@ TEST(UavConfig, F1InputsWiring)
     EXPECT_DOUBLE_EQ(inputs.sensingRange.value(), 4.5);
     EXPECT_DOUBLE_EQ(inputs.computeRate.value(), 178.0);
     EXPECT_DOUBLE_EQ(inputs.controlRate.value(), 1000.0);
+    EXPECT_DOUBLE_EQ(inputs.kneeFraction,
+                     core::SafetyModel::defaultKneeFraction);
     EXPECT_DOUBLE_EQ(inputs.aMax.value(),
                      config.maxAcceleration().value());
     // The model analyzes without throwing.
@@ -182,23 +158,6 @@ TEST(UavConfig, BuilderKnobValidation)
     UavConfig::Builder builder("x");
     EXPECT_THROW(builder.thrustDerate(0.0), ModelError);
     EXPECT_THROW(builder.thrustDerate(1.5), ModelError);
-    EXPECT_THROW(builder.computeRateOverride(Hertz(0.0)), ModelError);
-    EXPECT_THROW(builder.aMaxOverride(MetersPerSecondSquared(0.0)),
-                 ModelError);
-    EXPECT_THROW(builder.kneeFraction(0.0), ModelError);
-    EXPECT_THROW(builder.kneeFraction(1.0), ModelError);
-}
-
-TEST(UavConfig, CustomKneeFractionPropagates)
-{
-    const UavConfig config =
-        pelicanBuilder().kneeFraction(0.95).build();
-    EXPECT_DOUBLE_EQ(config.f1Inputs().kneeFraction, 0.95);
-    // A looser knee criterion sits at a lower throughput.
-    const UavConfig strict =
-        pelicanBuilder().kneeFraction(0.99).build();
-    EXPECT_LT(config.f1Model().analyze().kneeThroughput.value(),
-              strict.f1Model().analyze().kneeThroughput.value());
 }
 
 } // namespace
