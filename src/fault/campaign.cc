@@ -7,8 +7,10 @@
  * scalar F1Model::analyzeInto into an outcome table. run() then only
  * draws (one uniform per fault, as the scalar loop does) and counts
  * each mission's mask in a per-slot histogram; it keeps no
- * per-mission state. The tallies, the exact percentiles and the
- * exactly rounded v_safe moments all follow from the merged
+ * per-mission state. A severity sweep draws once for a group of
+ * levels and counts each mission's mask at every level of the group
+ * in that level's histogram. The tallies, the exact percentiles and
+ * the exactly rounded v_safe moments all follow from the merged
  * histogram in O(masks) (sim::Distribution::fromHistogram).
  * runReference() keeps the original mission-at-a-time loop,
  * summarized through sim::Distribution::fromSamples, as the
@@ -715,33 +717,47 @@ activationProbabilities(const CampaignSpec &spec, double scale)
     return probability;
 }
 
-/** Missions per uniformBlock call in run(): the draw buffer stays
- * in L1. */
+/** Missions per uniformBlock call: the draw buffer stays in L1. */
 constexpr std::size_t kDrawRun = 64;
 
 /**
- * Draw the activation masks of missions [lo, hi) of one block from
- * its Rng — one uniform per fault per mission, in fault order: the
- * scalar path's own draw sequence — and hand each mission's mask, in
- * order, to `visit(mask)`. `u` holds kDrawRun * (fault count)
+ * Histogram counts one slot of a draw holds at most: one level of a
+ * 16-fault campaign. A draw bins up to 2^(16 - faults) levels, so a
+ * 16-fault campaign draws once per level and a 3-fault one bins up
+ * to 8192 levels per draw.
+ */
+constexpr std::size_t kDrawCounts = std::size_t{1} << kMaxFaults;
+
+/**
+ * Draw the uniforms of missions [lo, hi) of one block from its Rng —
+ * one per fault per mission, in fault order: the scalar path's own
+ * draw sequence — and hand each mission's activation mask at each
+ * of `levels` threshold rows (`fault_count` probabilities each) to
+ * `visit(level, mask)`. The uniforms come kDrawRun missions at a
+ * time, and each run is binned level by level: at any one level the
+ * masks come in mission order. `u` holds kDrawRun * fault_count
  * doubles.
  */
 template <typename Visit>
 void
-drawMasks(const std::vector<double> &probability, std::size_t lo,
-          std::size_t hi, Rng &rng, double *u, Visit &&visit)
+drawMasks(const double *thresholds, std::size_t levels,
+          std::size_t fault_count, std::size_t lo, std::size_t hi,
+          Rng &rng, double *u, Visit &&visit)
 {
-    const std::size_t fault_count = probability.size();
-    const double *p = probability.data();
     for (std::size_t run = lo; run < hi; run += kDrawRun) {
         const std::size_t m = std::min(hi - run, kDrawRun);
         rng.uniformBlock(u, m * fault_count);
-        for (std::size_t i = 0; i < m; ++i) {
-            const double *draw = u + i * fault_count;
-            std::uint32_t mask = 0;
-            for (std::size_t j = 0; j < fault_count; ++j)
-                mask |= static_cast<std::uint32_t>(draw[j] < p[j]) << j;
-            visit(mask);
+        const double *p = thresholds;
+        for (std::size_t level = 0; level < levels; ++level) {
+            for (std::size_t i = 0; i < m; ++i) {
+                const double *draw = u + i * fault_count;
+                std::uint32_t mask = 0;
+                for (std::size_t j = 0; j < fault_count; ++j)
+                    mask |= static_cast<std::uint32_t>(draw[j] < p[j])
+                            << j;
+                visit(level, mask);
+            }
+            p += fault_count;
         }
     }
 }
@@ -768,42 +784,68 @@ CampaignResult
 FaultCampaign::run(std::size_t count, std::uint64_t seed,
                    const exec::ParallelOptions &parallel) const
 {
-    return runAtScale(sim::BlockLayout(kWhat, count, sampleBlock, seed),
-                      _spec.probabilityScale, parallel);
+    const sim::BlockLayout layout(kWhat, count, sampleBlock, seed);
+    const std::vector<double> probability =
+        activationProbabilities(_spec, _spec.probabilityScale);
+    const std::vector<std::uint64_t> counts =
+        drawLevels(layout, {&probability, 1}, parallel);
+    return summarize(layout, probability, counts.data(), parallel);
 }
 
-CampaignResult
-FaultCampaign::runAtScale(const sim::BlockLayout &layout, double scale,
-                          const exec::ParallelOptions &parallel) const
+std::vector<std::uint64_t>
+FaultCampaign::drawLevels(
+    const sim::BlockLayout &layout,
+    std::span<const std::vector<double>> probabilities,
+    const exec::ParallelOptions &parallel) const
 {
-    const std::vector<double> probability =
-        activationProbabilities(_spec, scale);
-    const std::size_t count = layout.count();
+    const std::size_t levels = probabilities.size();
     const std::size_t fault_count = _spec.faults.size();
     const std::size_t masks = _outcomes.size();
+    std::vector<double> thresholds;
+    thresholds.reserve(levels * fault_count);
+    for (const std::vector<double> &row : probabilities)
+        thresholds.insert(thresholds.end(), row.begin(), row.end());
 
-    // Each mission only bumps its slot's histogram at its activation
-    // mask. Histograms sit more than a cache line apart, so slots
-    // never share one.
+    // Each mission bumps, at every level, that level's histogram at
+    // its activation mask. A slot's histograms are one run of
+    // levels * masks counts, more than a cache line from the next
+    // slot's.
     const std::size_t slots = exec::maxSlots(parallel);
-    const std::size_t stride = masks + 16;
+    const std::size_t stride = levels * masks + 16;
     std::vector<std::uint64_t> hist(slots * stride, 0);
     std::vector<std::vector<double>> uniforms(
         slots, std::vector<double>(kDrawRun * fault_count));
     layout.forEach(parallel, [&](std::size_t slot, std::size_t,
                                  std::size_t lo, std::size_t hi,
                                  Rng &rng) {
+        // Captured by value, so a count store cannot alias `masks`.
         std::uint64_t *slot_hist = &hist[slot * stride];
-        drawMasks(probability, lo, hi, rng, uniforms[slot].data(),
-                  [&](std::uint32_t mask) { ++slot_hist[mask]; });
+        drawMasks(thresholds.data(), levels, fault_count, lo, hi, rng,
+                  uniforms[slot].data(),
+                  [slot_hist, masks](std::size_t level,
+                                     std::uint32_t mask) {
+                      ++slot_hist[level * masks + mask];
+                  });
     });
 
-    // Everything follows from the merged histogram and the outcome
-    // table, in O(masks).
-    std::vector<std::uint64_t> counts(masks, 0);
+    std::vector<std::uint64_t> counts(levels * masks, 0);
     for (std::size_t slot = 0; slot < slots; ++slot)
-        for (std::size_t mask = 0; mask < masks; ++mask)
-            counts[mask] += hist[slot * stride + mask];
+        for (std::size_t k = 0; k < counts.size(); ++k)
+            counts[k] += hist[slot * stride + k];
+    return counts;
+}
+
+CampaignResult
+FaultCampaign::summarize(const sim::BlockLayout &layout,
+                         const std::vector<double> &probability,
+                         const std::uint64_t *counts,
+                         const exec::ParallelOptions &parallel) const
+{
+    // Everything follows from the mask counts and the outcome table,
+    // in O(masks).
+    const std::size_t count = layout.count();
+    const std::size_t fault_count = _spec.faults.size();
+    const std::size_t masks = _outcomes.size();
     std::uint64_t aborts = 0;
     std::vector<std::uint64_t> activations(fault_count, 0);
     sim::BindingTallies bindings(_spec.platform, _stageCount);
@@ -840,15 +882,17 @@ FaultCampaign::runAtScale(const sim::BlockLayout &layout, double scale,
     // replaying its first block through scalarSamples() throws that
     // path's error at the same mission (so what it tallies is never
     // read).
-    std::vector<double> &u = uniforms[0];
+    std::vector<double> u;
+    if (rejected || nan)
+        u.resize(kDrawRun * fault_count);
     if (rejected) {
         for (std::size_t b = 0; b < layout.blocks(); ++b) {
             const std::size_t lo = layout.lo(b);
             const std::size_t hi = layout.hi(b);
             Rng rng = layout.rng(b);
             bool hit = false;
-            drawMasks(probability, lo, hi, rng, u.data(),
-                      [&](std::uint32_t mask) {
+            drawMasks(probability.data(), 1, fault_count, lo, hi, rng,
+                      u.data(), [&](std::size_t, std::uint32_t mask) {
                           hit = hit || _outcomes[mask].throws;
                       });
             if (!hit)
@@ -878,8 +922,9 @@ FaultCampaign::runAtScale(const sim::BlockLayout &layout, double scale,
         bool named = false;
         for (std::size_t b = 0; !named && b < layout.blocks(); ++b) {
             Rng rng = layout.rng(b);
-            drawMasks(probability, layout.lo(b), layout.hi(b), rng,
-                      u.data(), [&](std::uint32_t mask) {
+            drawMasks(probability.data(), 1, fault_count, layout.lo(b),
+                      layout.hi(b), rng, u.data(),
+                      [&](std::size_t, std::uint32_t mask) {
                           if (named || survivors[mask] == 0)
                               return;
                           samples.push_back(v_safe[mask]);
@@ -958,29 +1003,44 @@ FaultCampaign::sweepSeverity(std::size_t levels,
     }
     // The same seed at every level, so the curve varies only with
     // severity, not with resampling noise: every level draws from one
-    // layout.
+    // layout, so one draw bins a group of levels.
     const sim::BlockLayout layout(kWhat, samples_per_level, sampleBlock,
                                   seed);
+    std::vector<double> scales;
+    std::vector<std::vector<double>> probabilities;
+    for (std::size_t level = 0; level < levels; ++level) {
+        scales.push_back(static_cast<double>(level) /
+                         static_cast<double>(levels - 1));
+        probabilities.push_back(activationProbabilities(
+            _spec, _spec.probabilityScale * scales.back()));
+    }
 
+    // The outcome table does not depend on the probabilities, so
+    // every level reuses it too. Each level is summarized, and fails,
+    // in level order, as a pass per level would.
+    const std::size_t masks = _outcomes.size();
+    const std::size_t per_draw = kDrawCounts / masks;
     SeveritySweep sweep;
     sweep.curve.reserve(levels);
-    for (std::size_t level = 0; level < levels; ++level) {
-        const double scale =
-            static_cast<double>(level) /
-            static_cast<double>(levels - 1);
-        // The outcome table does not depend on the probabilities,
-        // so every level reuses it too.
-        CampaignResult result = runAtScale(
-            layout, _spec.probabilityScale * scale, parallel);
-        DegradationPoint point;
-        point.scale = scale;
-        point.meanSafeVelocity = result.safeVelocity.mean;
-        point.p5SafeVelocity = result.safeVelocity.p5;
-        point.p95SafeVelocity = result.safeVelocity.p95;
-        point.abortProbability = result.abortProbability;
-        sweep.curve.push_back(point);
-        if (level + 1 == levels)
-            sweep.fullSeverity = std::move(result);
+    for (std::size_t first = 0; first < levels; first += per_draw) {
+        const std::span<const std::vector<double>> group(
+            probabilities.data() + first,
+            std::min(per_draw, levels - first));
+        const std::vector<std::uint64_t> counts =
+            drawLevels(layout, group, parallel);
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            CampaignResult result = summarize(
+                layout, group[k], &counts[k * masks], parallel);
+            DegradationPoint point;
+            point.scale = scales[first + k];
+            point.meanSafeVelocity = result.safeVelocity.mean;
+            point.p5SafeVelocity = result.safeVelocity.p5;
+            point.p95SafeVelocity = result.safeVelocity.p95;
+            point.abortProbability = result.abortProbability;
+            sweep.curve.push_back(point);
+            if (first + k + 1 == levels)
+                sweep.fullSeverity = std::move(result);
+        }
     }
     return sweep;
 }

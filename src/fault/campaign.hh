@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/f1_model.hh"
@@ -216,7 +217,8 @@ class FaultCampaign
      * The graceful-degradation curve: run() at `levels` linearly
      * spaced severity scales in [0, 1] (each scaling the spec's own
      * probabilityScale), the same seed at every level so the curve
-     * varies only with severity.
+     * varies only with severity. It is sweepSeverity()'s curve, so
+     * the levels share their draws the same way.
      *
      * @param levels number of curve points, in [2, maxLevels]
      * @param samples_per_level missions per point, in [10, 2^53]
@@ -237,10 +239,19 @@ class FaultCampaign
     };
 
     /**
-     * run() and degradationCurve() together, sampling the full
-     * severity once: the curve's top level (scale 1) is exactly
-     * the spec run() samples, so `fullSeverity` is that level's
-     * result, bit-identical to run(samples_per_level, seed).
+     * run() and degradationCurve() together. Every level draws the
+     * same uniforms, so one draw bins a group of levels: each
+     * mission's uniforms are compared with every level's activation
+     * probabilities, and each level's mask counts go to that level's
+     * histogram. A group holds 2^(16 - faults) levels, so its
+     * histograms never outgrow one level of a 16-fault campaign; a
+     * suite of up to 6 faults draws once for all maxLevels levels,
+     * and a 16-fault one once per level. Levels are then summarized
+     * in level order, so a rejected mission or a NaN survivor throws
+     * the error of the first level whose run() throws. The curve's
+     * top level (scale 1) is exactly the spec run() samples, so
+     * `fullSeverity` is that level's result, bit-identical to
+     * run(samples_per_level, seed).
      */
     SeveritySweep
     sweepSeverity(std::size_t levels, std::size_t samples_per_level,
@@ -294,11 +305,28 @@ class FaultCampaign
     void precomputePipelineVariants();
     void compileOutcomes();
 
-    /** run() over `layout` at probabilityScale `scale` instead of
-     * the spec's. */
-    CampaignResult runAtScale(const sim::BlockLayout &layout,
-                              double scale,
-                              const exec::ParallelOptions &parallel) const;
+    /**
+     * Draw every mission of `layout` once and bin its activation
+     * mask at each level of `probabilities` (one activation
+     * probability per fault in each row). Returns the merged mask
+     * counts, level-major: [level * masks + mask]. run() is the
+     * one-level case.
+     */
+    std::vector<std::uint64_t>
+    drawLevels(const sim::BlockLayout &layout,
+               std::span<const std::vector<double>> probabilities,
+               const exec::ParallelOptions &parallel) const;
+
+    /**
+     * One level's result from its mask `counts` (drawLevels() at
+     * `probability`): the tallies, the v_safe distribution, and the
+     * replays that throw a rejected mission's or a NaN survivor's
+     * error as runReference() does.
+     */
+    CampaignResult summarize(const sim::BlockLayout &layout,
+                             const std::vector<double> &probability,
+                             const std::uint64_t *counts,
+                             const exec::ParallelOptions &parallel) const;
 
     /**
      * The scalar per-sample loop over samples [lo, hi) of one RNG

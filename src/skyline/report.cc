@@ -5,7 +5,6 @@
 
 #include "skyline/report.hh"
 
-#include "plot/ascii_renderer.hh"
 #include "plot/roofline_chart.hh"
 #include "plot/svg_writer.hh"
 #include "support/atomic_file.hh"
@@ -41,24 +40,6 @@ knobTable(const SkylineSession &session)
 }
 
 } // namespace
-
-std::string
-ReportWriter::text(const SkylineSession &session,
-                   const std::string &title)
-{
-    std::string out = title + "\n";
-    out += std::string(title.size(), '=') + "\n\n";
-    out += knobTable(session);
-    out += "\n";
-
-    plot::Chart chart = plot::makeRooflineChart(
-        title, {{session.knobs().algorithm,
-                 session.model().curve(), true, true}});
-    out += plot::AsciiRenderer().render(chart);
-    out += "\n";
-    out += session.renderAnalysis();
-    return out;
-}
 
 std::string
 ReportWriter::html(const SkylineSession &session,

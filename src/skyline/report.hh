@@ -1,7 +1,7 @@
 /**
  * @file
  * Skyline report writer: the stand-alone equivalent of the web
- * tool's three panes (knobs, visualization, analysis) as text or a
+ * tool's three panes (knobs, visualization, analysis) as a
  * self-contained HTML file with the embedded SVG roofline.
  */
 
@@ -20,10 +20,6 @@ namespace uavf1::skyline {
 class ReportWriter
 {
   public:
-    /** Plain-text report: knob table + analysis + ASCII roofline. */
-    static std::string text(const SkylineSession &session,
-                            const std::string &title);
-
     /** Self-contained HTML report with the SVG roofline embedded. */
     static std::string html(const SkylineSession &session,
                             const std::string &title);

@@ -32,17 +32,4 @@ HeatsinkModel::mass(units::Watts tdp) const
                         _params.baseMass);
 }
 
-double
-HeatsinkModel::requiredThermalResistance(units::Watts tdp,
-                                         double ambient_c,
-                                         double max_case_c)
-{
-    requirePositive(tdp.value(), "tdp");
-    if (max_case_c <= ambient_c) {
-        throw ModelError(
-            "max case temperature must exceed ambient temperature");
-    }
-    return (max_case_c - ambient_c) / tdp.value();
-}
-
 } // namespace uavf1::thermal

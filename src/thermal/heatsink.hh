@@ -59,18 +59,6 @@ class HeatsinkModel
      */
     units::Grams mass(units::Watts tdp) const;
 
-    /**
-     * Case-to-ambient thermal resistance budget for a TDP, K/W.
-     *
-     * @param tdp thermal design power; must be positive
-     * @param ambient_c ambient temperature, Celsius
-     * @param max_case_c maximum allowed case temperature, Celsius
-     * @throws ModelError if max_case_c <= ambient_c
-     */
-    static double requiredThermalResistance(units::Watts tdp,
-                                            double ambient_c = 25.0,
-                                            double max_case_c = 85.0);
-
     /** Active parameters. */
     const Params &params() const { return _params; }
 

@@ -38,26 +38,6 @@ DvfsModel::scaledTdp(units::Watts nominal_tdp,
                                    _params.leakageFraction);
 }
 
-components::ComputePlatform
-DvfsModel::derateToThroughput(
-    const components::ComputePlatform &platform,
-    units::Hertz measured, units::Hertz target,
-    const std::string &suffix) const
-{
-    requirePositive(measured.value(), "measured");
-    requirePositive(target.value(), "target");
-    const double fraction = target / measured;
-    if (fraction > 1.0) {
-        throw ModelError(strFormat(
-            "cannot DVFS %s up: target %.1f Hz exceeds measured "
-            "%.1f Hz",
-            platform.name().c_str(), target.value(),
-            measured.value()));
-    }
-    return platform.withTdp(scaledTdp(platform.tdp(), fraction),
-                            suffix);
-}
-
 std::vector<platform::OperatingPoint>
 DvfsModel::operatingPoints(
     units::Watts nominal_tdp,

@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "components/compute_platform.hh"
 #include "platform/roofline_platform.hh"
 #include "units/units.hh"
 
@@ -66,24 +65,6 @@ class DvfsModel
      */
     units::Watts scaledTdp(units::Watts nominal_tdp,
                            double frequency_fraction) const;
-
-    /**
-     * Derate a platform so its throughput on a given algorithm
-     * drops from `measured` to `target`, reducing the TDP (and so
-     * the heat-sink mass) accordingly. Throughput scales linearly
-     * with frequency.
-     *
-     * @param platform the nominal platform
-     * @param measured nominal throughput of the workload
-     * @param target desired throughput; must be in
-     *        (measured * minFrequencyFraction, measured]
-     * @param suffix appended to the platform name
-     * @throws ModelError if target is out of the DVFS range
-     */
-    components::ComputePlatform
-    derateToThroughput(const components::ComputePlatform &platform,
-                       units::Hertz measured, units::Hertz target,
-                       const std::string &suffix) const;
 
     /**
      * Build DVFS operating points for a ceiling family: one

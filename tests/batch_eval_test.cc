@@ -587,12 +587,15 @@ TEST(CampaignBatch, RunMatchesReferenceAtEveryThreadCount)
     }
 }
 
-TEST(CampaignBatch, SixteenFaultCampaignMatchesReference)
+/**
+ * The widest campaign the outcome table admits: 8 platform faults
+ * (stage-scoped ones included), 4 pipeline and 4 sensor faults, so
+ * the table has 2^16 entries and a mission's mask needs all 16 key
+ * bits.
+ */
+fault::CampaignSpec
+sixteenFaultSpec()
 {
-    // The widest campaign the outcome table admits: 8 platform
-    // faults (stage-scoped ones included), 4 pipeline and 4 sensor
-    // faults, so the table has 2^16 entries and a mission's mask
-    // needs all 16 key bits.
     const auto algorithms = workload::annotatedAlgorithms();
     const auto &spa = algorithms.byName("SPA package delivery");
     const platform::RooflinePlatform &navion =
@@ -628,6 +631,12 @@ TEST(CampaignBatch, SixteenFaultCampaignMatchesReference)
         sensor.sensorDerate = derate;
         spec.faults.push_back(sensor);
     }
+    return spec;
+}
+
+TEST(CampaignBatch, SixteenFaultCampaignMatchesReference)
+{
+    const fault::CampaignSpec spec = sixteenFaultSpec();
     ASSERT_EQ(spec.faults.size(), 16u);
     const fault::FaultCampaign campaign(spec);
 
@@ -670,6 +679,32 @@ errorOf(const Call &call)
     return "";
 }
 
+/** `spec` at curve level `level` of `levels`: its probabilityScale
+ * scaled as sweepSeverity() scales it. */
+fault::CampaignSpec
+scaledSpec(fault::CampaignSpec spec, std::size_t level, std::size_t levels)
+{
+    spec.probabilityScale *=
+        static_cast<double>(level) / static_cast<double>(levels - 1);
+    return spec;
+}
+
+/** The message of the first level, in level order, whose scaled
+ * campaign's oracle throws, or "" when none does. */
+std::string
+firstLevelError(const fault::CampaignSpec &spec, std::size_t levels,
+                std::size_t count, std::uint64_t seed)
+{
+    for (std::size_t level = 0; level < levels; ++level) {
+        const fault::FaultCampaign scaled(scaledSpec(spec, level, levels));
+        const std::string message =
+            errorOf([&] { scaled.runReference(count, seed); });
+        if (!message.empty())
+            return message;
+    }
+    return "";
+}
+
 TEST(CampaignBatch, RejectedOutcomeThrowsAtTheSameMissionOnBothPaths)
 {
     // An outcome the scalar path rejects: a DRAM stall derates the
@@ -701,12 +736,21 @@ TEST(CampaignBatch, RejectedOutcomeThrowsAtTheSameMissionOnBothPaths)
     EXPECT_NE(message.find("computeRate"), std::string::npos)
         << message;
 
+    // A sweep throws what its first throwing level throws.
+    const std::string sweep_message =
+        firstLevelError(spec, 5, rejected, seed);
+    ASSERT_NE(sweep_message, "");
     for (const std::size_t threads : {1u, 2u, 8u}) {
         exec::ThreadPool pool(threads);
         exec::ParallelOptions options;
         options.pool = &pool;
         EXPECT_EQ(errorOf([&] { campaign.run(rejected, seed, options); }),
                   message)
+            << threads << " threads";
+        EXPECT_EQ(errorOf([&] {
+                      campaign.sweepSeverity(5, rejected, seed, options);
+                  }),
+                  sweep_message)
             << threads << " threads";
         // One mission fewer never draws the stall: both paths run.
         expectIdentical(campaign.runReference(clean, seed),
@@ -733,6 +777,14 @@ TEST(CampaignBatch, NaNSafeVelocityIsNamedLikeTheOracle)
     const std::string message =
         errorOf([&] { campaign.runReference(20000, 5); });
     EXPECT_NE(message.find("is NaN"), std::string::npos) << message;
+    // A sweep names the NaN survivor of its first throwing level. At
+    // seed 3 the levels name different survivors, so the sweep must
+    // throw in level order to match.
+    const std::string sweep_message = firstLevelError(spec, 5, 20000, 3);
+    EXPECT_NE(sweep_message.find("is NaN"), std::string::npos)
+        << sweep_message;
+    EXPECT_NE(sweep_message,
+              errorOf([&] { campaign.runReference(20000, 3); }));
     for (const std::size_t threads : {1u, 2u, 8u}) {
         exec::ThreadPool pool(threads);
         exec::ParallelOptions options;
@@ -740,33 +792,73 @@ TEST(CampaignBatch, NaNSafeVelocityIsNamedLikeTheOracle)
         EXPECT_EQ(errorOf([&] { campaign.run(20000, 5, options); }),
                   message)
             << threads << " threads";
+        EXPECT_EQ(errorOf([&] {
+                      campaign.sweepSeverity(5, 20000, 3, options);
+                  }),
+                  sweep_message)
+            << threads << " threads";
     }
 }
 
 TEST(CampaignBatch, DegradationCurveRidesTheBatchedRuns)
 {
-    const fault::FaultCampaign campaign(tx2Campaign("mixed"));
-    const auto curve = campaign.degradationCurve(4, 600, 17);
-    ASSERT_EQ(curve.size(), 4u);
+    // Every layer combination at 5 levels; the 16-fault campaign,
+    // whose sweep draws once per level; and a 12-fault one at 20
+    // levels, whose sweep bins 16 levels in its first draw and 4 in
+    // its second.
+    std::vector<std::pair<fault::CampaignSpec, std::size_t>> cases;
+    for (const fault::CampaignSpec &spec : campaignSpecs())
+        cases.emplace_back(spec, 5);
+    cases.emplace_back(sixteenFaultSpec(), 5);
+    fault::CampaignSpec twelve = sixteenFaultSpec();
+    twelve.faults.resize(12);
+    cases.emplace_back(twelve, 20);
 
-    // Each level is run() on a severity-scaled spec; pin it against
-    // the reference oracle of the same scaled campaign.
-    for (std::size_t level = 0; level < curve.size(); ++level) {
-        fault::CampaignSpec scaled = tx2Campaign("mixed");
-        scaled.probabilityScale =
-            static_cast<double>(level) /
-            static_cast<double>(curve.size() - 1);
-        const fault::FaultCampaign scaled_campaign(scaled);
-        const fault::CampaignResult reference =
-            scaled_campaign.runReference(600, 17);
-        EXPECT_EQ(curve[level].meanSafeVelocity,
-                  reference.safeVelocity.mean);
-        EXPECT_EQ(curve[level].p5SafeVelocity,
-                  reference.safeVelocity.p5);
-        EXPECT_EQ(curve[level].p95SafeVelocity,
-                  reference.safeVelocity.p95);
-        EXPECT_EQ(curve[level].abortProbability,
-                  reference.abortProbability);
+    const std::size_t count = 4111;
+    const std::uint64_t seed = 17;
+    for (const auto &[spec, levels] : cases) {
+        // Each level is run() on a severity-scaled spec; pin it
+        // against the reference oracle of the same scaled campaign.
+        std::vector<fault::CampaignResult> references;
+        for (std::size_t level = 0; level < levels; ++level) {
+            const fault::FaultCampaign scaled(
+                scaledSpec(spec, level, levels));
+            references.push_back(scaled.runReference(count, seed));
+        }
+        const fault::FaultCampaign campaign(spec);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            exec::ThreadPool pool(threads);
+            exec::ParallelOptions options;
+            options.pool = &pool;
+            const fault::FaultCampaign::SeveritySweep sweep =
+                campaign.sweepSeverity(levels, count, seed, options);
+            ASSERT_EQ(sweep.curve.size(), levels);
+            for (std::size_t level = 0; level < levels; ++level) {
+                const fault::DegradationPoint &point = sweep.curve[level];
+                const fault::CampaignResult &reference =
+                    references[level];
+                EXPECT_EQ(point.scale,
+                          static_cast<double>(level) /
+                              static_cast<double>(levels - 1));
+                EXPECT_EQ(point.meanSafeVelocity,
+                          reference.safeVelocity.mean);
+                EXPECT_EQ(point.p5SafeVelocity, reference.safeVelocity.p5);
+                EXPECT_EQ(point.p95SafeVelocity,
+                          reference.safeVelocity.p95);
+                EXPECT_EQ(point.abortProbability,
+                          reference.abortProbability);
+            }
+            expectIdentical(references.back(), sweep.fullSeverity);
+            const std::vector<fault::DegradationPoint> curve =
+                campaign.degradationCurve(levels, count, seed, options);
+            ASSERT_EQ(curve.size(), levels);
+            for (std::size_t level = 0; level < levels; ++level) {
+                EXPECT_EQ(curve[level].meanSafeVelocity,
+                          sweep.curve[level].meanSafeVelocity);
+                EXPECT_EQ(curve[level].abortProbability,
+                          sweep.curve[level].abortProbability);
+            }
+        }
     }
 }
 

@@ -47,34 +47,11 @@ TEST(Dvfs, LinearExponentVariant)
     EXPECT_NEAR(dvfs.scaledTdp(30.0_w, 0.5).value(), 15.0, 1e-9);
 }
 
-TEST(Dvfs, DerateToThroughputShrinksHeatsink)
-{
-    // The paper's Fig. 14 remedy: a TX2 at ~1/5 throughput fits a
-    // far smaller power/heat-sink envelope.
-    const auto catalog = components::Catalog::standard();
-    const auto &tx2 = catalog.computes().byName("Nvidia TX2");
-    const workload::DvfsModel dvfs;
-
-    const auto derated = dvfs.derateToThroughput(
-        tx2, Hertz(178.0), Hertz(43.0), " @knee");
-    EXPECT_EQ(derated.name(), "Nvidia TX2 @knee");
-    EXPECT_LT(derated.tdp().value(), tx2.tdp().value() / 3.0);
-
-    const thermal::HeatsinkModel heatsink;
-    EXPECT_LT(derated.heatsinkMass(heatsink).value(),
-              tx2.heatsinkMass(heatsink).value());
-}
-
 TEST(Dvfs, RangeValidation)
 {
     const workload::DvfsModel dvfs;
     EXPECT_THROW(dvfs.scaledTdp(30.0_w, 0.05), ModelError);
     EXPECT_THROW(dvfs.scaledTdp(30.0_w, 1.5), ModelError);
-    const auto catalog = components::Catalog::standard();
-    const auto &tx2 = catalog.computes().byName("Nvidia TX2");
-    EXPECT_THROW(dvfs.derateToThroughput(tx2, Hertz(178.0),
-                                         Hertz(300.0), "x"),
-                 ModelError);
     workload::DvfsModel::Params bad;
     bad.exponent = 5.0;
     EXPECT_THROW(workload::DvfsModel{bad}, ModelError);

@@ -492,18 +492,6 @@ TEST(Session, SweepMarksValidationFailuresInfeasible)
                  ModelError);
 }
 
-TEST(Report, TextContainsAllThreePanes)
-{
-    SkylineSession session;
-    const std::string report =
-        ReportWriter::text(session, "Skyline Report");
-    EXPECT_NE(report.find("Skyline Report"), std::string::npos);
-    EXPECT_NE(report.find("Sensor Framerate"), std::string::npos);
-    EXPECT_NE(report.find("Rotor Pull"), std::string::npos);
-    EXPECT_NE(report.find("Skyline analysis"), std::string::npos);
-    EXPECT_NE(report.find("knee"), std::string::npos);
-}
-
 TEST(Report, HtmlIsSelfContained)
 {
     SkylineSession session;

@@ -89,19 +89,4 @@ TEST(Heatsink, RejectsInvalidParams)
     EXPECT_THROW(model.mass(Watts(-1.0)), ModelError);
 }
 
-TEST(Heatsink, ThermalResistanceBudget)
-{
-    // 60 K rise at 30 W -> 2 K/W.
-    EXPECT_DOUBLE_EQ(
-        HeatsinkModel::requiredThermalResistance(Watts(30.0), 25.0,
-                                                 85.0),
-        2.0);
-    EXPECT_THROW(HeatsinkModel::requiredThermalResistance(
-                     Watts(30.0), 85.0, 85.0),
-                 ModelError);
-    EXPECT_THROW(HeatsinkModel::requiredThermalResistance(
-                     Watts(0.0), 25.0, 85.0),
-                 ModelError);
-}
-
 } // namespace
