@@ -143,6 +143,24 @@ parseIntegerFlag(const char *flag, const std::string &text, long min,
 }
 
 /**
+ * Parse a REPL argument as a number (strtod's grammar: nan and inf
+ * parse, and the command that takes the value range-checks it).
+ *
+ * @throws ModelError naming the argument when the text does not parse
+ */
+double
+parseNumberArgument(const char *name, const std::string &text)
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0') {
+        throw ModelError(std::string(name) + " expects a number, got '" +
+                         text + "'");
+    }
+    return parsed;
+}
+
+/**
  * Parse run/run-all arguments.
  *
  * @throws ModelError on unknown or incomplete options
@@ -421,18 +439,25 @@ runInteractive()
                     "%s",
                     plot::AsciiRenderer().render(chart).c_str());
             } else if (command == "sweep") {
-                std::string knob;
-                double from = 0.0;
-                double to = 0.0;
-                int steps = 9;
-                in >> knob >> from >> to;
-                if (!(in >> steps))
-                    steps = 9;
+                std::string knob, from_text, to_text, steps_text;
+                in >> knob >> from_text >> to_text >> steps_text;
+                // SkylineSession::sweep range-checks the values.
+                const double from =
+                    parseNumberArgument("sweep 'from'", from_text);
+                const double to =
+                    parseNumberArgument("sweep 'to'", to_text);
+                const auto steps =
+                    steps_text.empty()
+                        ? 9
+                        : parseIntegerFlag("sweep 'steps'", steps_text,
+                                           0, LONG_MAX,
+                                           "a non-negative integer");
+                const auto points = session.sweep(
+                    knob, from, to, static_cast<std::size_t>(steps));
                 std::printf("  %-14s %-14s %-12s %-12s\n",
                             knob.c_str(), "v_safe (m/s)",
                             "knee (Hz)", "roof (m/s)");
-                for (const auto &point :
-                     session.sweep(knob, from, to, steps)) {
+                for (const auto &point : points) {
                     if (point.feasible) {
                         std::printf(
                             "  %-14.4g %-14.3f %-12.2f %-12.3f\n",

@@ -30,15 +30,6 @@ Airframe::Airframe(Spec spec) : _spec(std::move(spec))
         throw ModelError("airframe requires a name");
     requirePositive(_spec.baseMass.value(), "baseMass");
     requirePositive(_spec.frameSizeMm, "frameSizeMm");
-    requireNonNegative(_spec.dragCoefficient, "dragCoefficient");
-    requireNonNegative(_spec.frontalAreaM2, "frontalAreaM2");
-}
-
-physics::DragModel
-Airframe::dragModel() const
-{
-    return physics::DragModel(_spec.dragCoefficient,
-                              _spec.frontalAreaM2);
 }
 
 } // namespace uavf1::components

@@ -9,7 +9,6 @@
 
 #include <string>
 
-#include "physics/drag.hh"
 #include "physics/propulsion.hh"
 #include "units/units.hh"
 
@@ -27,7 +26,7 @@ enum class SizeClass
 const char *toString(SizeClass size_class);
 
 /**
- * Mechanical frame with its propulsion and aerodynamic shape.
+ * Mechanical frame with its propulsion.
  *
  * The "base weight" convention follows Table I: motors + ESCs + frame
  * (but not battery, compute or sensors, which join the payload
@@ -45,9 +44,6 @@ class Airframe
         SizeClass sizeClass = SizeClass::Mini;
         physics::Propulsion propulsion{
             "unset", 4, units::Grams(1.0)};
-        /** Aero shape for the validation simulator. */
-        double dragCoefficient = 1.0;
-        double frontalAreaM2 = 0.01;
     };
 
     /** Construct from a validated spec. */
@@ -71,9 +67,6 @@ class Airframe
     {
         return _spec.propulsion;
     }
-
-    /** Drag model for the validation simulator. */
-    physics::DragModel dragModel() const;
 
   private:
     Spec _spec;

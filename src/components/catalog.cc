@@ -169,8 +169,6 @@ addAirframes(Registry<Airframe> &reg)
         .sizeClass = SizeClass::Mini,
         .propulsion = physics::Propulsion(
             "ReadytoSky 2212 920KV", 4, 850.0_g),
-        .dragCoefficient = 1.1,
-        .frontalAreaM2 = 0.022,
     }));
 
     // AscTec Pelican: research mini-UAV, ~1 kg without payload.
@@ -181,8 +179,6 @@ addAirframes(Registry<Airframe> &reg)
         .sizeClass = SizeClass::Mini,
         .propulsion = physics::Propulsion(
             "AscTec 10in props", 4, 448.0_g),
-        .dragCoefficient = 1.0,
-        .frontalAreaM2 = 0.020,
     }));
 
     // DJI Spark: 143 mm palm-size quadcopter, 300 g takeoff mass.
@@ -197,8 +193,6 @@ addAirframes(Registry<Airframe> &reg)
         .sizeClass = SizeClass::Micro,
         .propulsion = physics::Propulsion(
             "Spark rotors", 4, 198.415_g),
-        .dragCoefficient = 0.9,
-        .frontalAreaM2 = 0.006,
     }));
 
     // CrazyFlie-class nano-UAV (§VII): ~30 g base, ~13 g-f/motor.
@@ -209,8 +203,6 @@ addAirframes(Registry<Airframe> &reg)
         .sizeClass = SizeClass::Nano,
         .propulsion = physics::Propulsion(
             "Nano coreless motors", 4, 13.4_g),
-        .dragCoefficient = 0.8,
-        .frontalAreaM2 = 0.0008,
     }));
 }
 

@@ -22,22 +22,4 @@ Sensor::Sensor(std::string name, units::Hertz framerate,
     requireNonNegative(power.value(), "power");
 }
 
-Sensor
-Sensor::withFramerate(units::Hertz framerate) const
-{
-    Sensor copy = *this;
-    requirePositive(framerate.value(), "framerate");
-    copy._framerate = framerate;
-    return copy;
-}
-
-Sensor
-Sensor::withRange(units::Meters range) const
-{
-    Sensor copy = *this;
-    requirePositive(range.value(), "range");
-    copy._range = range;
-    return copy;
-}
-
 } // namespace uavf1::components

@@ -54,12 +54,6 @@ class Sensor
     /** Electrical draw. */
     units::Watts power() const { return _power; }
 
-    /** Copy with a different framerate (Skyline knob). */
-    Sensor withFramerate(units::Hertz framerate) const;
-
-    /** Copy with a different range (Skyline knob). */
-    Sensor withRange(units::Meters range) const;
-
   private:
     std::string _name;
     units::Hertz _framerate;

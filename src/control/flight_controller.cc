@@ -25,11 +25,4 @@ FlightController::typical1kHz()
                             units::Grams(10.0));
 }
 
-FlightController
-FlightController::nxpFmuK66()
-{
-    return FlightController("NXP FMUk66", units::Hertz(1000.0),
-                            units::Grams(11.5));
-}
-
 } // namespace uavf1::control

@@ -33,9 +33,6 @@ class FlightController
     /** Typical 1 kHz controller (paper Section II-D, [34], [35]). */
     static FlightController typical1kHz();
 
-    /** The NXP FMUk66 used by the four validation UAVs (Table I). */
-    static FlightController nxpFmuK66();
-
     /** Board designation. */
     const std::string &name() const { return _name; }
 

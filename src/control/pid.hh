@@ -36,13 +36,10 @@ class Pid
      * Advance one control step.
      *
      * @param error setpoint minus measurement
-     * @param dt timestep in seconds; must be positive
+     * @param dt timestep in seconds, which the caller checked
+     *        positive (the flight simulator checks it once per trial)
      * @return saturated control output
      */
-    double step(double error, double dt);
-
-    /** step() for a dt the caller checked positive (the flight
-     * simulator checks it once per trial). */
     double stepUnchecked(double error, double dt)
     {
         const double derivative =
@@ -65,9 +62,6 @@ class Pid
         }
         return output;
     }
-
-    /** Clear the integral and derivative history. */
-    void reset();
 
     /** Accumulated integral term (for tests). */
     double integral() const { return _integral; }

@@ -57,14 +57,25 @@ toString(BottleneckStage stage)
     return "unknown";
 }
 
-F1Model::F1Model(const F1Inputs &inputs)
-    : _inputs(inputs),
-      _safety(inputs.aMax, inputs.sensingRange),
-      _pipeline(pipeline::ActionPipeline::senseComputeControl(
-          inputs.sensorRate, inputs.computeRate, inputs.controlRate))
+namespace {
+
+/** The checks of F1Inputs beyond SafetyModel's (aMax, sensingRange). */
+void
+requireValidInputs(const F1Inputs &inputs)
 {
     requireInRange(inputs.kneeFraction, 1e-6, 1.0 - 1e-9,
                    "kneeFraction");
+    requirePositive(inputs.sensorRate.value(), "sensorRate");
+    requirePositive(inputs.computeRate.value(), "computeRate");
+    requirePositive(inputs.controlRate.value(), "controlRate");
+}
+
+} // namespace
+
+F1Model::F1Model(const F1Inputs &inputs)
+    : _inputs(inputs), _safety(inputs.aMax, inputs.sensingRange)
+{
+    requireValidInputs(inputs);
 }
 
 F1Analysis
@@ -80,16 +91,11 @@ F1Model::analyze() const
 void
 F1Model::analyzeInto(const F1Inputs &inputs, F1Analysis &out)
 {
-    requireInRange(inputs.kneeFraction, 1e-6, 1.0 - 1e-9,
-                   "kneeFraction");
-    requirePositive(inputs.sensorRate.value(), "sensorRate");
-    requirePositive(inputs.computeRate.value(), "computeRate");
-    requirePositive(inputs.controlRate.value(), "controlRate");
+    requireValidInputs(inputs);
     const SafetyModel safety(inputs.aMax, inputs.sensingRange);
 
-    // Eq. 3 with the sensor-compute-control pipeline unrolled:
-    // same argmin (first minimal stage) as ActionPipeline, but with
-    // no stage vector or name strings.
+    // Eq. 3: the action throughput is the slowest of the sensor,
+    // compute and control stages; on a tie the earlier stage binds.
     units::Hertz f_min = inputs.sensorRate;
     out.bottleneckStage = BottleneckStage::Sensor;
     if (inputs.computeRate < f_min) {
@@ -160,9 +166,9 @@ F1Model::curve(std::size_t samples, units::Hertz f_min,
     if (lo <= 0.0)
         lo = analysis.kneeThroughput.value() / 100.0;
     if (hi <= 0.0) {
-        double max_stage = 0.0;
-        for (const auto &stage : _pipeline.stages())
-            max_stage = std::max(max_stage, stage.throughput.value());
+        const double max_stage = std::max(
+            {_inputs.sensorRate.value(), _inputs.computeRate.value(),
+             _inputs.controlRate.value()});
         hi = std::max(10.0 * max_stage,
                       10.0 * analysis.kneeThroughput.value());
     }
@@ -185,30 +191,6 @@ F1Model::curve(std::size_t samples, units::Hertz f_min,
                        analysis.safeVelocity};
     curve.roof = analysis.roofVelocity;
     return curve;
-}
-
-F1Model
-F1Model::withComputeRate(units::Hertz compute_rate) const
-{
-    F1Inputs inputs = _inputs;
-    inputs.computeRate = compute_rate;
-    return F1Model(inputs);
-}
-
-F1Model
-F1Model::withSensorRate(units::Hertz sensor_rate) const
-{
-    F1Inputs inputs = _inputs;
-    inputs.sensorRate = sensor_rate;
-    return F1Model(inputs);
-}
-
-F1Model
-F1Model::withPhysics(units::MetersPerSecondSquared a_max) const
-{
-    F1Inputs inputs = _inputs;
-    inputs.aMax = a_max;
-    return F1Model(inputs);
 }
 
 } // namespace uavf1::core

@@ -2,8 +2,9 @@
  * @file
  * The F-1 roofline model (paper Section III).
  *
- * Couples the Eq. 4 safety model with the Eq. 3 action pipeline to
- * produce the roofline: safe velocity vs. action throughput, with
+ * Couples the Eq. 4 safety model with the Eq. 3 action throughput
+ * (the minimum of the sensor, compute and control rates) to produce
+ * the roofline: safe velocity vs. action throughput, with
  * sensor / compute / control ceilings, the knee point, and the
  * bound-and-bottleneck classification of Fig. 4.
  */
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "core/safety_model.hh"
-#include "pipeline/action_pipeline.hh"
 #include "platform/ceiling.hh"
 #include "units/units.hh"
 
@@ -146,12 +146,6 @@ class F1Model
     /** The underlying Eq. 4 safety model. */
     const SafetyModel &safety() const { return _safety; }
 
-    /** The Eq. 3 sensor-compute-control pipeline. */
-    const pipeline::ActionPipeline &actionPipeline() const
-    {
-        return _pipeline;
-    }
-
     /** Full bound-and-bottleneck analysis. */
     F1Analysis analyze() const;
 
@@ -159,9 +153,8 @@ class F1Model
      * Allocation-free analysis for hot loops: validates `inputs`
      * (throws ModelError on bad values) and writes the full
      * bound-and-bottleneck analysis into `out` without constructing
-     * an F1Model — no pipeline vector, no strings, no heap traffic
-     * on the happy path. Produces bit-identical results to
-     * F1Model(inputs).analyze().
+     * an F1Model and with no heap traffic on the happy path.
+     * Produces bit-identical results to F1Model(inputs).analyze().
      */
     static void analyzeInto(const F1Inputs &inputs, F1Analysis &out);
 
@@ -170,28 +163,16 @@ class F1Model
      *
      * @param samples number of samples (>= 2)
      * @param f_min lowest throughput; default knee/100
-     * @param f_max highest throughput; default 10x max(stage rates)
+     * @param f_max highest throughput; default 10x the largest of
+     *              the sensor, compute and control rates
      */
     RooflineCurve curve(std::size_t samples = 256,
                         units::Hertz f_min = units::Hertz(0.0),
                         units::Hertz f_max = units::Hertz(0.0)) const;
 
-    /**
-     * What-if helper: a copy of this model with a different compute
-     * rate (Skyline's most common knob).
-     */
-    F1Model withComputeRate(units::Hertz compute_rate) const;
-
-    /** What-if helper: copy with a different sensor rate. */
-    F1Model withSensorRate(units::Hertz sensor_rate) const;
-
-    /** What-if helper: copy with different physics. */
-    F1Model withPhysics(units::MetersPerSecondSquared a_max) const;
-
   private:
     F1Inputs _inputs;
     SafetyModel _safety;
-    pipeline::ActionPipeline _pipeline;
 };
 
 } // namespace uavf1::core

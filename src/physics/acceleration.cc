@@ -13,18 +13,6 @@
 
 namespace uavf1::physics {
 
-const char *
-toString(AccelerationLaw law)
-{
-    switch (law) {
-      case AccelerationLaw::HoverConstrained:
-        return "hover-constrained";
-      case AccelerationLaw::VerticalExcess:
-        return "vertical-excess";
-    }
-    return "unknown";
-}
-
 double
 thrustToWeight(units::Newtons thrust, units::Kilograms mass)
 {
@@ -52,14 +40,6 @@ requireHoverable(units::Newtons thrust, units::Kilograms mass)
 }
 
 } // namespace
-
-units::Radians
-hoverPitchAngle(units::Newtons thrust, units::Kilograms mass)
-{
-    const double twr = requireHoverable(thrust, mass);
-    // cos(alpha) = mg / T = 1 / twr.
-    return units::Radians(std::acos(1.0 / twr));
-}
 
 units::MetersPerSecondSquared
 maxAcceleration(units::Newtons thrust, units::Kilograms mass,

@@ -36,9 +36,6 @@ enum class AccelerationLaw
     VerticalExcess,
 };
 
-/** Printable name of an acceleration law. */
-const char *toString(AccelerationLaw law);
-
 /** Options for maxAcceleration(). */
 struct AccelerationOptions
 {
@@ -65,15 +62,6 @@ double thrustToWeight(units::Newtons thrust, units::Kilograms mass);
 units::MetersPerSecondSquared
 maxAcceleration(units::Newtons thrust, units::Kilograms mass,
                 const AccelerationOptions &options = {});
-
-/**
- * Pitch angle used by the HoverConstrained law (the angle at which
- * the vertical thrust component equals weight).
- *
- * @throws InfeasibleError if thrust-to-weight <= 1
- */
-units::Radians hoverPitchAngle(units::Newtons thrust,
-                               units::Kilograms mass);
 
 } // namespace uavf1::physics
 

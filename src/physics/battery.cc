@@ -35,13 +35,6 @@ Battery::usableEnergy() const
     return units::WattHours(ratedEnergy().value() * _usableFraction);
 }
 
-units::Seconds
-Battery::endurance(units::Watts draw) const
-{
-    requirePositive(draw.value(), "draw");
-    return units::toJoules(usableEnergy()) / draw;
-}
-
 units::Watts
 Battery::impliedDraw(units::Seconds endurance) const
 {

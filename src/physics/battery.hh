@@ -57,13 +57,6 @@ class Battery
     units::WattHours usableEnergy() const;
 
     /**
-     * Endurance at a constant average power draw.
-     *
-     * @param draw average electrical power; must be positive
-     */
-    units::Seconds endurance(units::Watts draw) const;
-
-    /**
      * Average power draw implied by a known endurance; used to back
      * out hover power from datasheet flight times (Fig. 2b).
      */

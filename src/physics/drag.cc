@@ -5,9 +5,6 @@
 
 #include "physics/drag.hh"
 
-#include <cmath>
-
-#include "support/errors.hh"
 #include "support/validate.hh"
 
 namespace uavf1::physics {
@@ -32,33 +29,6 @@ double
 DragModel::quadraticFactor() const
 {
     return 0.5 * _airDensity * _coefficient * _areaM2;
-}
-
-units::Newtons
-DragModel::force(units::MetersPerSecond v) const
-{
-    return units::Newtons(quadraticFactor() * v.value() * v.value());
-}
-
-units::MetersPerSecondSquared
-DragModel::deceleration(units::MetersPerSecond v,
-                        units::Kilograms mass) const
-{
-    requirePositive(mass.value(), "mass");
-    return force(v) / mass;
-}
-
-units::MetersPerSecond
-DragModel::terminalVelocity(units::Newtons horizontal_thrust) const
-{
-    requirePositive(horizontal_thrust.value(), "horizontal_thrust");
-    const double k = quadraticFactor();
-    if (k <= 0.0) {
-        throw ModelError(
-            "terminal velocity undefined for the zero-drag model");
-    }
-    return units::MetersPerSecond(
-        std::sqrt(horizontal_thrust.value() / k));
 }
 
 } // namespace uavf1::physics

@@ -33,22 +33,6 @@ class DragModel
     /** A model with no drag (F_D = 0), i.e. the paper's F-1 view. */
     static DragModel none();
 
-    /** Drag force at airspeed v (always opposing motion; magnitude). */
-    units::Newtons force(units::MetersPerSecond v) const;
-
-    /** Deceleration attributable to drag at airspeed v for a mass. */
-    units::MetersPerSecondSquared
-    deceleration(units::MetersPerSecond v, units::Kilograms mass) const;
-
-    /**
-     * Airspeed at which drag equals the given available horizontal
-     * thrust (terminal velocity for level dash).
-     *
-     * @throws ModelError for the no-drag model (no terminal velocity)
-     */
-    units::MetersPerSecond
-    terminalVelocity(units::Newtons horizontal_thrust) const;
-
     /** True if this is the zero-drag model. */
     bool isNone() const { return _coefficient == 0.0; }
 

@@ -53,12 +53,6 @@ class MassBudget
     /** All items in insertion order. */
     const std::vector<MassItem> &items() const { return _items; }
 
-    /** Mass of all items whose label matches exactly; zero if none. */
-    units::Grams massOf(const std::string &label) const;
-
-    /** Multi-line "label: grams" summary ending in the total. */
-    std::string summary() const;
-
   private:
     std::vector<MassItem> _items;
 };

@@ -10,20 +10,6 @@
 
 namespace uavf1::pipeline {
 
-const char *
-toString(RedundancyScheme scheme)
-{
-    switch (scheme) {
-      case RedundancyScheme::None:
-        return "none";
-      case RedundancyScheme::Dual:
-        return "dual (DMR)";
-      case RedundancyScheme::Triple:
-        return "triple (TMR)";
-    }
-    return "unknown";
-}
-
 int
 replicaCount(RedundancyScheme scheme)
 {

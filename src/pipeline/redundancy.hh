@@ -28,9 +28,6 @@ enum class RedundancyScheme
     Triple,  ///< TMR: three replicas + majority voter.
 };
 
-/** Printable scheme name. */
-const char *toString(RedundancyScheme scheme);
-
 /** Replica count for a scheme (1, 2 or 3). */
 int replicaCount(RedundancyScheme scheme);
 

@@ -42,9 +42,6 @@ enum class ComputeTarget : std::uint8_t
     Accelerator, ///< GPU / NPU / fixed-function engines.
 };
 
-/** Printable target name ("general", "scalar", ...). */
-const char *toString(ComputeTarget target);
-
 /**
  * A reference to one ceiling of a RooflinePlatform: the kind plus
  * the index into that platform's ordered ceiling list. Trivially

@@ -60,22 +60,6 @@ toString(CeilingKind kind)
     return "unknown";
 }
 
-const char *
-toString(ComputeTarget target)
-{
-    switch (target) {
-      case ComputeTarget::General:
-        return "general";
-      case ComputeTarget::Scalar:
-        return "scalar";
-      case ComputeTarget::Simd:
-        return "simd";
-      case ComputeTarget::Accelerator:
-        return "accelerator";
-    }
-    return "unknown";
-}
-
 std::uint32_t
 stageTag(const std::string &name)
 {
@@ -440,15 +424,6 @@ RooflinePlatform::ceilingName(CeilingRef ref) const
                          _spec.name);
     }
     return _spec.memoryCeilings[ref.index].name;
-}
-
-RooflinePlatform
-RooflinePlatform::withOperatingPoints(
-    std::vector<OperatingPoint> points) const
-{
-    Spec spec = _spec;
-    spec.operatingPoints = std::move(points);
-    return RooflinePlatform(std::move(spec));
 }
 
 } // namespace uavf1::platform

@@ -63,7 +63,7 @@ struct MemoryCeiling
 /**
  * A DVFS operating point: every ceiling of the family scales
  * linearly with the frequency fraction (throughput ~ f), while the
- * TDP follows the CMOS power law modeled by workload::DvfsModel.
+ * TDP follows the CMOS power law of dvfsScaledTdp().
  */
 struct OperatingPoint
 {
@@ -79,8 +79,8 @@ struct OperatingPoint
  *   tdp(f) = leakage + dynamic * f^exponent
  *
  * with leakage = leakage_fraction x nominal and dynamic the rest.
- * This is the single source of the law; workload::DvfsModel wraps
- * it with its parameter set and DVFS-floor policy.
+ * This is the single source of the law; workload::DvfsModel holds
+ * a parameter set for it and the DVFS floor.
  *
  * @param fraction clock fraction in (0, 1]
  * @param exponent power-vs-frequency exponent in [1, 3]
@@ -157,7 +157,7 @@ class RooflinePlatform
      * this platform attributes carries the tag, so resolving a ref
      * against a *different* family is a detectable error instead of
      * a silent misattribution. Two platforms with the same name
-     * (e.g. a spec and its withOperatingPoints() copy) share a tag.
+     * (e.g. two operating-point sets of one spec) share a tag.
      */
     std::uint32_t familyTag() const { return _familyTag; }
 
@@ -266,13 +266,6 @@ class RooflinePlatform
      *         attributed by a different platform family
      */
     const std::string &ceilingName(CeilingRef ref) const;
-
-    /**
-     * Copy of this platform with a different operating-point set
-     * (e.g. produced by workload::DvfsModel).
-     */
-    RooflinePlatform
-    withOperatingPoints(std::vector<OperatingPoint> points) const;
 
   private:
     /** @throws ModelError if `ref` was attributed by a different

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/errors.hh"
 #include "support/strings.hh"
 
 namespace uavf1::plot {
@@ -18,24 +17,9 @@ Axis::Axis(std::string label, Scale scale)
 {
 }
 
-Axis &
-Axis::range(double lo, double hi)
-{
-    if (!(lo < hi))
-        throw ModelError("axis range requires lo < hi");
-    if (_scale == Scale::Log10 && lo <= 0.0)
-        throw ModelError("log axis range requires lo > 0");
-    _lo = lo;
-    _hi = hi;
-    _hasRange = true;
-    return *this;
-}
-
 void
 Axis::accommodate(double value)
 {
-    if (_hasRange)
-        return;
     if (_scale == Scale::Log10 && value <= 0.0)
         return; // Non-positive values cannot appear on a log axis.
     if (!_fitted) {
@@ -50,8 +34,6 @@ Axis::accommodate(double value)
 void
 Axis::finalize()
 {
-    if (_hasRange)
-        return;
     if (!_fitted) {
         // No data at all: pick an inoffensive default.
         _lo = _scale == Scale::Log10 ? 1.0 : 0.0;

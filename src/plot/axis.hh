@@ -44,21 +44,15 @@ class Axis
     /** Scale type. */
     Scale scale() const { return _scale; }
 
-    /** Fix the data range; lo < hi required (and lo > 0 for log). */
-    Axis &range(double lo, double hi);
-
-    /** True if range() was called. */
-    bool hasRange() const { return _hasRange; }
-
-    /** Lower bound of the (fitted or fixed) range. */
+    /** Lower bound of the fitted range. */
     double lo() const { return _lo; }
 
-    /** Upper bound of the (fitted or fixed) range. */
+    /** Upper bound of the fitted range. */
     double hi() const { return _hi; }
 
     /**
-     * Grow the range to include a value (no-op for fixed ranges).
-     * Charts call this while scanning their series.
+     * Grow the range to include a value. Charts call this while
+     * scanning their series.
      */
     void accommodate(double value);
 
@@ -83,7 +77,6 @@ class Axis
   private:
     std::string _label;
     Scale _scale;
-    bool _hasRange = false;
     bool _fitted = false;
     double _lo = 0.0;
     double _hi = 1.0;

@@ -57,7 +57,7 @@ class Chart
     }
 
     /**
-     * Fit the axes to the data (no-op for fixed ranges). Called by
+     * Fit the axes to the data. Called by
      * renderers before projecting; idempotent.
      */
     void fitAxes();

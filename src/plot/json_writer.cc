@@ -61,21 +61,9 @@ JsonObject::add(const std::string &key, const std::string &value)
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, const char *value)
-{
-    return addRaw(key, Json::str(value));
-}
-
-JsonObject &
 JsonObject::add(const std::string &key, double value)
 {
     return addRaw(key, Json::num(value));
-}
-
-JsonObject &
-JsonObject::add(const std::string &key, bool value)
-{
-    return addRaw(key, value ? "true" : "false");
 }
 
 JsonObject &

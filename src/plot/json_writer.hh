@@ -33,14 +33,8 @@ class JsonObject
     /** Add a string member. */
     JsonObject &add(const std::string &key, const std::string &value);
 
-    /** Add a string member (avoids bool overload capture). */
-    JsonObject &add(const std::string &key, const char *value);
-
     /** Add a numeric member. */
     JsonObject &add(const std::string &key, double value);
-
-    /** Add a boolean member. */
-    JsonObject &add(const std::string &key, bool value);
 
     /** Add a member whose value is already-rendered JSON. */
     JsonObject &addRaw(const std::string &key, const std::string &json);

@@ -77,10 +77,6 @@ ScenarioRunner::ScenarioRunner()
     : _registry(&StudyRegistry::global())
 {}
 
-ScenarioRunner::ScenarioRunner(const StudyRegistry &registry)
-    : _registry(&registry)
-{}
-
 std::vector<ScenarioSpec>
 ScenarioRunner::allSpecs() const
 {

@@ -89,9 +89,6 @@ class ScenarioRunner
     /** Runner over the global registry. */
     ScenarioRunner();
 
-    /** Runner over an explicit registry (tests). */
-    explicit ScenarioRunner(const StudyRegistry &registry);
-
     /** The registry in use. */
     const StudyRegistry &registry() const { return *_registry; }
 

@@ -5,7 +5,6 @@
 
 #include "scenario/spec.hh"
 
-#include "support/errors.hh"
 #include "support/strings.hh"
 
 namespace uavf1::scenario {
@@ -21,26 +20,6 @@ ScenarioSpec::apply(const Assignment &assignment)
     } else {
         overrides.set(key, value);
     }
-}
-
-void
-ScenarioSpec::set(const std::string &assignments)
-{
-    for (const auto &assignment : parseAssignments(assignments))
-        apply(assignment);
-}
-
-ScenarioSpec
-ScenarioSpec::parse(const std::string &text)
-{
-    ScenarioSpec spec;
-    spec.set(text);
-    if (spec.study.empty()) {
-        throw ModelError(
-            "scenario spec does not name a study "
-            "(expected a 'study = <name>' line)");
-    }
-    return spec;
 }
 
 } // namespace uavf1::scenario

@@ -3,10 +3,9 @@
  * Declarative scenario specification.
  *
  * A ScenarioSpec names a registered study plus parameter overrides.
- * The text form uses the `key = value` grammar of parseAssignments
- * (support/strings.hh), which SkylineSession::loadConfig and the
- * CLI's --set share — one assignment per line, '#' lines are
- * comments — with two reserved keys:
+ * The CLI fills one from `key = value` assignments (the grammar of
+ * parseAssignments in support/strings.hh, which
+ * SkylineSession::loadConfig shares), with two reserved keys:
  *
  *     study = fig09          # which registered study to run
  *     label = heavy-payload  # optional artifact/display label
@@ -39,21 +38,6 @@ struct ScenarioSpec
     /** Apply one parsed assignment: `study`, `label`, or else an
      * override. */
     void apply(const Assignment &assignment);
-
-    /**
-     * Apply `key = value` assignments, one per line (see
-     * parseAssignments).
-     *
-     * @throws ModelError on a line without '='
-     */
-    void set(const std::string &assignments);
-
-    /**
-     * Parse the `key = value` text form.
-     *
-     * @throws ModelError on malformed lines or a missing study key
-     */
-    static ScenarioSpec parse(const std::string &text);
 };
 
 } // namespace uavf1::scenario

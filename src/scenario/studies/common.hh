@@ -15,17 +15,15 @@
 
 #include "core/f1_model.hh"
 #include "scenario/study.hh"
-
-namespace uavf1::skyline {
-class SkylineSession;
-} // namespace uavf1::skyline
+#include "skyline/session.hh"
 
 namespace uavf1::scenario::detail {
 
 // Resource caps: the largest counts a study accepts, checked before
 // any cast or allocation, so an oversized scenario fails naming its
-// parameter instead of wrapping or exhausting memory.
-inline constexpr std::size_t kMaxSweepPoints = 100000; ///< Per series.
+// parameter instead of wrapping or exhausting memory. A series holds
+// at most skyline::kMaxSweepPoints points, the sweep's own cap.
+using skyline::kMaxSweepPoints;
 inline constexpr std::size_t kMaxMissions = 100000000; ///< faults samples.
 
 // Paper references (arXiv 2204.10898). A tolerance is the precision

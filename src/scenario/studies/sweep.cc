@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <limits>
 
 #include "scenario/runner.hh"
 #include "scenario/studies/common.hh"
@@ -23,7 +24,9 @@ run(const StudyContext &ctx)
         ctx.params.get("knob", "payload_weight");
     const double from = ctx.params.getNumber("from", 0.0);
     const double to = ctx.params.getNumber("to", 1200.0);
-    const auto steps = ctx.params.getCount("steps", 25, kMaxSweepPoints);
+    // SkylineSession::sweep range-checks all four, naming each.
+    const auto steps = ctx.params.getCount(
+        "steps", 25, std::numeric_limits<std::size_t>::max());
 
     StudyParams knob_overrides;
     for (const auto &entry : ctx.params.entries()) {
@@ -35,8 +38,7 @@ run(const StudyContext &ctx)
     const skyline::SkylineSession session =
         sessionFromParams(knob_overrides);
 
-    const auto points =
-        session.sweep(knob, from, to, static_cast<int>(steps));
+    const auto points = session.sweep(knob, from, to, steps);
 
     StudyResult result;
     result.xLabel = knob;

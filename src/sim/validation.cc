@@ -34,12 +34,6 @@ ValidationHarness::predictedSafeVelocity(const ValidationCase &vcase)
         .value();
 }
 
-ValidationResult
-ValidationHarness::validate(const ValidationCase &vcase)
-{
-    return validateAll({vcase})[0];
-}
-
 std::vector<ValidationResult>
 ValidationHarness::validateAll(const std::vector<ValidationCase> &cases,
                                const exec::ParallelOptions &options)

@@ -70,16 +70,11 @@ class ValidationHarness
     static double predictedSafeVelocity(const ValidationCase &vcase);
 
     /**
-     * Observed safe velocity: sweep commanded velocities from well
-     * below to well above the prediction at the case's resolution;
-     * the observed value is the fastest set-point with zero
-     * infractions across all trials below the first unsafe one.
-     * Equivalent to validateAll({vcase})[0].
-     */
-    static ValidationResult validate(const ValidationCase &vcase);
-
-    /**
-     * Validate a whole batch (Fig. 7b). Cases are set up serially in
+     * Validate a whole batch (Fig. 7b). Each case's observed safe
+     * velocity comes from sweeping commanded velocities from well
+     * below to well above the prediction at the case's resolution:
+     * it is the fastest set-point with zero infractions across all
+     * trials below the first unsafe one. Cases are set up serially in
      * order (so a bad case throws as soon as it is reached), then
      * every (case, set-point, trial) flight runs on one
      * exec::parallelFor, in chunks of FlightSimulator::lanes

@@ -42,13 +42,4 @@ VehicleModel::reset(double position)
     _lagged = 0.0;
 }
 
-void
-VehicleModel::step(units::Seconds dt, double commanded_accel,
-                   double thrust_noise)
-{
-    requirePositive(dt.value(), "dt");
-    stepUnchecked(dt.value(), lagBlend(dt.value()), commanded_accel,
-                  thrust_noise);
-}
-
 } // namespace uavf1::sim

@@ -82,18 +82,6 @@ class VehicleModel
         return _availableAccel;
     }
 
-    /**
-     * Advance one integration step.
-     *
-     * @param dt timestep; must be positive
-     * @param commanded_accel requested acceleration, clipped to
-     *        +/- availableAcceleration()
-     * @param thrust_noise multiplicative noise on the realized
-     *        acceleration (0 = none)
-     */
-    void step(units::Seconds dt, double commanded_accel,
-              double thrust_noise = 0.0);
-
     /** The actuation lag's per-step blend dt / (tau + dt). */
     double lagBlend(double dt) const
     {
@@ -101,9 +89,16 @@ class VehicleModel
     }
 
     /**
-     * step() for a dt the caller checked positive, with
-     * lagBlend(dt) passed in: the flight simulator hoists both out
-     * of its step loop. The same bits as step().
+     * Advance one integration step. The flight simulator checks the
+     * timestep and computes its blend once, outside its step loop.
+     *
+     * @param dt timestep in seconds, which the caller checked
+     *        positive
+     * @param blend lagBlend(dt)
+     * @param commanded_accel requested acceleration, clipped to
+     *        +/- availableAcceleration()
+     * @param thrust_noise multiplicative noise on the realized
+     *        acceleration (0 = none)
      */
     void stepUnchecked(double dt, double blend, double commanded_accel,
                        double thrust_noise)
@@ -120,9 +115,9 @@ class VehicleModel
 
         double accel = _lagged * (1.0 + thrust_noise);
 
-        // Drag always opposes motion. Same operand order as
-        // DragModel::deceleration (k * v * v / m), so results match
-        // it bit for bit; the mass was validated at construction.
+        // Drag always opposes motion: k * v * v / m, where k is
+        // DragModel::quadraticFactor() and the mass was validated at
+        // construction.
         const double speed = std::fabs(_state.velocity);
         const double drag_decel =
             _dragFactor * speed * speed / _params.mass.value();

@@ -496,10 +496,27 @@ SkylineSession::loadConfig(const std::string &text)
 
 std::vector<SweepPoint>
 SkylineSession::sweep(const std::string &knob, double from,
-                      double to, int steps) const
+                      double to, std::size_t steps) const
 {
-    if (steps < 2)
-        throw ModelError("sweep requires at least 2 steps");
+    if (steps < 2 || steps > kMaxSweepPoints) {
+        throw ModelError("sweep 'steps' must be at least 2 and no "
+                         "larger than " +
+                         std::to_string(kMaxSweepPoints) + ", got " +
+                         std::to_string(steps));
+    }
+    if (!std::isfinite(from))
+        throw ModelError("sweep 'from' must be finite, got " +
+                         shortestNumber(from));
+    if (!std::isfinite(to))
+        throw ModelError("sweep 'to' must be finite, got " +
+                         shortestNumber(to));
+    // Every interpolated value below is then finite too.
+    if (!std::isfinite((to - from) * static_cast<double>(steps - 1))) {
+        throw ModelError("sweep span ('to' - 'from') * ('steps' - 1) "
+                         "overflows: from " + shortestNumber(from) +
+                         " to " + shortestNumber(to) + " in " +
+                         std::to_string(steps) + " steps");
+    }
     const std::string key = toLower(trim(knob));
     if (key == "algorithm" || key == "platform" ||
         key == "operating_point" || key == "pipeline") {
@@ -514,8 +531,8 @@ SkylineSession::sweep(const std::string &knob, double from,
                          join(names, ", "));
 
     std::vector<SweepPoint> points;
-    points.reserve(static_cast<std::size_t>(steps));
-    for (int i = 0; i < steps; ++i) {
+    points.reserve(steps);
+    for (std::size_t i = 0; i < steps; ++i) {
         const double value =
             from + (to - from) * static_cast<double>(i) /
                        static_cast<double>(steps - 1);

@@ -24,6 +24,10 @@
 
 namespace uavf1::skyline {
 
+/** The most points a sweep takes; the studies cap every other series
+ * they sample at the same count. */
+inline constexpr std::size_t kMaxSweepPoints = 100000;
+
 /** One sample of a knob sweep (exploratory studies, Section V). */
 struct SweepPoint
 {
@@ -162,14 +166,17 @@ class SkylineSession
      * sweep.
      *
      * @param knob knob name (any numeric knob from knobNames())
-     * @param from first value (inclusive)
-     * @param to last value (inclusive); may be below `from`
-     * @param steps number of samples (>= 2)
-     * @throws ModelError for unknown/non-numeric knobs or steps < 2
+     * @param from first value (inclusive); finite
+     * @param to last value (inclusive); finite, may be below `from`
+     * @param steps number of samples, in [2, kMaxSweepPoints]
+     * @throws ModelError for unknown/non-numeric knobs, for an
+     *         argument out of its range, and for a span
+     *         (to - from) * (steps - 1) that overflows; each message
+     *         names the argument
      */
     std::vector<SweepPoint> sweep(const std::string &knob,
                                   double from, double to,
-                                  int steps) const;
+                                  std::size_t steps) const;
 
     /** The heat-sink model in use. */
     const thermal::HeatsinkModel &heatsinkModel() const

@@ -29,12 +29,6 @@ Rng::normal()
     return r * std::cos(theta);
 }
 
-double
-Rng::normal(double mean, double stddev)
-{
-    return mean + stddev * normal();
-}
-
 Rng
 Rng::fork()
 {

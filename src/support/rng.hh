@@ -89,9 +89,6 @@ class Rng
     /** Standard normal deviate via Box-Muller (deterministic). */
     double normal();
 
-    /** Normal deviate with the given mean and standard deviation. */
-    double normal(double mean, double stddev);
-
     /** Fork an independent substream (for per-trial determinism). */
     Rng fork();
 

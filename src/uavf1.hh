@@ -3,7 +3,7 @@
  * Umbrella header for downstream users of the uavf1 library.
  *
  * Pulls in the full public API: units, physics, thermal,
- * components, workloads, the action pipeline, the F-1 core,
+ * components, workloads, redundancy schemes, the F-1 core,
  * the flight simulator, the parallel sweep engine, plotting and
  * Skyline.
  */
@@ -20,7 +20,6 @@
 #include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
 #include "physics/physics.hh"
-#include "pipeline/action_pipeline.hh"
 #include "pipeline/redundancy.hh"
 #include "platform/roofline_platform.hh"
 #include "platform/workload_profile.hh"

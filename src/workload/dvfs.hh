@@ -20,16 +20,11 @@
 #ifndef UAVF1_WORKLOAD_DVFS_HH
 #define UAVF1_WORKLOAD_DVFS_HH
 
-#include <utility>
-#include <vector>
-
-#include "platform/roofline_platform.hh"
-#include "units/units.hh"
-
 namespace uavf1::workload {
 
 /**
- * A voltage-frequency scaling model for a compute platform.
+ * The parameters of the CMOS voltage-frequency scaling law
+ * (platform::dvfsScaledTdp), range-checked at construction.
  */
 class DvfsModel
 {
@@ -53,35 +48,6 @@ class DvfsModel
 
     /** Active parameters. */
     const Params &params() const { return _params; }
-
-    /**
-     * TDP after slowing the part to `frequency_fraction` of its
-     * nominal clock: leakage + dynamic * fraction^alpha.
-     *
-     * @param nominal_tdp TDP at full frequency
-     * @param frequency_fraction target clock as a fraction in
-     *        [minFrequencyFraction, 1]
-     * @throws ModelError if the fraction is out of range
-     */
-    units::Watts scaledTdp(units::Watts nominal_tdp,
-                           double frequency_fraction) const;
-
-    /**
-     * Build DVFS operating points for a ceiling family: one
-     * platform::OperatingPoint per (name, frequency fraction) pair,
-     * each carrying the TDP scaledTdp() predicts at that clock.
-     * Every ceiling of the family scales linearly with the fraction;
-     * the power follows the CMOS law.
-     *
-     * @param nominal_tdp TDP at full frequency
-     * @param points (name, fraction) pairs; fractions must be in
-     *        [minFrequencyFraction, 1]
-     * @throws ModelError if a fraction is out of the DVFS range
-     */
-    std::vector<platform::OperatingPoint>
-    operatingPoints(units::Watts nominal_tdp,
-                    const std::vector<std::pair<std::string, double>>
-                        &points) const;
 
   private:
     Params _params;

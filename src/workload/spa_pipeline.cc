@@ -5,8 +5,6 @@
 
 #include "workload/spa_pipeline.hh"
 
-#include <algorithm>
-
 #include "support/errors.hh"
 #include "support/strings.hh"
 #include "support/validate.hh"
@@ -71,16 +69,6 @@ SpaPipeline::throughput() const
     return units::rate(totalLatency());
 }
 
-const SpaStage &
-SpaPipeline::bottleneck() const
-{
-    return *std::max_element(
-        _stages.begin(), _stages.end(),
-        [](const SpaStage &a, const SpaStage &b) {
-            return a.latency < b.latency;
-        });
-}
-
 SpaPipeline
 SpaPipeline::withStageLatency(const std::string &stage_name,
                               units::Seconds latency,
@@ -103,16 +91,6 @@ SpaPipeline::withStageLatency(const std::string &stage_name,
             message += " (did you mean " + join(hints, " or ") + "?)";
         throw ModelError(message);
     }
-    return SpaPipeline(_name + tag, std::move(stages), _measuredOn);
-}
-
-SpaPipeline
-SpaPipeline::scaledBy(double factor, const std::string &tag) const
-{
-    requirePositive(factor, "factor");
-    std::vector<SpaStage> stages = _stages;
-    for (auto &stage : stages)
-        stage.latency *= factor;
     return SpaPipeline(_name + tag, std::move(stages), _measuredOn);
 }
 

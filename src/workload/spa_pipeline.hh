@@ -105,9 +105,6 @@ class SpaPipeline
     /** End-to-end decision throughput (1 / total latency). */
     units::Hertz throughput() const;
 
-    /** The slowest stage (optimization target). */
-    const SpaStage &bottleneck() const;
-
     /**
      * Copy with one stage's latency replaced, e.g. swapping the SLAM
      * stage for the Navion accelerator.
@@ -121,11 +118,6 @@ class SpaPipeline
     SpaPipeline withStageLatency(const std::string &stage_name,
                                  units::Seconds latency,
                                  const std::string &tag) const;
-
-    /** Copy with every stage latency scaled by a factor (porting the
-     * pipeline to a faster/slower host). */
-    SpaPipeline scaledBy(double factor,
-                         const std::string &tag) const;
 
     /**
      * The MAVBench package-delivery pipeline characterized on

@@ -70,17 +70,6 @@ workloadProfile(const WorkloadTraits &traits, units::OpsPerByte ai,
 }
 
 ThroughputEstimate
-rooflineBound(double work_per_frame_gop, units::OpsPerByte ai,
-              const platform::RooflinePlatform &platform,
-              std::size_t op_index)
-{
-    platform::WorkloadProfile profile;
-    profile.ai = ai;
-    return rooflineBound(work_per_frame_gop, profile, platform,
-                         op_index);
-}
-
-ThroughputEstimate
 rooflineBound(double work_per_frame_gop,
               const platform::WorkloadProfile &profile,
               const platform::RooflinePlatform &platform,
@@ -105,15 +94,6 @@ rooflineBound(const AutonomyAlgorithm &algorithm,
     return rooflineBound(algorithm.workPerFrameGop(),
                          workloadProfile(algorithm, platform),
                          platform, op_index);
-}
-
-units::Hertz
-rooflineBound(const AutonomyAlgorithm &algorithm,
-              const components::ComputePlatform &platform)
-{
-    // The adapter's one-compute/one-memory family evaluates to the
-    // classic min(peak, AI x BW) bit-for-bit.
-    return rooflineBound(algorithm, platform.roofline()).value;
 }
 
 ThroughputOracle

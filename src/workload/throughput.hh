@@ -82,29 +82,17 @@ workloadProfile(const WorkloadTraits &traits, units::OpsPerByte ai,
                 const std::string &context);
 
 /**
- * Ceiling-set roofline bound from raw workload scalars:
- * attainable(AI) over the platform's ceiling family, divided by the
- * work per frame, with the binding ceiling as provenance.
+ * Workload-aware roofline bound: attainable(profile) over the
+ * ceilings the profile admits, divided by the work per frame, with
+ * the binding ceiling as provenance.
  *
  * @param work_per_frame_gop compute work per decision; must be
  *        positive
- * @param ai arithmetic intensity; must be positive
  * @param op_index DVFS operating-point index (default nominal)
- * @throws ModelError on non-positive work or AI, or when the bound
- *         would be non-finite (e.g. a vanishing work-per-frame
- *         against a large attainable roof)
- */
-ThroughputEstimate
-rooflineBound(double work_per_frame_gop, units::OpsPerByte ai,
-              const platform::RooflinePlatform &platform,
-              std::size_t op_index = 0);
-
-/**
- * Workload-aware roofline bound: attainable(profile) over the
- * ceilings the profile admits, divided by the work per frame.
- *
  * @throws ModelError on a non-positive work-per-frame, a degenerate
- *         profile, or when no compute ceiling is applicable
+ *         profile, when no compute ceiling is applicable, or when
+ *         the bound would be non-finite (e.g. a vanishing
+ *         work-per-frame against a large attainable roof)
  */
 ThroughputEstimate
 rooflineBound(double work_per_frame_gop,
@@ -123,14 +111,6 @@ ThroughputEstimate
 rooflineBound(const AutonomyAlgorithm &algorithm,
               const platform::RooflinePlatform &platform,
               std::size_t op_index = 0);
-
-/**
- * Classic-roofline attainable throughput for an algorithm on a flat
- * platform: min(peak GOPS, AI * BW) / (GOP per frame), evaluated
- * through the platform's single-ceiling adapter family.
- */
-units::Hertz rooflineBound(const AutonomyAlgorithm &algorithm,
-                           const components::ComputePlatform &platform);
 
 /**
  * Measured table + roofline-bound fallback.

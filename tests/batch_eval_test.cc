@@ -174,7 +174,7 @@ TEST(StagePipelinePlan, MatchesScalarEvaluator)
             for (const bool measured_first : {true, false}) {
                 const std::size_t n = 61; // Partial block.
                 for (std::size_t i = 0; i < n; ++i)
-                    ai_scale[i] = std::exp(rng.normal(0.0, 0.4));
+                    ai_scale[i] = std::exp(0.4 * rng.normal());
 
                 std::vector<std::uint64_t> kinds(stages * 3, 0);
                 plan.evaluateBlock(op, measured_first, ai_scale, n,

@@ -25,19 +25,6 @@ TEST(Sensor, AccessorsAndLatency)
     EXPECT_DOUBLE_EQ(cam.range().value(), 10.0);
 }
 
-TEST(Sensor, KnobCopies)
-{
-    const Sensor cam("cam", 60.0_hz, 10.0_m, 90.0_deg, 35.0_g,
-                     2.0_w);
-    const Sensor fast = cam.withFramerate(120.0_hz);
-    EXPECT_DOUBLE_EQ(fast.framerate().value(), 120.0);
-    EXPECT_DOUBLE_EQ(cam.framerate().value(), 60.0);
-    const Sensor longer = cam.withRange(20.0_m);
-    EXPECT_DOUBLE_EQ(longer.range().value(), 20.0);
-    EXPECT_THROW(cam.withFramerate(Hertz(0.0)), ModelError);
-    EXPECT_THROW(cam.withRange(Meters(-1.0)), ModelError);
-}
-
 TEST(Sensor, RejectsBadArguments)
 {
     EXPECT_THROW(Sensor("s", Hertz(0.0), 10.0_m, 90.0_deg, 1.0_g,
@@ -99,13 +86,12 @@ TEST(ComputePlatform, NavionIsStageAccelerator)
               ComputeRole::GeneralPurpose);
 }
 
-TEST(Airframe, SpecAccessorsAndDrag)
+TEST(Airframe, SpecAccessors)
 {
     const auto catalog = Catalog::standard();
     const Airframe &s500 = catalog.airframes().byName("S500");
     EXPECT_DOUBLE_EQ(s500.baseMass().value(), 1030.0);
     EXPECT_EQ(s500.sizeClass(), SizeClass::Mini);
-    EXPECT_FALSE(s500.dragModel().isNone());
     EXPECT_EQ(s500.propulsion().motorCount(), 4);
 }
 

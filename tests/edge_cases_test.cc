@@ -381,17 +381,4 @@ TEST(SafetyNumerics, ExtremeParameterRegimes)
               10.0);
 }
 
-TEST(PipelineNumerics, VeryManyStages)
-{
-    std::vector<pipeline::PipelineStage> stages;
-    for (int i = 1; i <= 64; ++i) {
-        stages.push_back({"stage" + std::to_string(i),
-                          Hertz(10.0 + i)});
-    }
-    const pipeline::ActionPipeline pipeline(stages);
-    EXPECT_DOUBLE_EQ(pipeline.actionThroughput().value(), 11.0);
-    EXPECT_EQ(pipeline.bottleneck().name, "stage1");
-    EXPECT_EQ(pipeline.stageSlack().size(), 64u);
-}
-
 } // namespace

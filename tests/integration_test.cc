@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "components/catalog.hh"
@@ -326,11 +327,14 @@ TEST(Fig16, AcceleratorPitfalls)
     // Despite Navion's 172 FPS SLAM kernel, the end-to-end pipeline
     // is barely faster than the host: the bottleneck moved.
     EXPECT_LT(navion, 1.3);
-    EXPECT_EQ(host.withStageLatency(
-                      "SLAM", workload::SpaPipeline::navionSlamLatency(),
-                      " + Navion")
-                  .bottleneck()
-                  .name,
+    const auto with_navion = host.withStageLatency(
+        "SLAM", workload::SpaPipeline::navionSlamLatency(), " + Navion");
+    const auto &stages = with_navion.stages();
+    EXPECT_EQ(std::max_element(stages.begin(), stages.end(),
+                               [](const auto &a, const auto &b) {
+                                   return a.latency < b.latency;
+                               })
+                  ->name,
               "Path planner");
 }
 

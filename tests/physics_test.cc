@@ -26,16 +26,13 @@ TEST(MassBudget, AccumulatesAndSummarizes)
     EXPECT_DOUBLE_EQ(budget.total().value(), 1620.0);
     EXPECT_DOUBLE_EQ(budget.totalKg().value(), 1.62);
     EXPECT_EQ(budget.items().size(), 3u);
-    EXPECT_DOUBLE_EQ(budget.massOf("compute").value(), 46.0);
-    EXPECT_DOUBLE_EQ(budget.massOf("absent").value(), 0.0);
-    EXPECT_NE(budget.summary().find("TOTAL"), std::string::npos);
 }
 
 TEST(MassBudget, DuplicateLabelsSum)
 {
     MassBudget budget;
     budget.add("weight", 50.0_g).add("weight", 100.0_g);
-    EXPECT_DOUBLE_EQ(budget.massOf("weight").value(), 150.0);
+    EXPECT_DOUBLE_EQ(budget.total().value(), 150.0);
     EXPECT_EQ(budget.items().size(), 2u);
 }
 
@@ -93,14 +90,6 @@ TEST(Acceleration, VerticalExcessMatchesClosedForm)
     EXPECT_NEAR(a.value(), 0.5 * 9.80665, 1e-9);
 }
 
-TEST(Acceleration, HoverPitchAngle)
-{
-    // twr = 2 -> alpha = acos(1/2) = 60 deg.
-    const auto alpha =
-        hoverPitchAngle(Newtons(2.0 * 9.80665), 1.0_kg);
-    EXPECT_NEAR(toDegrees(alpha).value(), 60.0, 1e-9);
-}
-
 TEST(Acceleration, InfeasibleWhenCannotHover)
 {
     EXPECT_THROW(
@@ -112,40 +101,18 @@ TEST(Acceleration, InfeasibleWhenCannotHover)
         InfeasibleError);
 }
 
-TEST(Acceleration, LawNames)
-{
-    EXPECT_STREQ(toString(AccelerationLaw::HoverConstrained),
-                 "hover-constrained");
-    EXPECT_STREQ(toString(AccelerationLaw::VerticalExcess),
-                 "vertical-excess");
-}
-
-TEST(Drag, QuadraticForce)
+TEST(Drag, QuadraticFactor)
 {
     const DragModel drag(1.0, 0.02); // 1/2*1.225*1*0.02 = 0.01225.
-    EXPECT_NEAR(drag.force(MetersPerSecond(2.0)).value(),
-                0.01225 * 4.0, 1e-12);
-    EXPECT_NEAR(
-        drag.deceleration(MetersPerSecond(2.0), 2.0_kg).value(),
-        0.01225 * 4.0 / 2.0, 1e-12);
-}
-
-TEST(Drag, TerminalVelocity)
-{
-    const DragModel drag(1.0, 0.02);
-    const auto vt = drag.terminalVelocity(Newtons(0.49));
-    // F = k v^2 -> v = sqrt(0.49 / 0.01225) = sqrt(40).
-    EXPECT_NEAR(vt.value(), std::sqrt(40.0), 1e-9);
-    // At terminal velocity, drag equals the applied thrust.
-    EXPECT_NEAR(drag.force(vt).value(), 0.49, 1e-9);
+    EXPECT_NEAR(drag.quadraticFactor(), 0.01225, 1e-12);
+    EXPECT_FALSE(drag.isNone());
 }
 
 TEST(Drag, NoneModel)
 {
     const DragModel none = DragModel::none();
     EXPECT_TRUE(none.isNone());
-    EXPECT_DOUBLE_EQ(none.force(MetersPerSecond(50.0)).value(), 0.0);
-    EXPECT_THROW(none.terminalVelocity(Newtons(1.0)), ModelError);
+    EXPECT_DOUBLE_EQ(none.quadraticFactor(), 0.0);
 }
 
 TEST(Battery, EnergyAndEndurance)
@@ -153,9 +120,7 @@ TEST(Battery, EnergyAndEndurance)
     const Battery pack("3S 5000mAh", 5000.0_mah, 11.1_v, 380.0_g);
     EXPECT_NEAR(pack.ratedEnergy().value(), 55.5, 1e-9);
     EXPECT_NEAR(pack.usableEnergy().value(), 44.4, 1e-9);
-    // 44.4 Wh at 100 W -> 0.444 h = 1598.4 s.
-    EXPECT_NEAR(pack.endurance(Watts(100.0)).value(), 1598.4, 1e-6);
-    // Implied draw inverts endurance.
+    // 44.4 Wh over 0.444 h = 1598.4 s is a 100 W draw.
     EXPECT_NEAR(
         pack.impliedDraw(units::Seconds(1598.4)).value(), 100.0,
         1e-9);
@@ -171,7 +136,7 @@ TEST(Battery, RejectsBadArguments)
     EXPECT_THROW(
         Battery("x", 5000.0_mah, 11.1_v, 380.0_g, 1.5), ModelError);
     const Battery pack("x", 5000.0_mah, 11.1_v, 380.0_g);
-    EXPECT_THROW(pack.endurance(Watts(0.0)), ModelError);
+    EXPECT_THROW(pack.impliedDraw(Seconds(0.0)), ModelError);
 }
 
 } // namespace

@@ -1,13 +1,11 @@
 /**
  * @file
- * Unit tests for the pipeline library: Eq. 1-3 of the paper and the
- * modular-redundancy model.
+ * Unit tests for the pipeline library: the modular-redundancy model.
  */
 
 #include <gtest/gtest.h>
 
 #include "components/catalog.hh"
-#include "pipeline/action_pipeline.hh"
 #include "pipeline/redundancy.hh"
 #include "support/errors.hh"
 
@@ -17,70 +15,11 @@ using namespace uavf1;
 using namespace uavf1::units;
 using namespace uavf1::pipeline;
 
-TEST(ActionPipeline, Eq3MinRule)
-{
-    // Paper's example: 60 FPS sensor, 178 Hz compute, 1 kHz control
-    // -> the sensor limits the pipeline.
-    const auto pipeline = ActionPipeline::senseComputeControl(
-        Hertz(60.0), Hertz(178.0), Hertz(1000.0));
-    EXPECT_DOUBLE_EQ(pipeline.actionThroughput().value(), 60.0);
-    EXPECT_EQ(pipeline.bottleneck().name, "sensor");
-}
-
-TEST(ActionPipeline, ComputeBottleneck)
-{
-    const auto pipeline = ActionPipeline::senseComputeControl(
-        Hertz(60.0), Hertz(1.1), Hertz(1000.0));
-    EXPECT_DOUBLE_EQ(pipeline.actionThroughput().value(), 1.1);
-    EXPECT_EQ(pipeline.bottleneck().name, "compute");
-}
-
-TEST(ActionPipeline, Eq1Eq2LatencyBounds)
-{
-    const auto pipeline = ActionPipeline::senseComputeControl(
-        Hertz(10.0), Hertz(20.0), Hertz(1000.0));
-    // Eq. 1: fully overlapped -> max stage latency (0.1 s).
-    EXPECT_NEAR(pipeline.latencyLowerBound().value(), 0.1, 1e-12);
-    // Eq. 2: no overlap -> sum (0.1 + 0.05 + 0.001).
-    EXPECT_NEAR(pipeline.latencyUpperBound().value(), 0.151, 1e-12);
-    // The bounds bracket the action period.
-    EXPECT_LE(pipeline.latencyLowerBound().value(),
-              pipeline.actionPeriod().value() + 1e-15);
-    EXPECT_GE(pipeline.latencyUpperBound().value(),
-              pipeline.actionPeriod().value());
-}
-
-TEST(ActionPipeline, StageSlack)
-{
-    const auto pipeline = ActionPipeline::senseComputeControl(
-        Hertz(10.0), Hertz(20.0), Hertz(1000.0));
-    const auto slack = pipeline.stageSlack();
-    ASSERT_EQ(slack.size(), 3u);
-    EXPECT_DOUBLE_EQ(slack[0], 1.0);   // Sensor is the bottleneck.
-    EXPECT_DOUBLE_EQ(slack[1], 2.0);   // Compute 2x faster.
-    EXPECT_DOUBLE_EQ(slack[2], 100.0); // Control 100x faster.
-}
-
-TEST(ActionPipeline, GenericStagesAndValidation)
-{
-    const ActionPipeline pipeline({{"sensor", Hertz(30.0)},
-                                   {"perception", Hertz(25.0)},
-                                   {"planning", Hertz(12.0)},
-                                   {"control", Hertz(1000.0)}});
-    EXPECT_DOUBLE_EQ(pipeline.actionThroughput().value(), 12.0);
-    EXPECT_EQ(pipeline.bottleneck().name, "planning");
-
-    EXPECT_THROW(ActionPipeline({}), ModelError);
-    EXPECT_THROW(
-        ActionPipeline({{"sensor", Hertz(0.0)}}), ModelError);
-}
-
 TEST(Redundancy, ReplicaCounts)
 {
     EXPECT_EQ(replicaCount(RedundancyScheme::None), 1);
     EXPECT_EQ(replicaCount(RedundancyScheme::Dual), 2);
     EXPECT_EQ(replicaCount(RedundancyScheme::Triple), 3);
-    EXPECT_STREQ(toString(RedundancyScheme::Dual), "dual (DMR)");
 }
 
 TEST(Redundancy, PayloadMassScalesWithReplicas)

@@ -19,7 +19,6 @@
 #include "plot/roofline_chart.hh"
 #include "studies/presets.hh"
 #include "support/errors.hh"
-#include "workload/dvfs.hh"
 #include "workload/throughput.hh"
 
 namespace {
@@ -149,17 +148,19 @@ TEST(RooflinePlatform, PropertySingleCeilingEqualsFlatBound)
     // bit-for-bit.
     const double peak = 1330.0;
     const double bw = 59.7;
-    const workload::DvfsModel dvfs;
-    const auto points = dvfs.operatingPoints(
+    RooflinePlatform::Spec flat_spec;
+    flat_spec.name = "flat";
+    flat_spec.computeCeilings.push_back(
+        {"effective peak", Gops(peak), ComputeTarget::General, {}});
+    flat_spec.memoryCeilings.push_back(
+        {"DRAM", GigabytesPerSecond(bw)});
+    flat_spec.operatingPoints = platform::dvfsOperatingPoints(
         Watts(7.5), {{"nominal", 1.0},
                      {"p80", 0.8},
                      {"p55", 0.55},
                      {"p33", 0.33},
                      {"floor", 0.2}});
-    const RooflinePlatform flat_machine =
-        RooflinePlatform::singleCeiling(
-            "flat", Gops(peak), GigabytesPerSecond(bw), Watts(7.5))
-            .withOperatingPoints(points);
+    const RooflinePlatform flat_machine{flat_spec};
     const auto catalog = components::Catalog::standard();
     std::vector<const RooflinePlatform *> machines = {&flat_machine};
     for (const RooflinePlatform &family : catalog.rooflines().items())
@@ -265,8 +266,10 @@ TEST(Throughput, CeilingSetBoundCarriesAttribution)
 {
     const RooflinePlatform machine{familySpec()};
     // AI = 100 op/B, work = 2 GOP: compute roof 1000 GOPS -> 500 Hz.
+    WorkloadProfile profile;
+    profile.ai = OpsPerByte(100.0);
     const auto compute_bound =
-        workload::rooflineBound(2.0, OpsPerByte(100.0), machine);
+        workload::rooflineBound(2.0, profile, machine);
     EXPECT_DOUBLE_EQ(compute_bound.value.value(), 500.0);
     EXPECT_EQ(compute_bound.source,
               workload::ThroughputSource::RooflineBound);
@@ -274,8 +277,9 @@ TEST(Throughput, CeilingSetBoundCarriesAttribution)
     EXPECT_EQ(compute_bound.binding.index, 1);
 
     // AI = 0.1 op/B: DRAM roof 6 GOPS -> 3 Hz.
+    profile.ai = OpsPerByte(0.1);
     const auto memory_bound =
-        workload::rooflineBound(2.0, OpsPerByte(0.1), machine);
+        workload::rooflineBound(2.0, profile, machine);
     EXPECT_DOUBLE_EQ(memory_bound.value.value(), 3.0);
     EXPECT_EQ(memory_bound.binding.kind, CeilingKind::Memory);
     EXPECT_EQ(memory_bound.binding.index, 0);
@@ -337,15 +341,14 @@ TEST(Plot, CeilingFamilySeriesCoverEveryCeiling)
 
 TEST(Dvfs, OperatingPointsFollowTheCmosLaw)
 {
-    const workload::DvfsModel dvfs;
-    const auto points = dvfs.operatingPoints(
+    const auto points = platform::dvfsOperatingPoints(
         Watts(10.0), {{"nominal", 1.0}, {"half", 0.5}});
     ASSERT_EQ(points.size(), 2u);
     EXPECT_DOUBLE_EQ(points[0].tdp.value(), 10.0);
     // leakage 1 W + dynamic 9 W * 0.5^3.
     EXPECT_NEAR(points[1].tdp.value(), 1.0 + 9.0 * 0.125, 1e-12);
     EXPECT_THROW(
-        dvfs.operatingPoints(Watts(10.0), {{"too-slow", 0.05}}),
+        platform::dvfsOperatingPoints(Watts(10.0), {{"stopped", 0.0}}),
         ModelError);
 }
 
@@ -391,8 +394,9 @@ TEST(CeilingRef, FamilyTagMakesMisattributionDetectable)
     EXPECT_TRUE(other.resolves(untagged));
     // A name-preserving copy keeps the tag, so DVFS variants of one
     // platform stay interchangeable.
-    const RooflinePlatform variant = machine.withOperatingPoints(
-        {{"nominal", 1.0, Watts(10.0)}});
+    RooflinePlatform::Spec variant_spec = familySpec();
+    variant_spec.operatingPoints = {{"nominal", 1.0, Watts(10.0)}};
+    const RooflinePlatform variant{variant_spec};
     EXPECT_EQ(variant.familyTag(), machine.familyTag());
     EXPECT_TRUE(variant.resolves(ref));
 
@@ -587,11 +591,12 @@ TEST(Workload, TraitsMapOntoAPlatformProfile)
     EXPECT_EQ(plain.targets, kAllTargets);
     EXPECT_EQ(plain.stage, 0u);
     EXPECT_DOUBLE_EQ(plain.trafficFraction[0], 0.95);
-    EXPECT_EQ(
-        workload::rooflineBound(dronet, tx2).value.value(),
-        workload::rooflineBound(dronet.workPerFrameGop(),
-                                dronet.arithmeticIntensity(), tx2)
-            .value.value());
+    WorkloadProfile flat;
+    flat.ai = dronet.arithmeticIntensity();
+    EXPECT_EQ(workload::rooflineBound(dronet, tx2).value.value(),
+              workload::rooflineBound(dronet.workPerFrameGop(), flat,
+                                      tx2)
+                  .value.value());
 
     // The scalar-only variant binds the scalar ceiling (index 0),
     // not the platform's top GPU roof.

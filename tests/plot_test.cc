@@ -26,10 +26,12 @@ using namespace uavf1::plot;
 TEST(Axis, LinearNormalization)
 {
     Axis axis("x");
-    axis.range(0.0, 10.0);
-    EXPECT_DOUBLE_EQ(axis.normalized(0.0), 0.0);
+    axis.accommodate(2.0);
+    axis.accommodate(8.0);
+    axis.finalize();
+    EXPECT_DOUBLE_EQ(axis.normalized(axis.lo()), 0.0);
     EXPECT_DOUBLE_EQ(axis.normalized(5.0), 0.5);
-    EXPECT_DOUBLE_EQ(axis.normalized(10.0), 1.0);
+    EXPECT_DOUBLE_EQ(axis.normalized(axis.hi()), 1.0);
     // Clamping.
     EXPECT_DOUBLE_EQ(axis.normalized(-5.0), 0.0);
     EXPECT_DOUBLE_EQ(axis.normalized(50.0), 1.0);
@@ -38,7 +40,9 @@ TEST(Axis, LinearNormalization)
 TEST(Axis, LogNormalization)
 {
     Axis axis("f", Scale::Log10);
-    axis.range(1.0, 1000.0);
+    axis.accommodate(1.0);
+    axis.accommodate(1000.0);
+    axis.finalize();
     EXPECT_DOUBLE_EQ(axis.normalized(1.0), 0.0);
     EXPECT_NEAR(axis.normalized(31.6227766), 0.5, 1e-6);
     EXPECT_DOUBLE_EQ(axis.normalized(1000.0), 1.0);
@@ -76,32 +80,29 @@ TEST(Axis, LogIgnoresNonPositive)
 
 TEST(Axis, LinearTicksAreNiceNumbers)
 {
+    // Fitted to [0.6, 9.4]: ticks every 2 from 2.
     Axis axis("x");
-    axis.range(0.0, 10.0);
+    axis.accommodate(1.0);
+    axis.accommodate(9.0);
+    axis.finalize();
     const auto ticks = axis.ticks(5);
     ASSERT_GE(ticks.size(), 3u);
     for (std::size_t i = 1; i < ticks.size(); ++i)
         EXPECT_GT(ticks[i].value, ticks[i - 1].value);
-    EXPECT_EQ(ticks.front().label, "0");
+    EXPECT_EQ(ticks.front().label, "2");
 }
 
 TEST(Axis, LogTicksAreDecades)
 {
     Axis axis("f", Scale::Log10);
-    axis.range(1.0, 1000.0);
+    axis.accommodate(1.0);
+    axis.accommodate(1000.0);
+    axis.finalize();
     const auto ticks = axis.ticks();
     ASSERT_EQ(ticks.size(), 4u);
     EXPECT_DOUBLE_EQ(ticks[0].value, 1.0);
     EXPECT_DOUBLE_EQ(ticks[3].value, 1000.0);
     EXPECT_EQ(ticks[3].label, "1k");
-}
-
-TEST(Axis, RangeValidation)
-{
-    Axis axis("x");
-    EXPECT_THROW(axis.range(5.0, 5.0), ModelError);
-    Axis log_axis("f", Scale::Log10);
-    EXPECT_THROW(log_axis.range(0.0, 10.0), ModelError);
 }
 
 TEST(Chart, FitAxesCoversSeriesAndAnnotations)

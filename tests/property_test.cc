@@ -6,12 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/f1_model.hh"
 #include "core/safety_model.hh"
 #include "physics/acceleration.hh"
-#include "pipeline/action_pipeline.hh"
 #include "sim/flight_sim.hh"
 #include "sim/vehicle.hh"
 #include "thermal/heatsink.hh"
@@ -29,6 +29,21 @@ struct Rates
     double control;
 };
 
+/** The Eq. 3 analysis of a rate triple at fixed (Pelican) physics. */
+core::F1Analysis
+analyzeRates(double sensor, double compute, double control)
+{
+    core::F1Inputs inputs;
+    inputs.aMax = MetersPerSecondSquared(4.12);
+    inputs.sensingRange = Meters(2.73);
+    inputs.sensorRate = Hertz(sensor);
+    inputs.computeRate = Hertz(compute);
+    inputs.controlRate = Hertz(control);
+    core::F1Analysis out;
+    core::F1Model::analyzeInto(inputs, out);
+    return out;
+}
+
 class PipelinePropertyTest : public ::testing::TestWithParam<Rates>
 {
 };
@@ -36,46 +51,34 @@ class PipelinePropertyTest : public ::testing::TestWithParam<Rates>
 TEST_P(PipelinePropertyTest, Eq3IsTheMinimum)
 {
     const Rates r = GetParam();
-    const auto pipeline = pipeline::ActionPipeline::senseComputeControl(
-        Hertz(r.sensor), Hertz(r.compute), Hertz(r.control));
     const double expected =
         std::min({r.sensor, r.compute, r.control});
-    EXPECT_DOUBLE_EQ(pipeline.actionThroughput().value(), expected);
-}
-
-TEST_P(PipelinePropertyTest, LatencyBoundsBracketThePeriod)
-{
-    const Rates r = GetParam();
-    const auto pipeline = pipeline::ActionPipeline::senseComputeControl(
-        Hertz(r.sensor), Hertz(r.compute), Hertz(r.control));
-    // Eq. 1 <= T_action <= Eq. 2.
-    EXPECT_LE(pipeline.latencyLowerBound().value(),
-              pipeline.actionPeriod().value() + 1e-15);
-    EXPECT_GE(pipeline.latencyUpperBound().value(),
-              pipeline.actionPeriod().value() - 1e-15);
-    // Eq. 2 never exceeds 3x Eq. 1 for a three-stage pipeline.
-    EXPECT_LE(pipeline.latencyUpperBound().value(),
-              3.0 * pipeline.latencyLowerBound().value() + 1e-15);
+    EXPECT_DOUBLE_EQ(
+        analyzeRates(r.sensor, r.compute, r.control)
+            .actionThroughput.value(),
+        expected);
 }
 
 TEST_P(PipelinePropertyTest, SpeedingUpANonBottleneckChangesNothing)
 {
+    using core::BottleneckStage;
     const Rates r = GetParam();
-    const auto base = pipeline::ActionPipeline::senseComputeControl(
-        Hertz(r.sensor), Hertz(r.compute), Hertz(r.control));
-    const auto &bottleneck = base.bottleneck();
+    const core::F1Analysis base =
+        analyzeRates(r.sensor, r.compute, r.control);
+    const BottleneckStage bottleneck = base.bottleneckStage;
     // Double every non-bottleneck stage: action throughput must be
     // unchanged.
-    const double s =
-        bottleneck.name == "sensor" ? r.sensor : r.sensor * 2.0;
-    const double c =
-        bottleneck.name == "compute" ? r.compute : r.compute * 2.0;
-    const double k =
-        bottleneck.name == "control" ? r.control : r.control * 2.0;
-    const auto boosted = pipeline::ActionPipeline::senseComputeControl(
-        Hertz(s), Hertz(c), Hertz(k));
-    EXPECT_DOUBLE_EQ(boosted.actionThroughput().value(),
-                     base.actionThroughput().value());
+    const double s = bottleneck == BottleneckStage::Sensor
+                         ? r.sensor
+                         : r.sensor * 2.0;
+    const double c = bottleneck == BottleneckStage::Compute
+                         ? r.compute
+                         : r.compute * 2.0;
+    const double k = bottleneck == BottleneckStage::Control
+                         ? r.control
+                         : r.control * 2.0;
+    EXPECT_DOUBLE_EQ(analyzeRates(s, c, k).actionThroughput.value(),
+                     base.actionThroughput.value());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -123,10 +126,9 @@ TEST_P(F1PropertyTest, FasterComputeNeverHurts)
     inputs.sensingRange = Meters(p.range);
     inputs.sensorRate = Hertz(60.0);
     inputs.computeRate = Hertz(p.compute);
-    const core::F1Model model(inputs);
-    const auto base = model.analyze();
-    const auto faster =
-        model.withComputeRate(Hertz(p.compute * 2.0)).analyze();
+    const auto base = core::F1Model(inputs).analyze();
+    inputs.computeRate = Hertz(p.compute * 2.0);
+    const auto faster = core::F1Model(inputs).analyze();
     EXPECT_GE(faster.safeVelocity.value(),
               base.safeVelocity.value() - 1e-12);
 }

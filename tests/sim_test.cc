@@ -54,6 +54,15 @@ idealVehicle()
     return params;
 }
 
+/** One 1 ms step with no thrust noise, as the flight simulator
+ * steps (it checks the timestep once per trial). */
+void
+stepOneMs(VehicleModel &vehicle, double commanded_accel)
+{
+    constexpr double dt = 0.001;
+    vehicle.stepUnchecked(dt, vehicle.lagBlend(dt), commanded_accel, 0.0);
+}
+
 TEST(Vehicle, AvailableAccelerationVerticalExcess)
 {
     const VehicleModel vehicle(idealVehicle());
@@ -76,7 +85,7 @@ TEST(Vehicle, StepIntegratesConstantAcceleration)
     const double a = vehicle.availableAcceleration().value();
     // 1 s of full command at dt = 1 ms.
     for (int i = 0; i < 1000; ++i)
-        vehicle.step(Seconds(0.001), a);
+        stepOneMs(vehicle, a);
     // v = a t; x ~ a t^2 / 2 (semi-implicit Euler is close).
     EXPECT_NEAR(vehicle.state().velocity, a, 1e-9);
     EXPECT_NEAR(vehicle.state().position, 0.5 * a, 0.01);
@@ -86,11 +95,11 @@ TEST(Vehicle, CommandIsClippedToAvailable)
 {
     VehicleModel vehicle(idealVehicle());
     vehicle.reset();
-    vehicle.step(Seconds(0.001), 1e6);
+    stepOneMs(vehicle, 1e6);
     EXPECT_NEAR(vehicle.state().acceleration,
                 vehicle.availableAcceleration().value(), 1e-9);
     vehicle.reset();
-    vehicle.step(Seconds(0.001), -1e6);
+    stepOneMs(vehicle, -1e6);
     EXPECT_NEAR(vehicle.state().acceleration,
                 -vehicle.availableAcceleration().value(), 1e-9);
 }
@@ -101,13 +110,13 @@ TEST(Vehicle, ActuationLagDelaysResponse)
     lagged.actuationLag = Seconds(0.2);
     VehicleModel vehicle(lagged);
     vehicle.reset();
-    vehicle.step(Seconds(0.001), 1.0);
+    stepOneMs(vehicle, 1.0);
     // After one millisecond the realized acceleration is far from
     // the command.
     EXPECT_LT(vehicle.state().acceleration, 0.1);
     // After many time constants it converges.
     for (int i = 0; i < 5000; ++i)
-        vehicle.step(Seconds(0.001), 1.0);
+        stepOneMs(vehicle, 1.0);
     EXPECT_NEAR(vehicle.state().acceleration, 1.0, 0.02);
 }
 
@@ -119,7 +128,7 @@ TEST(Vehicle, DragOpposesMotion)
     vehicle.reset();
     // Coast at 5 m/s with zero command: drag must decelerate.
     for (int i = 0; i < 100; ++i)
-        vehicle.step(Seconds(0.001), 0.0);
+        stepOneMs(vehicle, 0.0);
     EXPECT_DOUBLE_EQ(vehicle.state().velocity, 0.0);
 
     // Manually inject speed by resetting state through steps.
@@ -127,10 +136,10 @@ TEST(Vehicle, DragOpposesMotion)
     coaster.reset();
     const double a = coaster.availableAcceleration().value();
     while (coaster.state().velocity < 3.0)
-        coaster.step(Seconds(0.001), a);
+        stepOneMs(coaster, a);
     const double v0 = coaster.state().velocity;
     for (int i = 0; i < 1000; ++i)
-        coaster.step(Seconds(0.001), 0.0);
+        stepOneMs(coaster, 0.0);
     EXPECT_LT(coaster.state().velocity, v0);
 }
 
@@ -503,7 +512,7 @@ TEST(Validation, ObservedIsBelowPredictionWithRealism)
     vcase.vehicle.brakeMargin = 0.95;
     vcase.seed = 7;
     const ValidationResult result =
-        ValidationHarness::validate(vcase);
+        ValidationHarness::validateAll({vcase})[0];
     EXPECT_GT(result.observed, 0.0);
     EXPECT_GT(result.predicted, result.observed);
     EXPECT_GT(result.errorPercent, 0.0);
@@ -522,7 +531,7 @@ TEST(Validation, SweepStepsAreUniformAndCoverTheRange)
     vcase.trialsPerSetpoint = 1;
     vcase.sweepResolution = 0.07;
     const ValidationResult result =
-        ValidationHarness::validate(vcase);
+        ValidationHarness::validateAll({vcase})[0];
 
     const double v_lo =
         std::max(vcase.sweepResolution, 0.4 * result.predicted);
@@ -596,7 +605,7 @@ TEST(Validation, ValidateAllIsBitIdenticalAcrossThreadCounts)
     EXPECT_GT(infractions, 0);
 }
 
-TEST(Validation, ValidateIsValidateAllOfOneCase)
+TEST(Validation, OneCaseBatchMatchesItsPlaceInTheFullBatch)
 {
     const auto cases = coarseTable1Cases();
     exec::ThreadPool pool8(8);
@@ -604,13 +613,9 @@ TEST(Validation, ValidateIsValidateAllOfOneCase)
         ValidationHarness::validateAll(cases, {.pool = &pool8});
     ASSERT_EQ(batch.size(), cases.size());
     for (std::size_t c = 0; c < cases.size(); ++c) {
-        const ValidationResult single =
-            ValidationHarness::validate(cases[c]);
-        expectSameValidation(single,
-                             ValidationHarness::validateAll(
-                                 {cases[c]})[0]);
         // A case's sweep does not depend on its batch-mates.
-        expectSameValidation(single, batch[c]);
+        expectSameValidation(
+            ValidationHarness::validateAll({cases[c]})[0], batch[c]);
     }
 }
 

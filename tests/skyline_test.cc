@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "components/catalog.hh"
 #include "exec/thread_pool.hh"
@@ -490,6 +491,43 @@ TEST(Session, SweepMarksValidationFailuresInfeasible)
     // all-infeasible sweep.
     EXPECT_THROW(session.sweep("warp_drive", 0.0, 1.0, 3),
                  ModelError);
+}
+
+TEST(Session, SweepRejectsHostileRangesNamingTheArgument)
+{
+    // The sweep checks its own arguments before it allocates, so the
+    // REPL and the sweep study share one copy of the checks. Before
+    // them, 1e9 steps ended in std::bad_alloc, and a NaN bound or an
+    // overflowing span swept rows at inf or NaN.
+    const SkylineSession session;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const struct
+    {
+        double from, to;
+        std::size_t steps;
+        const char *named;
+    } cases[] = {
+        {1.0, 100.0, 1, "'steps'"},
+        {1.0, 100.0, kMaxSweepPoints + 1, "'steps'"},
+        {1.0, 100.0, std::numeric_limits<std::size_t>::max(),
+         "'steps'"},
+        {nan, 100.0, 9, "'from'"},
+        {1.0, -inf, 9, "'to'"},
+        {1.0, 1e308, 3, "('to' - 'from')"},
+        {-1e308, 1e308, 3, "('to' - 'from')"},
+    };
+    for (const auto &c : cases) {
+        try {
+            session.sweep("sensor_framerate", c.from, c.to, c.steps);
+            ADD_FAILURE() << "accepted " << c.from << " " << c.to
+                          << " " << c.steps;
+        } catch (const ModelError &error) {
+            EXPECT_NE(std::string(error.what()).find(c.named),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST(Report, HtmlIsSelfContained)

@@ -28,8 +28,8 @@ runStudy(const std::string &name, const std::string &assignment = "")
 {
     ScenarioSpec spec;
     spec.study = name;
-    if (!assignment.empty())
-        spec.set(assignment);
+    for (const auto &parsed : parseAssignments(assignment))
+        spec.apply(parsed);
     return ScenarioRunner().run(spec);
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "components/catalog.hh"
 #include "core/uav_config.hh"
 #include "support/errors.hh"
@@ -79,8 +81,13 @@ TEST(UavConfig, MassRollUpIncludesEverything)
     // Airframe 1000 + FC 10 + sensor 72 + TX2 (85 + ~41 heatsink).
     EXPECT_NEAR(config.takeoffMass().value(),
                 1000.0 + 10.0 + 72.0 + 85.0 + 41.2, 1.0);
-    EXPECT_NEAR(budget.massOf("Nvidia TX2 (compute)").value(),
-                85.0 + 41.2, 1.0);
+    const auto compute = std::find_if(
+        budget.items().begin(), budget.items().end(),
+        [](const physics::MassItem &item) {
+            return item.label == "Nvidia TX2 (compute)";
+        });
+    ASSERT_NE(compute, budget.items().end());
+    EXPECT_NEAR(compute->mass.value(), 85.0 + 41.2, 1.0);
     EXPECT_EQ(budget.items().size(), 4u);
 }
 

@@ -110,21 +110,6 @@ TEST(SpaPipeline, StandardRegistryContents)
               pipelines.items().front().name());
 }
 
-TEST(SpaPipeline, BottleneckIsThePlanner)
-{
-    const auto pipeline = SpaPipeline::mavbenchPackageDeliveryTx2();
-    EXPECT_EQ(pipeline.bottleneck().name, "Path planner");
-}
-
-TEST(SpaPipeline, ScaledByChangesAllStages)
-{
-    const auto pipeline = SpaPipeline::mavbenchPackageDeliveryTx2();
-    const auto faster = pipeline.scaledBy(0.5, " (2x host)");
-    EXPECT_NEAR(faster.totalLatency().value(),
-                pipeline.totalLatency().value() * 0.5, 1e-12);
-    EXPECT_THROW(pipeline.scaledBy(0.0, "bad"), ModelError);
-}
-
 TEST(SpaPipeline, UnknownStageThrows)
 {
     const auto pipeline = SpaPipeline::mavbenchPackageDeliveryTx2();
@@ -195,9 +180,10 @@ TEST(Oracle, RooflineBoundIsAnUpperBoundOnMeasurements)
     };
     for (const auto &pair : pairs) {
         const double bound =
-            rooflineBound(algorithms.byName(pair.algo),
-                          catalog.computes().byName(pair.platform))
-                .value();
+            rooflineBound(
+                algorithms.byName(pair.algo),
+                catalog.computes().byName(pair.platform).roofline())
+                .value.value();
         const double measured =
             oracle.measured(pair.algo, pair.platform).value();
         EXPECT_GE(bound, measured)
@@ -221,14 +207,16 @@ TEST(Oracle, RooflineBoundSelectsMemoryOrComputeRoof)
         .description = "",
     });
     const double expected = 0.01 * 1.0 / 0.001; // 10 Hz.
-    EXPECT_NEAR(rooflineBound(streamy, fat_compute).value(),
-                expected, 1e-9);
+    EXPECT_NEAR(
+        rooflineBound(streamy, fat_compute.roofline()).value.value(),
+        expected, 1e-9);
 
     // Compute-heavy workload on the same machine is compute-bound.
     const AutonomyAlgorithm dense("dense", Paradigm::EndToEnd, 10.0,
                                   1.0); // AI = 10000 op/B
-    EXPECT_NEAR(rooflineBound(dense, fat_compute).value(),
-                1000.0 / 10.0, 1e-9);
+    EXPECT_NEAR(
+        rooflineBound(dense, fat_compute.roofline()).value.value(),
+        1000.0 / 10.0, 1e-9);
 }
 
 TEST(Oracle, RooflineBoundRejectsDegenerateInputs)
@@ -240,13 +228,13 @@ TEST(Oracle, RooflineBoundRejectsDegenerateInputs)
         "m", Gops(100.0), GigabytesPerSecond(10.0));
 
     // Zero / negative work per frame.
-    EXPECT_THROW(rooflineBound(0.0, OpsPerByte(1.0), machine),
-                 ModelError);
-    EXPECT_THROW(rooflineBound(-1.0, OpsPerByte(1.0), machine),
-                 ModelError);
+    platform::WorkloadProfile profile;
+    profile.ai = OpsPerByte(1.0);
+    EXPECT_THROW(rooflineBound(0.0, profile, machine), ModelError);
+    EXPECT_THROW(rooflineBound(-1.0, profile, machine), ModelError);
     // Zero arithmetic intensity.
-    EXPECT_THROW(rooflineBound(1.0, OpsPerByte(0.0), machine),
-                 ModelError);
+    profile.ai = OpsPerByte(0.0);
+    EXPECT_THROW(rooflineBound(1.0, profile, machine), ModelError);
     // Zero bandwidth: rejected at platform construction, before a
     // bound can ever divide by it.
     EXPECT_THROW(platform::RooflinePlatform::singleCeiling(
@@ -268,9 +256,8 @@ TEST(Oracle, RooflineBoundRejectsDegenerateInputs)
         ModelError);
     // A vanishing work-per-frame against a large roof would round
     // to inf Hz: clear error instead.
-    EXPECT_THROW(
-        rooflineBound(1e-305, OpsPerByte(1000.0), machine),
-        ModelError);
+    profile.ai = OpsPerByte(1000.0);
+    EXPECT_THROW(rooflineBound(1e-305, profile, machine), ModelError);
 }
 
 TEST(Oracle, FallbackCarriesBindingCeiling)
