@@ -439,7 +439,10 @@ runInteractive()
                     "%s",
                     plot::AsciiRenderer().render(chart).c_str());
             } else if (command == "sweep") {
-                std::string knob, from_text, to_text, steps_text;
+                std::string knob;
+                std::string from_text;
+                std::string to_text;
+                std::string steps_text;
                 in >> knob >> from_text >> to_text >> steps_text;
                 // SkylineSession::sweep range-checks the values.
                 const double from =
